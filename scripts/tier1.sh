@@ -51,6 +51,14 @@
 # `bench` label in a separate build-lod/ tree (so the fast gate's build/
 # never flips BUSSENSE_BENCH_TESTS). Off by default -- the long run takes
 # ~10 minutes on a single-core host.
+#
+# Optional benchmark smoke stage: BUSSENSE_PERFBENCH=ON ./scripts/tier1.sh
+# runs perfbench/smoke_test.py -- a reduced-size run of every BENCHMARK.json
+# workload, untraced and traced, that must pass every self-check the
+# benchmark makes (among them the in-pipeline SIMD bound-skip check and the
+# bitwise sharded-vs-serial gate), so a matcher or ingest change that breaks
+# one fails this named stage. The first run builds perfbench/ (Release) into
+# .bench_build/. Off by default -- it takes a few minutes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -180,6 +188,12 @@ if [[ "${BUSSENSE_LOD:-}" == "ON" ]]; then
   # mismatch; BUSSENSE_LOD_RIDERS can scale the metropolis down for
   # smoke runs of this stage.
   (cd build-lod && ctest --output-on-failure -R 'bench.bench_ingest_service')
+  end_stage
+fi
+
+if [[ "${BUSSENSE_PERFBENCH:-}" == "ON" ]]; then
+  begin_stage "perfbench smoke (both workloads x both trace modes)"
+  python3 perfbench/smoke_test.py
   end_stage
 fi
 

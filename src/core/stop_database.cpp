@@ -6,30 +6,20 @@
 
 namespace bussense {
 
-namespace {
-// int16 ranks with negative sentinels reserved: ranks 0..32767.
-constexpr std::size_t kMaxRanks = 32768;
-}  // namespace
-
 StopDatabase::StopDatabase(const StopDatabase& other)
-    : records_(other.records_),
-      index_(other.index_),
-      postings_(other.postings_) {}
+    : records_(other.records_), index_(other.index_) {}
 
 StopDatabase& StopDatabase::operator=(const StopDatabase& other) {
   if (this != &other) {
     records_ = other.records_;
     index_ = other.index_;
-    postings_ = other.postings_;
     quantized_ready_.store(false, std::memory_order_release);
   }
   return *this;
 }
 
 StopDatabase::StopDatabase(StopDatabase&& other) noexcept
-    : records_(std::move(other.records_)),
-      index_(std::move(other.index_)),
-      postings_(std::move(other.postings_)) {
+    : records_(std::move(other.records_)), index_(std::move(other.index_)) {
   other.quantized_ready_.store(false, std::memory_order_release);
 }
 
@@ -37,7 +27,6 @@ StopDatabase& StopDatabase::operator=(StopDatabase&& other) noexcept {
   if (this != &other) {
     records_ = std::move(other.records_);
     index_ = std::move(other.index_);
-    postings_ = std::move(other.postings_);
     quantized_ready_.store(false, std::memory_order_release);
     other.quantized_ready_.store(false, std::memory_order_release);
   }
@@ -47,42 +36,11 @@ StopDatabase& StopDatabase::operator=(StopDatabase&& other) noexcept {
 void StopDatabase::add(StopId effective_stop, Fingerprint fingerprint) {
   quantized_ready_.store(false, std::memory_order_release);
   if (const auto it = index_.find(effective_stop); it != index_.end()) {
-    const auto rec = static_cast<std::uint32_t>(it->second);
-    unindex_cells(rec);
     records_[it->second].fingerprint = std::move(fingerprint);
-    index_cells(rec);
     return;
   }
   index_.emplace(effective_stop, records_.size());
   records_.push_back(StopRecord{effective_stop, std::move(fingerprint)});
-  index_cells(static_cast<std::uint32_t>(records_.size() - 1));
-}
-
-void StopDatabase::index_cells(std::uint32_t record) {
-  for (const CellId cell : records_[record].fingerprint.cells) {
-    std::vector<std::uint32_t>& list = postings_[cell];
-    // Keep lists ascending so candidate generation visits records in
-    // database order (which fixes tie-breaking identically to the scan).
-    list.insert(std::upper_bound(list.begin(), list.end(), record), record);
-  }
-}
-
-void StopDatabase::unindex_cells(std::uint32_t record) {
-  for (const CellId cell : records_[record].fingerprint.cells) {
-    const auto it = postings_.find(cell);
-    if (it == postings_.end()) continue;
-    std::vector<std::uint32_t>& list = it->second;
-    // Erase one occurrence (duplicated cells post one entry each).
-    const auto pos = std::find(list.begin(), list.end(), record);
-    if (pos != list.end()) list.erase(pos);
-    if (list.empty()) postings_.erase(it);
-  }
-}
-
-const std::vector<std::uint32_t>* StopDatabase::postings(CellId cell) const {
-  const auto it = postings_.find(cell);
-  if (it == postings_.end()) return nullptr;
-  return &it->second;
 }
 
 const StopDatabase::QuantizedView& StopDatabase::quantized() const {
@@ -115,27 +73,38 @@ void StopDatabase::build_quantized(QuantizedView& view) const {
   std::size_t total = 0;
   for (const StopRecord& r : records_) total += r.fingerprint.cells.size();
   view.ranks.reserve(total);
-  view.valid = true;
+  std::vector<std::uint32_t> ids;  // dense id of every ranks[] slot
+  ids.reserve(total);
   for (const std::uint32_t rec : order) {
     const std::vector<CellId>& cells = records_[rec].fingerprint.cells;
     view.record[rec] = {static_cast<std::uint32_t>(view.ranks.size()),
                         static_cast<std::uint32_t>(cells.size())};
     for (const CellId cell : cells) {
-      const auto it = view.dictionary.find(cell);
-      if (it != view.dictionary.end()) {
-        view.ranks.push_back(it->second);
-        continue;
-      }
-      if (view.dictionary.size() >= kMaxRanks) {
-        // Rank space exhausted: mark the whole view unusable (callers keep
-        // the scalar representation) but leave it structurally consistent.
-        view.valid = false;
-        view.ranks.push_back(simd::kUnknownRank);
-        continue;
-      }
-      const auto rank = static_cast<std::int16_t>(view.dictionary.size());
-      view.dictionary.emplace(cell, rank);
-      view.ranks.push_back(rank);
+      // Ids in first-encounter order over the length-grouped layout.
+      const auto next = static_cast<std::uint32_t>(view.dictionary.size());
+      const std::uint32_t id =
+          view.dictionary.try_emplace(cell, next).first->second;
+      ids.push_back(id);
+      view.ranks.push_back(QuantizedView::rank_of_id(id));
+    }
+  }
+  // Ids past the rank space left kUnknownRank holes in ranks: the kernel
+  // must not run, but the index below is still exact.
+  view.valid = view.dictionary.size() <= QuantizedView::kRankSpace;
+
+  // CSR postings: count per id, prefix-sum, then fill in ascending record
+  // order so every list comes out sorted.
+  view.post_off.assign(view.dictionary.size() + 1, 0);
+  for (const std::uint32_t id : ids) ++view.post_off[id + 1];
+  std::partial_sum(view.post_off.begin(), view.post_off.end(),
+                   view.post_off.begin());
+  view.post_rec.resize(total);
+  std::vector<std::uint32_t> fill(view.post_off.begin(),
+                                  view.post_off.end() - 1);
+  for (std::uint32_t rec = 0; rec < view.record.size(); ++rec) {
+    const QuantizedView::RecordRef ref = view.record[rec];
+    for (std::uint32_t j = 0; j < ref.length; ++j) {
+      view.post_rec[fill[ids[ref.offset + j]]++] = rec;
     }
   }
 }

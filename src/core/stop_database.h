@@ -48,56 +48,67 @@ class StopDatabase {
 
   const Fingerprint* fingerprint_of(StopId effective_stop) const;
 
-  /// Inverted cell-ID index: indices into records() whose fingerprint
-  /// contains `cell`, ascending, one entry per occurrence. nullptr when no
-  /// record carries the cell. StopMatcher intersects these posting lists to
-  /// generate match candidates instead of scanning the whole database.
-  const std::vector<std::uint32_t>* postings(CellId cell) const;
-
-  /// Quantized SoA mirror of records() (DESIGN.md §12): every cell ID is
-  /// mapped to a dense int16 rank through a DB-owned dictionary, and the
-  /// rank arrays are stored contiguously grouped by fingerprint-length
-  /// class — the layout the batch-scoring kernel (core/matching_simd.h)
-  /// packs its transposed lanes from. Equality is preserved exactly (the
-  /// dictionary is injective), so rank-space alignment scores equal
-  /// cell-ID-space scores bitwise.
+  /// Quantized SoA mirror of records() plus its inverted cell index
+  /// (DESIGN.md §12), built lazily in one pass. Every distinct cell ID gets a
+  /// dense uint32 id through a DB-owned dictionary (first-encounter order,
+  /// injective). The id keys a CSR posting list (records carrying the cell)
+  /// and, while it fits int16, doubles as the cell's *rank* for the
+  /// batch-scoring kernel (core/matching_simd.h). Rank arrays are stored
+  /// contiguously grouped by fingerprint-length class, the layout the kernel
+  /// packs its transposed lanes from. Equality is preserved exactly, so
+  /// rank-space alignment scores equal cell-ID-space scores bitwise.
   struct QuantizedView {
+    /// Dense id of a cell the database never saw.
+    static constexpr std::uint32_t kNoId = 0xFFFFFFFFu;
+    /// Ids below this double as int16 kernel ranks (negatives are the
+    /// sentinels in core/matching_simd.h).
+    static constexpr std::uint32_t kRankSpace = 32768;
+
     /// One entry per records() position.
     struct RecordRef {
       std::uint32_t offset = 0;  ///< start of this record's ranks
       std::uint32_t length = 0;  ///< fingerprint length in cells
     };
 
-    /// False when the dictionary outgrew the int16 rank space (> 32768
-    /// distinct cell IDs) — callers must fall back to the scalar
-    /// representation. The paper's whole-city deployments sit 4 orders of
-    /// magnitude below the cap.
+    /// False when the dictionary outgrew the rank space (> kRankSpace
+    /// distinct cell IDs): the batch kernel must not run, but the dictionary
+    /// and the posting lists stay complete. The paper's whole-city
+    /// deployments sit 4 orders of magnitude below the cap.
     bool valid = false;
     std::vector<std::int16_t> ranks;  ///< all fingerprints, length-grouped
     std::vector<RecordRef> record;    ///< indexed by record position
-    std::unordered_map<CellId, std::int16_t> dictionary;
+    std::unordered_map<CellId, std::uint32_t> dictionary;  ///< cell → id
+    /// Posting lists: post_rec[post_off[id] .. post_off[id + 1]) are the
+    /// records whose fingerprint contains cell `id`, ascending, one entry
+    /// per occurrence (a cell duplicated in a fingerprint posts twice).
+    std::vector<std::uint32_t> post_off;
+    std::vector<std::uint32_t> post_rec;
 
-    /// Rank of an upload cell; simd::kUnknownRank when the database never
-    /// saw the cell (compares unequal to every stored rank by design).
-    std::int16_t rank_of(CellId cell) const {
+    /// Dense id of an upload cell; kNoId when the database never saw it.
+    std::uint32_t id_of(CellId cell) const {
       const auto it = dictionary.find(cell);
-      return it == dictionary.end() ? simd::kUnknownRank : it->second;
+      return it == dictionary.end() ? kNoId : it->second;
     }
+    /// Kernel rank of a dense id: the id itself while it fits int16,
+    /// simd::kUnknownRank for kNoId (compares unequal to every stored rank
+    /// by design) and for ids past the rank space (only when !valid).
+    static std::int16_t rank_of_id(std::uint32_t id) {
+      return id < kRankSpace ? static_cast<std::int16_t>(id)
+                             : simd::kUnknownRank;
+    }
+    std::int16_t rank_of(CellId cell) const { return rank_of_id(id_of(cell)); }
   };
 
-  /// The quantized view, built lazily on first use. Concurrent readers are
-  /// safe (double-checked build under a mutex); add() invalidates the view
-  /// and, like all mutation, must not race readers.
+  /// The quantized view and index, built lazily on first use. Concurrent
+  /// readers are safe (double-checked build under a mutex); add()
+  /// invalidates the view and, like all mutation, must not race readers.
   const QuantizedView& quantized() const;
 
  private:
-  void index_cells(std::uint32_t record);
-  void unindex_cells(std::uint32_t record);
   void build_quantized(QuantizedView& view) const;
 
   std::vector<StopRecord> records_;
   std::unordered_map<StopId, std::size_t> index_;
-  std::unordered_map<CellId, std::vector<std::uint32_t>> postings_;
 
   mutable std::mutex quantized_mutex_;
   mutable std::unique_ptr<QuantizedView> quantized_;

@@ -1,6 +1,7 @@
 #include "core/stop_matcher.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -10,38 +11,161 @@ namespace bussense {
 
 namespace {
 
-// Candidate-generation scratch: shared-cell occurrence counts per record
-// plus the list of records touched (so resets cost O(touched), not O(db)).
-// thread_local because the concurrent server matches from many workers.
-struct CandidateScratch {
-  std::vector<std::uint32_t> counts;
-  std::vector<std::uint32_t> touched;
-};
-thread_local CandidateScratch t_scratch;
+using QuantizedView = StopDatabase::QuantizedView;
 
-// Retention cap for the candidate scratch. One match() against a huge
-// database would otherwise pin O(db) counts capacity for the thread's whole
+// A record sharing cells with the sample: shared-cell occurrence count.
+struct Candidate {
+  std::uint32_t record;
+  std::uint32_t shared;
+};
+
+// A γ-passing candidate on the batch path.
+struct Survivor {
+  std::uint32_t record;
+  std::uint32_t length;
+  double bound;  ///< upper bound on the score
+  double score;  ///< kNotScored until a DP ran
+};
+
+// Per-thread matcher scratch, reused across calls (thread_local because the
+// concurrent server matches from many workers). `counts` (shared-cell
+// occurrences per record) and the `touched` bitmap are sized to the database
+// and return to all zeros as the walk enumerates them, so a call pays no
+// O(database) reset.
+struct Scratch {
+  std::vector<std::uint32_t> counts;
+  std::vector<std::uint64_t> touched;  ///< bit r set iff counts[r] > 0
+  std::vector<std::uint32_t> sample_ids;
+  std::vector<std::int16_t> sample_ranks;
+  std::vector<Candidate> candidates;  ///< records ascending
+  // Batch path: survivors (records ascending) with their length range, the
+  // length-class order for mixed lengths, one batch's lanes and the
+  // kernel's transposed block.
+  std::vector<Survivor> survivors;
+  std::uint32_t min_length = 0;
+  std::uint32_t max_length = 0;
+  std::vector<std::uint32_t> class_end;
+  std::vector<std::uint32_t> order;
+  std::vector<Survivor*> lane_survivor;
+  std::vector<std::int16_t> lane_scores;
+  std::vector<std::int16_t> db_t;
+};
+thread_local Scratch t_scratch;
+
+// Retention cap for the database-sized scratch. One match() against a huge
+// database would otherwise pin O(db) capacity for the thread's whole
 // lifetime (ingestion workers are long-lived); above this many entries the
 // scratch is rebuilt at the size the current database actually needs.
 constexpr std::size_t kScratchRetainEntries = std::size_t{1} << 16;
 
-// Batch-scoring scratch for the SIMD path (one per thread, reused):
-// the quantized upload, the survivors (record ids ascending) with their γ
-// upper bounds, per-survivor scores, the length-class processing order and
-// the kernel's transposed lane block.
-struct BatchScratch {
-  std::vector<std::int16_t> sample_ranks;
-  std::vector<std::uint32_t> survivors;
-  std::vector<double> bounds;
-  std::vector<double> scores;  ///< kNotScored until a DP ran
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> lane_record;
-  std::vector<std::int16_t> db_t;
-  std::vector<std::int16_t> lane_scores;
-};
-thread_local BatchScratch t_batch;
+// Looks every sample cell up once: the dense id drives the posting walk,
+// the rank feeds the batch kernel.
+void resolve_sample(const QuantizedView& qv, const Fingerprint& sample) {
+  Scratch& w = t_scratch;
+  w.sample_ids.resize(sample.size());
+  w.sample_ranks.resize(sample.size());
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    w.sample_ids[i] = qv.id_of(sample.cells[i]);
+    w.sample_ranks[i] = QuantizedView::rank_of_id(w.sample_ids[i]);
+  }
+}
+
+// Resolves the sample, then lists every record sharing at least one cell
+// with it, records ascending (the scalar scan's tie-break order) straight
+// from the bitmap's word order — no sort.
+const std::vector<Candidate>& walk_index(const QuantizedView& qv,
+                                         const Fingerprint& sample) {
+  Scratch& w = t_scratch;
+  const std::size_t records = qv.record.size();
+  if (w.counts.capacity() > kScratchRetainEntries &&
+      std::max(records, kScratchRetainEntries) < w.counts.capacity()) {
+    // Shrink back after a huge-database excursion: release the buffers
+    // (shrink_to_fit may legally keep the capacity) and regrow below.
+    std::vector<std::uint32_t>().swap(w.counts);
+    std::vector<std::uint64_t>().swap(w.touched);
+    std::vector<Candidate>().swap(w.candidates);
+    std::vector<Survivor>().swap(w.survivors);
+  }
+  if (w.counts.size() < records) {
+    w.counts.resize(records, 0);
+    w.touched.resize((records + 63) / 64, 0);
+    // Reserved up front so nothing below can throw with the scratch dirty.
+    w.candidates.reserve(records);
+  }
+  resolve_sample(qv, sample);
+  w.candidates.clear();
+
+  // Branch-free count: first touches are unpredictable, and setting a bit
+  // twice is harmless. Lists are ascending, so their ends bound the range.
+  std::size_t lo = SIZE_MAX, hi = 0;  // touched word range
+  for (const std::uint32_t id : w.sample_ids) {
+    if (id == QuantizedView::kNoId) continue;
+    const std::uint32_t begin = qv.post_off[id], end = qv.post_off[id + 1];
+    lo = std::min<std::size_t>(lo, qv.post_rec[begin] >> 6);
+    hi = std::max<std::size_t>(hi, qv.post_rec[end - 1] >> 6);
+    for (std::uint32_t p = begin; p < end; ++p) {
+      const std::uint32_t rec = qv.post_rec[p];
+      ++w.counts[rec];
+      w.touched[rec >> 6] |= std::uint64_t{1} << (rec & 63);
+    }
+  }
+  for (std::size_t word = lo; word <= hi; ++word) {
+    std::uint64_t bits = w.touched[word];
+    w.touched[word] = 0;
+    while (bits != 0) {
+      const auto rec =
+          static_cast<std::uint32_t>(word * 64 + std::countr_zero(bits));
+      bits &= bits - 1;
+      w.candidates.push_back(Candidate{rec, w.counts[rec]});
+      w.counts[rec] = 0;
+    }
+  }
+  return w.candidates;
+}
 
 constexpr double kNotScored = -1.0;  // real scores are >= 0
+
+// The running winner of the scalar scan's rule — higher score, then more
+// common cells, then the earlier record — fed in ascending record order.
+// common_cell_count runs only when a score ties the incumbent, plus once
+// for the final winner.
+class Winner {
+ public:
+  Winner(const Fingerprint& sample, const StopDatabase& database)
+      : sample_(sample), records_(database.records()) {}
+
+  void offer(std::uint32_t record, double score) {
+    if (score > score_) {
+      record_ = record;
+      score_ = score;
+      common_ = -1;
+    } else if (score == score_) {
+      if (common_ < 0) common_ = common_with(record_);
+      const int common = common_with(record);
+      if (common > common_) {
+        record_ = record;
+        common_ = common;
+      }
+    }
+  }
+
+  std::optional<MatchResult> result() {
+    if (score_ == kNotScored) return std::nullopt;
+    if (common_ < 0) common_ = common_with(record_);
+    return MatchResult{records_[record_].stop, score_, common_};
+  }
+
+ private:
+  int common_with(std::uint32_t record) const {
+    return common_cell_count(sample_, records_[record].fingerprint);
+  }
+
+  const Fingerprint& sample_;
+  const std::vector<StopRecord>& records_;
+  std::uint32_t record_ = 0;
+  double score_ = kNotScored;
+  int common_ = -1;  ///< not computed yet
+};
 
 }  // namespace
 
@@ -117,284 +241,220 @@ std::size_t StopMatcher::thread_scratch_capacity() {
   return t_scratch.counts.capacity();
 }
 
-const std::vector<std::uint32_t>& StopMatcher::gather_candidates(
-    const Fingerprint& sample) const {
-  CandidateScratch& s = t_scratch;
-  if (s.counts.capacity() > kScratchRetainEntries &&
-      std::max(database_->size(), kScratchRetainEntries) < s.counts.capacity()) {
-    // Shrink back after a huge-database excursion: swap in right-sized
-    // buffers (assign/shrink_to_fit may legally keep the old capacity).
-    std::vector<std::uint32_t>(database_->size(), 0).swap(s.counts);
-    std::vector<std::uint32_t>().swap(s.touched);
-  }
-  if (s.counts.size() < database_->size()) s.counts.resize(database_->size(), 0);
-  for (const std::uint32_t rec : s.touched) s.counts[rec] = 0;
-  s.touched.clear();
-  for (const CellId cell : sample.cells) {
-    const std::vector<std::uint32_t>* list = database_->postings(cell);
-    if (!list) continue;
-    for (const std::uint32_t rec : *list) {
-      if (s.counts[rec]++ == 0) s.touched.push_back(rec);
-    }
-  }
-  // Database order, so equal (score, common) ties resolve exactly as the
-  // brute-force scan does (first record wins).
-  std::sort(s.touched.begin(), s.touched.end());
-  return s.touched;
+double StopMatcher::score_bound(std::size_t shared, std::size_t n,
+                                std::size_t m) const {
+  return config_.matching.match_score *
+         static_cast<double>(std::min({shared, n, m}));
 }
 
 void StopMatcher::collect_survivors(const Fingerprint& sample,
+                                    const QuantizedView& qv,
                                     MatchStats& local) const {
-  BatchScratch& b = t_batch;
-  b.survivors.clear();
-  b.bounds.clear();
-  const double ms = config_.matching.match_score;
-  const auto push = [&](std::uint32_t rec, double bound) {
-    if (bound < config_.accept_threshold) return;  // cannot reach γ
-    b.survivors.push_back(rec);
-    b.bounds.push_back(bound);
+  Scratch& b = t_scratch;
+  const std::size_t n = sample.cells.size();
+  std::size_t kept = 0;
+  // Branch-free compaction: write every candidate, keep those that can
+  // reach γ (which ones do is unpredictable).
+  const auto push = [&](std::uint32_t rec, std::size_t shared) {
+    const std::uint32_t length = qv.record[rec].length;
+    const double bound = score_bound(shared, n, length);
+    b.survivors[kept] = Survivor{rec, length, bound, kNotScored};
+    kept += bound >= config_.accept_threshold;
   };
   if (index_usable()) {
-    for (const std::uint32_t rec : gather_candidates(sample)) {
-      // Upper bound: at most one match per shared cell occurrence, and no
-      // more matches than the shorter fingerprint has cells.
-      push(rec, std::min(ms * t_scratch.counts[rec],
-                         max_similarity(sample,
-                                        database_->records()[rec].fingerprint,
-                                        config_.matching)));
-    }
+    const std::vector<Candidate>& candidates = walk_index(qv, sample);
+    b.survivors.resize(candidates.size());
+    for (const Candidate& c : candidates) push(c.record, c.shared);
   } else {
-    for (std::uint32_t rec = 0;
-         rec < static_cast<std::uint32_t>(database_->size()); ++rec) {
-      push(rec, max_similarity(sample, database_->records()[rec].fingerprint,
-                               config_.matching));
+    resolve_sample(qv, sample);
+    b.survivors.resize(qv.record.size());
+    for (std::uint32_t rec = 0; rec < qv.record.size(); ++rec) {
+      push(rec, qv.record[rec].length);
     }
   }
-  local.gamma_candidates = b.survivors.size();
+  b.survivors.resize(kept);
+  b.min_length = UINT32_MAX;
+  b.max_length = 0;
+  for (const Survivor& s : b.survivors) {
+    b.min_length = std::min(b.min_length, s.length);
+    b.max_length = std::max(b.max_length, s.length);
+  }
+  local.gamma_candidates = kept;
 }
 
 void StopMatcher::score_survivors(const Fingerprint& sample,
+                                  const QuantizedView& qv,
                                   bool prune_incumbent,
                                   MatchStats& local) const {
-  BatchScratch& b = t_batch;
-  const StopDatabase::QuantizedView& qv = database_->quantized();
+  Scratch& b = t_scratch;
+  const std::int16_t* upload = b.sample_ranks.data();
   const std::size_t n = sample.cells.size();
-
-  // Quantize the upload once per call.
-  b.sample_ranks.clear();
-  b.sample_ranks.reserve(n);
-  for (const CellId cell : sample.cells) {
-    b.sample_ranks.push_back(qv.rank_of(cell));
-  }
-
-  const std::size_t count = b.survivors.size();
-  b.scores.assign(count, kNotScored);
-  // Process survivors grouped by length class so every batch shares one DP
-  // shape; stable sort keeps record order inside a class.
-  b.order.resize(count);
-  std::iota(b.order.begin(), b.order.end(), 0u);
-  std::stable_sort(b.order.begin(), b.order.end(),
-                   [&](std::uint32_t x, std::uint32_t y) {
-                     return qv.record[b.survivors[x]].length <
-                            qv.record[b.survivors[y]].length;
-                   });
-
   const simd::Kernel kernel = simd::active_kernel();
   const std::size_t width = simd::batch_width(kernel);
+  b.lane_survivor.resize(width);
   b.lane_scores.resize(width);
-  b.lane_record.reserve(width);
 
   // Incumbent best score so far. Skipping a survivor whose bound is
   // *strictly* below it is sound in any processing order: the final best can
   // only be higher, so the skipped record can neither win nor tie.
   double best_score = kNotScored;
-  const auto note_score = [&](std::size_t idx, double score) {
-    b.scores[idx] = score;
+  const auto skip = [&](const Survivor& s) {
+    if (!prune_incumbent || best_score < 0.0 || s.bound >= best_score) {
+      return false;
+    }
+    ++local.records_bound_skipped;
+    return true;
+  };
+  const auto note_score = [&](Survivor& s, double score) {
+    s.score = score;
     if (score > best_score) best_score = score;
     ++local.records_accepted;
   };
 
-  std::size_t pos = 0;
-  while (pos < count) {
-    const std::uint32_t class_len = qv.record[b.survivors[b.order[pos]]].length;
-    std::size_t end = pos;
-    while (end < count &&
-           qv.record[b.survivors[b.order[end]]].length == class_len) {
-      ++end;
-    }
+  // Scores one length class, survivors at(0..count) in record order, so
+  // every batch shares one DP shape.
+  const auto score_class = [&](auto at, std::size_t count,
+                               std::uint32_t class_len) {
     if (!fixed_point_usable(fixed_, std::min(n, std::size_t{class_len}))) {
       // Degenerate class (e.g. fingerprints long enough to overflow int16
       // deci-scores): score scalar — similarity() makes the identical
       // fixed/double choice per pair, preserving bit-identity.
-      for (std::size_t k = pos; k < end; ++k) {
-        const std::size_t idx = b.order[k];
-        if (prune_incumbent && best_score >= 0.0 &&
-            b.bounds[idx] < best_score) {
-          ++local.records_bound_skipped;
-          continue;
-        }
-        note_score(idx,
-                   similarity(sample,
-                              database_->records()[b.survivors[idx]].fingerprint,
-                              config_.matching));
+      for (std::size_t k = 0; k < count; ++k) {
+        Survivor& s = at(k);
+        if (skip(s)) continue;
+        note_score(s, similarity(sample,
+                                 database_->records()[s.record].fingerprint,
+                                 config_.matching));
       }
-      pos = end;
-      continue;
+      return;
     }
     // Kernel batches of `width` lanes over this class.
     b.db_t.resize(std::size_t{class_len} * width);
-    std::size_t k = pos;
-    while (k < end) {
-      b.lane_record.clear();
-      while (k < end && b.lane_record.size() < width) {
-        const std::size_t idx = b.order[k++];
-        if (prune_incumbent && best_score >= 0.0 &&
-            b.bounds[idx] < best_score) {
-          ++local.records_bound_skipped;
-          continue;
-        }
-        b.lane_record.push_back(static_cast<std::uint32_t>(idx));
+    std::size_t k = 0;
+    while (k < count) {
+      std::size_t lanes = 0;
+      while (k < count && lanes < width) {
+        Survivor& s = at(k++);
+        if (!skip(s)) b.lane_survivor[lanes++] = &s;
       }
-      if (b.lane_record.empty()) continue;
-      const std::size_t lanes = b.lane_record.size();
+      if (lanes == 0) continue;
       // Transpose the candidates' rank arrays into lane-major rows; unused
       // lanes carry kPadRank, which matches nothing and scores 0.
+      if (lanes < width) {
+        std::fill(b.db_t.begin(), b.db_t.end(), simd::kPadRank);
+      }
       for (std::size_t lane = 0; lane < lanes; ++lane) {
-        const StopDatabase::QuantizedView::RecordRef ref =
-            qv.record[b.survivors[b.lane_record[lane]]];
-        const std::int16_t* src = qv.ranks.data() + ref.offset;
+        const std::int16_t* src =
+            qv.ranks.data() + qv.record[b.lane_survivor[lane]->record].offset;
         for (std::size_t j = 0; j < class_len; ++j) {
           b.db_t[j * width + lane] = src[j];
         }
       }
-      for (std::size_t lane = lanes; lane < width; ++lane) {
-        for (std::size_t j = 0; j < class_len; ++j) {
-          b.db_t[j * width + lane] = simd::kPadRank;
-        }
-      }
-      simd::score_batch(b.sample_ranks.data(), n, b.db_t.data(), class_len,
-                        fixed_, b.lane_scores.data(), kernel);
+      simd::score_batch(upload, n, b.db_t.data(), class_len, fixed_,
+                        b.lane_scores.data(), kernel);
       for (std::size_t lane = 0; lane < lanes; ++lane) {
-        note_score(b.lane_record[lane], fixed_to_score(b.lane_scores[lane]));
+        note_score(*b.lane_survivor[lane], fixed_to_score(b.lane_scores[lane]));
       }
     }
-    pos = end;
+  };
+
+  const std::size_t count = b.survivors.size();
+  if (count == 0) return;
+  if (b.min_length == b.max_length) {
+    // One length class (the common case): record order is class order.
+    score_class([&](std::size_t k) -> Survivor& { return b.survivors[k]; },
+                count, b.min_length);
+    return;
   }
+  // Mixed lengths: stable counting sort of survivor indices by length, so
+  // classes run in (length, record) order.
+  const std::size_t span = b.max_length - b.min_length + 1;
+  b.class_end.assign(span + 1, 0);
+  for (const Survivor& s : b.survivors) {
+    ++b.class_end[s.length - b.min_length + 1];
+  }
+  std::partial_sum(b.class_end.begin(), b.class_end.end(), b.class_end.begin());
+  b.order.resize(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    b.order[b.class_end[b.survivors[i].length - b.min_length]++] = i;
+  }
+  // class_end[c] now marks the end of class c (the filling advanced it).
+  std::size_t begin = 0;
+  for (std::size_t c = 0; c < span; ++c) {
+    const std::size_t end = b.class_end[c];
+    if (end == begin) continue;
+    score_class(
+        [&, begin](std::size_t k) -> Survivor& {
+          return b.survivors[b.order[begin + k]];
+        },
+        end - begin, static_cast<std::uint32_t>(b.min_length + c));
+    begin = end;
+  }
+}
+
+template <typename Accept>
+void StopMatcher::scan(const Fingerprint& sample, bool prune_incumbent,
+                       MatchStats& local, Accept&& accept) const {
+  local.records_considered = database_->size();
+  if (simd_active()) {
+    const QuantizedView& qv = database_->quantized();
+    collect_survivors(sample, qv, local);
+    score_survivors(sample, qv, prune_incumbent, local);
+    for (const Survivor& s : t_scratch.survivors) {
+      if (s.score >= config_.accept_threshold) accept(s.record, s.score);
+    }
+  } else {
+    double best_score = kNotScored;
+    const auto consider = [&](std::uint32_t rec) {
+      ++local.records_accepted;
+      const double score = similarity(
+          sample, database_->records()[rec].fingerprint, config_.matching);
+      best_score = std::max(best_score, score);
+      if (score >= config_.accept_threshold) accept(rec, score);
+    };
+    if (!index_usable()) {
+      local.gamma_candidates = database_->size();
+      for (std::uint32_t rec = 0; rec < database_->size(); ++rec) consider(rec);
+    } else {
+      const QuantizedView& qv = database_->quantized();
+      for (const Candidate& c : walk_index(qv, sample)) {
+        const double bound = score_bound(c.shared, sample.cells.size(),
+                                         qv.record[c.record].length);
+        if (bound < config_.accept_threshold) continue;  // cannot reach γ
+        ++local.gamma_candidates;
+        // A candidate strictly below the incumbent score can neither win
+        // nor tie (tie-breaks only apply at equal scores), so skip its DP.
+        if (prune_incumbent && bound < best_score) {
+          ++local.records_bound_skipped;
+          continue;
+        }
+        consider(c.record);
+      }
+    }
+  }
+  local.records_pruned = local.records_considered - local.records_accepted;
 }
 
 std::optional<MatchResult> StopMatcher::match(const Fingerprint& sample,
                                               MatchStats* stats) const {
   MatchStats local;
-  local.records_considered = database_->size();
-  std::optional<MatchResult> best;
-
-  if (simd_active()) {
-    collect_survivors(sample, local);
-    score_survivors(sample, /*prune_incumbent=*/true, local);
-    const BatchScratch& b = t_batch;
-    // Selection in ascending record order reproduces the scalar loop's
-    // tie-breaks exactly (first record wins equal (score, common)).
-    for (std::size_t i = 0; i < b.survivors.size(); ++i) {
-      const double score = b.scores[i];
-      if (score < config_.accept_threshold) continue;  // skipped or below γ
-      const StopRecord& record = database_->records()[b.survivors[i]];
-      const int common = common_cell_count(sample, record.fingerprint);
-      const bool better =
-          !best || score > best->score ||
-          (score == best->score && common > best->common_cells);
-      if (better) best = MatchResult{record.stop, score, common};
-    }
-    local.records_pruned = local.records_considered - local.records_accepted;
-    flush(local, stats);
-    return best;
-  }
-
-  const auto consider = [&](const StopRecord& record) {
-    ++local.records_accepted;
-    const double score = similarity(sample, record.fingerprint, config_.matching);
-    if (score < config_.accept_threshold) return;
-    const int common = common_cell_count(sample, record.fingerprint);
-    const bool better =
-        !best || score > best->score ||
-        (score == best->score && common > best->common_cells);
-    if (better) best = MatchResult{record.stop, score, common};
-  };
-
-  if (!index_usable()) {
-    local.gamma_candidates = database_->size();
-    for (const StopRecord& record : database_->records()) consider(record);
-    local.records_pruned = local.records_considered - local.records_accepted;
-    flush(local, stats);
-    return best;
-  }
-
-  const double ms = config_.matching.match_score;
-  for (const std::uint32_t rec : gather_candidates(sample)) {
-    const StopRecord& record = database_->records()[rec];
-    // Upper bound: at most one match per shared cell occurrence, and no
-    // more matches than the shorter fingerprint has cells.
-    const double bound = std::min(ms * t_scratch.counts[rec],
-                                  max_similarity(sample, record.fingerprint,
-                                                 config_.matching));
-    if (bound < config_.accept_threshold) continue;  // cannot reach γ
-    ++local.gamma_candidates;
-    // A candidate strictly below the incumbent score can neither win nor
-    // tie (tie-breaks only apply at equal scores), so skip its DP.
-    if (best && bound < best->score) {
-      ++local.records_bound_skipped;
-      continue;
-    }
-    consider(record);
-  }
-  local.records_pruned = local.records_considered - local.records_accepted;
+  Winner winner(sample, *database_);
+  scan(sample, /*prune_incumbent=*/true, local,
+       [&](std::uint32_t rec, double score) { winner.offer(rec, score); });
   flush(local, stats);
-  return best;
+  return winner.result();
 }
 
 std::vector<MatchResult> StopMatcher::match_all(const Fingerprint& sample,
                                                 MatchStats* stats) const {
   MatchStats local;
-  local.records_considered = database_->size();
   std::vector<MatchResult> out;
-
-  if (simd_active()) {
-    collect_survivors(sample, local);
-    score_survivors(sample, /*prune_incumbent=*/false, local);
-    const BatchScratch& b = t_batch;
-    for (std::size_t i = 0; i < b.survivors.size(); ++i) {
-      const double score = b.scores[i];
-      if (score < config_.accept_threshold) continue;
-      const StopRecord& record = database_->records()[b.survivors[i]];
-      out.push_back(MatchResult{record.stop, score,
-                                common_cell_count(sample, record.fingerprint)});
-    }
-  } else {
-    const auto consider = [&](const StopRecord& record) {
-      ++local.records_accepted;
-      const double score =
-          similarity(sample, record.fingerprint, config_.matching);
-      if (score >= config_.accept_threshold) {
-        out.push_back(MatchResult{record.stop, score,
-                                  common_cell_count(sample, record.fingerprint)});
-      }
-    };
-    if (!index_usable()) {
-      local.gamma_candidates = database_->size();
-      for (const StopRecord& record : database_->records()) consider(record);
-    } else {
-      const double ms = config_.matching.match_score;
-      for (const std::uint32_t rec : gather_candidates(sample)) {
-        const StopRecord& record = database_->records()[rec];
-        const double bound = std::min(ms * t_scratch.counts[rec],
-                                      max_similarity(sample, record.fingerprint,
-                                                     config_.matching));
-        if (bound < config_.accept_threshold) continue;
-        ++local.gamma_candidates;
-        consider(record);
-      }
-    }
-  }
-  local.records_pruned = local.records_considered - local.records_accepted;
+  scan(sample, /*prune_incumbent=*/false, local,
+       [&](std::uint32_t rec, double score) {
+         const StopRecord& r = database_->records()[rec];
+         out.push_back(MatchResult{r.stop, score,
+                                   common_cell_count(sample, r.fingerprint)});
+       });
   flush(local, stats);
   std::sort(out.begin(), out.end(), [](const MatchResult& a, const MatchResult& b) {
     return a.score > b.score ||

@@ -8,20 +8,23 @@
 // Candidate generation is sublinear in the database size: because an
 // alignment can score at most match_score per shared cell ID, a record can
 // only reach γ if it shares ≥ ⌈γ / match_score⌉ cell IDs with the sample
-// (= 2 in the paper's setting). The matcher intersects the database's
-// inverted cell-ID posting lists to count shared cells per record, then
-// aligns only the records passing that bound — with results identical to
-// the full scan. `accel.use_index = false` keeps the brute-force scan for
-// the scalability ablations.
+// (= 2 in the paper's setting). The matcher resolves each sample cell once
+// through the database's dictionary, walks the CSR posting lists of the
+// quantized view to count shared cells per record (candidates come out of a
+// bitmap in ascending record order, so no sort), then aligns only the
+// records passing that bound — with results identical to the full scan.
+// Both the scalar and the batch path share this walk. `accel.use_index =
+// false` keeps the brute-force scan for the scalability ablations.
 //
 // Surviving candidates are scored through the fixed-point batch kernel
 // (core/matching_simd.h) 8–16 at a time when `accel.use_simd` is on and the
 // scoring parameters quantize exactly; an upper-bound prescreen
 // (shared-cell count × match_score, the same trick as CellScanner's RSS
 // precheck) additionally skips candidates that provably cannot beat the
-// incumbent best. Both are pure optimisations: results — scores, winners,
-// tie-breaks — are bit-identical to the scalar scan (property-tested in
-// tests/test_matching_simd.cpp).
+// incumbent best. The common-cell tie-break is counted only when a score
+// ties the incumbent. All of these are pure optimisations: results — scores,
+// winners, tie-breaks — are bit-identical to the brute-force scan
+// (property-tested in tests/test_matching_simd.cpp).
 #pragma once
 
 #include <optional>
@@ -118,23 +121,32 @@ class StopMatcher {
   /// matcher (knob on, exact fixed-point config, valid quantized view).
   bool simd_active() const;
 
-  /// Capacity (entries) of the calling thread's candidate scratch — test
-  /// hook for the retention cap (DESIGN.md §12).
+  /// Capacity (records) of the calling thread's candidate-walk scratch —
+  /// test hook for the retention cap (DESIGN.md §12).
   static std::size_t thread_scratch_capacity();
 
  private:
   bool index_usable() const;
-  /// Fills the thread-local scratch with (record, shared-cell count) pairs,
-  /// records ascending; returns the list of touched records.
-  const std::vector<std::uint32_t>& gather_candidates(
-      const Fingerprint& sample) const;
-  /// Candidate record ids + γ upper bounds for the SIMD path, via the index
-  /// when usable, else the full record range with the length-derived bound.
-  void collect_survivors(const Fingerprint& sample, MatchStats& local) const;
+  /// Upper bound on a record's score: at most one match per shared cell
+  /// occurrence, and no more matches than the shorter fingerprint has cells.
+  double score_bound(std::size_t shared, std::size_t n, std::size_t m) const;
+  /// γ-passing survivors (records ascending) with their upper bounds for
+  /// the SIMD path, via the index when usable, else the full record range.
+  void collect_survivors(const Fingerprint& sample,
+                         const StopDatabase::QuantizedView& qv,
+                         MatchStats& local) const;
   /// Batch-scores the collected survivors into the thread-local scratch;
   /// `prune_incumbent` enables the cannot-beat-the-best skip (match() only).
-  void score_survivors(const Fingerprint& sample, bool prune_incumbent,
-                       MatchStats& local) const;
+  void score_survivors(const Fingerprint& sample,
+                       const StopDatabase::QuantizedView& qv,
+                       bool prune_incumbent, MatchStats& local) const;
+  /// Scores the sample down the active path and calls accept(record,
+  /// score) for every aligned record scoring >= γ, records ascending (the
+  /// order the scalar scan breaks ties in). `prune_incumbent` enables the
+  /// cannot-beat-the-best skip (match() only).
+  template <typename Accept>
+  void scan(const Fingerprint& sample, bool prune_incumbent, MatchStats& local,
+            Accept&& accept) const;
   void flush(const MatchStats& local, MatchStats* stats) const;
 
   const StopDatabase* database_;

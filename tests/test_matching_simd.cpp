@@ -420,6 +420,239 @@ TEST(SimdMatcher, BoundSkippedFlowsIntoMetricsRegistry) {
             total.records_accepted);
 }
 
+// ------------------------------------------------- flat candidate path
+//
+// The index path (use_index on, SIMD on or off) walks the quantized view's
+// CSR postings and enumerates candidates from a bitmap. Every case below
+// checks it against the brute-force scan on winner, score and common-cell
+// count, and checks its γ-candidate count against a brute-force recount.
+
+// Records whose shared-cell occurrence count (sample cell × occurrences in
+// the record) lets them reach γ: min(shared, n, m) · match_score >= γ.
+std::size_t brute_gamma_candidates(const StopDatabase& db,
+                                   const Fingerprint& sample,
+                                   const StopMatcherConfig& cfg) {
+  std::size_t count = 0;
+  for (const StopRecord& r : db.records()) {
+    const std::vector<CellId>& cells = r.fingerprint.cells;
+    std::size_t shared = 0;
+    for (const CellId a : sample.cells) {
+      shared +=
+          static_cast<std::size_t>(std::count(cells.begin(), cells.end(), a));
+    }
+    const double bound =
+        cfg.matching.match_score *
+        static_cast<double>(std::min({shared, sample.size(), cells.size()}));
+    if (bound >= cfg.accept_threshold) ++count;
+  }
+  return count;
+}
+
+// Checks both index corners against brute force; returns the SIMD corner's
+// stats so callers can assert on the path's shape.
+MatchStats expect_flat_path_matches_brute(const StopDatabase& db,
+                                          const Fingerprint& sample) {
+  StopMatcherConfig brute_cfg;
+  brute_cfg.accel.use_index = false;
+  brute_cfg.accel.use_simd = false;
+  const auto ref = StopMatcher(db, brute_cfg).match(sample);
+  const std::size_t gamma = brute_gamma_candidates(db, sample, brute_cfg);
+  MatchStats simd_stats;
+  for (const bool use_simd : {false, true}) {
+    StopMatcherConfig cfg;
+    cfg.accel.use_simd = use_simd;
+    MatchStats stats;
+    const auto got = StopMatcher(db, cfg).match(sample, &stats);
+    EXPECT_EQ(got.has_value(), ref.has_value())
+        << "simd " << use_simd << " sample " << to_string(sample);
+    if (got && ref) {
+      EXPECT_EQ(got->stop, ref->stop) << "simd " << use_simd;
+      EXPECT_EQ(got->score, ref->score) << "simd " << use_simd;
+      EXPECT_EQ(got->common_cells, ref->common_cells) << "simd " << use_simd;
+    }
+    EXPECT_EQ(stats.gamma_candidates, gamma)
+        << "simd " << use_simd << " sample " << to_string(sample);
+    if (use_simd) simd_stats = stats;
+  }
+  return simd_stats;
+}
+
+TEST(FlatPath, BitmapWordBoundaries) {
+  // 63/64/65/129 records put candidates on both sides of the 64-record
+  // bitmap words; probes copy the first and last record of each word.
+  for (const int size : {63, 64, 65, 129}) {
+    Rng rng(static_cast<std::uint64_t>(500 + size));
+    StopDatabase db;
+    for (int r = 0; r < size; ++r) {
+      db.add(static_cast<StopId>(r + 1), random_fingerprint(rng, 7, 60));
+    }
+    for (const int r : {0, 62, 63, 64, size - 1}) {
+      if (r >= size) continue;
+      expect_flat_path_matches_brute(db, db.records()[r].fingerprint);
+    }
+    for (int q = 0; q < 40; ++q) {
+      expect_flat_path_matches_brute(db, random_fingerprint(rng, 7, 60));
+    }
+  }
+}
+
+TEST(FlatPath, MetropolisShapeRunsSecondBatchAndPrescreen) {
+  // One 7-cell length class and 17–28 survivors per sample, as on the
+  // metropolis workload: the survivors overflow one 16-lane batch, and the
+  // weak tail (2 shared cells, bound 2.0) is prescreened against the exact
+  // copy of the probe at record 0 (score 7.0).
+  const Fingerprint probe{{1, 2, 3, 4, 5, 6, 7}};
+  StopDatabase db;
+  db.add(1, probe);
+  StopId next = 2;
+  for (int r = 0; r < 15; ++r) {  // 3–4 shared cells, scrambled
+    db.add(next++, Fingerprint{{4, 100 + r, 1, 200 + r, 7, 300 + r,
+                                r % 2 == 0 ? 2 : 400 + r}});
+  }
+  for (int r = 0; r < 10; ++r) {  // exactly 2 shared cells
+    db.add(next++, Fingerprint{{6, 500 + r, 600 + r, 3, 700 + r, 800 + r,
+                                900 + r}});
+  }
+  for (int r = 0; r < 30; ++r) {  // unrelated records
+    db.add(next++, Fingerprint{{1000 + 7 * r, 1001 + 7 * r, 1002 + 7 * r,
+                                1003 + 7 * r, 1004 + 7 * r, 1005 + 7 * r,
+                                1006 + 7 * r}});
+  }
+  const MatchStats stats = expect_flat_path_matches_brute(db, probe);
+  EXPECT_GE(stats.gamma_candidates, 17u);
+  EXPECT_LE(stats.gamma_candidates, 28u);
+  EXPECT_GT(stats.records_bound_skipped, 0u);
+
+  // Randomized variant: 7-cell records over a pool narrow enough that most
+  // samples keep 17–28 survivors.
+  Rng rng(601);
+  StopDatabase crowded;
+  for (int r = 0; r < 80; ++r) {
+    crowded.add(static_cast<StopId>(r + 1), random_fingerprint(rng, 7, 70));
+  }
+  int in_band = 0;
+  for (int q = 0; q < 60; ++q) {
+    const MatchStats s =
+        expect_flat_path_matches_brute(crowded, random_fingerprint(rng, 7, 70));
+    in_band += s.gamma_candidates >= 17 && s.gamma_candidates <= 28;
+  }
+  EXPECT_GT(in_band, 0);
+}
+
+TEST(FlatPath, MixedLengthsDuplicatesAndUnknownCells) {
+  // Lengths 1–9 in one database, cells drawn with replacement from a small
+  // pool (duplicates inside records and samples), samples mixing in cells
+  // the database never saw.
+  Rng rng(602);
+  for (int trial = 0; trial < 10; ++trial) {
+    const int pool = rng.uniform_int(6, 20);
+    StopDatabase db;
+    const int records = rng.uniform_int(20, 90);
+    for (int r = 0; r < records; ++r) {
+      db.add(static_cast<StopId>(r + 1),
+             random_fingerprint(rng, rng.uniform_int(1, 9), pool));
+    }
+    for (int q = 0; q < 25; ++q) {
+      Fingerprint sample = random_fingerprint(rng, rng.uniform_int(0, 8), pool);
+      const int unknown = rng.uniform_int(0, 2);
+      for (int u = 0; u < unknown; ++u) {
+        const int at = rng.uniform_int(0, static_cast<int>(sample.size()));
+        sample.cells.insert(sample.cells.begin() + at,
+                            pool + rng.uniform_int(1, 50));
+      }
+      expect_flat_path_matches_brute(db, sample);
+    }
+  }
+  // Explicit duplicates on both sides: the shared count is per occurrence.
+  StopDatabase db;
+  db.add(1, Fingerprint{{5, 5, 6}});
+  db.add(2, Fingerprint{{5, 6, 6, 7}});
+  db.add(3, Fingerprint{{8, 5}});
+  expect_flat_path_matches_brute(db, Fingerprint{{5, 5, 6, 9999}});
+  expect_flat_path_matches_brute(db, Fingerprint{{6, 6, 5, 5}});
+}
+
+TEST(FlatPath, ScoreTiesResolveByCommonCountThenRecordOrder) {
+  // Four records score exactly 2.0 against the probe (only "1,2" aligns in
+  // order), with 2, 3, 4 and 2 common cells. The third wins on its common
+  // count, although the first and second reach the tie before it.
+  const Fingerprint probe{{1, 2, 3, 4}};
+  StopDatabase db;
+  db.add(10, Fingerprint{{1, 2}});
+  db.add(11, Fingerprint{{1, 2, 7, 7, 7, 7, 4}});
+  db.add(12, Fingerprint{{4, 3, 1, 2}});
+  db.add(13, Fingerprint{{9, 1, 2}});
+  for (const StopRecord& r : db.records()) {
+    ASSERT_EQ(similarity(probe, r.fingerprint), 2.0) << r.stop;
+  }
+  const MatchStats stats = expect_flat_path_matches_brute(db, probe);
+  EXPECT_EQ(stats.gamma_candidates, 4u);
+  for (const bool use_simd : {false, true}) {
+    StopMatcherConfig cfg;
+    cfg.accel.use_simd = use_simd;
+    const auto got = StopMatcher(db, cfg).match(probe);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->stop, 12);
+    EXPECT_EQ(got->common_cells, 4);
+  }
+  // Equal score and equal common count: the earlier record keeps the win.
+  StopDatabase twins;
+  twins.add(20, Fingerprint{{1, 2, 8}});
+  twins.add(21, Fingerprint{{1, 2, 3}});  // score 3.0, the winner
+  twins.add(22, Fingerprint{{9, 1, 2, 3}});
+  twins.add(23, Fingerprint{{1, 2, 3, 9}});
+  expect_flat_path_matches_brute(twins, probe);
+  EXPECT_EQ(StopMatcher(twins).match(probe)->stop, 21);
+}
+
+TEST(FlatPath, IndexServesDatabasesPastTheRankSpace) {
+  // 5000 records × 7 distinct cells = 35000 distinct cells: past the int16
+  // rank space, so the kernel is off, but the uint32-keyed index still
+  // narrows candidates — including for cells whose ids are past 32767.
+  StopDatabase db;
+  for (int r = 0; r < 5000; ++r) {
+    Fingerprint fp;
+    for (int j = 0; j < 7; ++j) fp.cells.push_back(100000 + 7 * r + j);
+    db.add(static_cast<StopId>(r + 1), fp);
+  }
+  ASSERT_FALSE(db.quantized().valid);
+  ASSERT_GT(db.quantized().dictionary.size(), 32768u);
+  EXPECT_FALSE(StopMatcher(db).simd_active());
+  for (const int r : {0, 2500, 4700, 4999}) {
+    Fingerprint sample = db.records()[r].fingerprint;
+    sample.cells[3] = 7;  // unknown cell
+    const MatchStats stats = expect_flat_path_matches_brute(db, sample);
+    EXPECT_EQ(stats.gamma_candidates, 1u);
+    EXPECT_EQ(stats.records_accepted, 1u);
+    const auto got = StopMatcher(db).match(sample);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->stop, r + 1);
+  }
+}
+
+TEST(FlatPath, AddAfterMatchRebuildsTheIndex) {
+  Rng rng(603);
+  StopDatabase db;
+  for (int r = 0; r < 70; ++r) {
+    db.add(static_cast<StopId>(r + 1), random_fingerprint(rng, 7, 50));
+  }
+  const Fingerprint probe{{901, 902, 903, 904, 905}};
+  EXPECT_FALSE(StopMatcher(db).match(probe).has_value());
+  expect_flat_path_matches_brute(db, probe);
+  // A new record carrying cells the index has never seen.
+  db.add(500, probe);
+  expect_flat_path_matches_brute(db, probe);
+  EXPECT_EQ(StopMatcher(db).match(probe)->stop, 500);
+  // Replacing a record's fingerprint moves its postings.
+  db.add(3, Fingerprint{{901, 902, 903, 904, 905, 906}});
+  db.add(500, Fingerprint{{1, 2}});
+  expect_flat_path_matches_brute(db, probe);
+  EXPECT_EQ(StopMatcher(db).match(probe)->stop, 3);
+  for (int q = 0; q < 20; ++q) {
+    expect_flat_path_matches_brute(db, random_fingerprint(rng, 7, 50));
+  }
+}
+
 // ------------------------------------------------- scratch retention cap
 
 TEST(SimdMatcher, CandidateScratchShrinksAfterHugeDatabase) {
