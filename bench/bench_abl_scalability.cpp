@@ -4,8 +4,8 @@
 // fields because the server does per-trip work against a per-city stop
 // database. This bench measures server throughput (trips/second) as the
 // city (and thus the database) grows, the effect of the inverted cell-ID
-// index on matcher throughput (A4c), and concurrent ingestion scaling over
-// 1/2/4/8 threads (A4b). Besides the human-readable tables it emits
+// index on matcher throughput (A4c), and sharded ingestion scaling over
+// 1/2/4/8 shards (A4b). Besides the human-readable tables it emits
 // BENCH_scalability.json so future PRs can track the perf trajectory.
 #include <algorithm>
 #include <chrono>
@@ -16,7 +16,7 @@
 
 #include "bench_common.h"
 #include "common/table.h"
-#include "core/concurrent_server.h"
+#include "core/ingest_service.h"
 
 namespace bussense::bench {
 namespace {
@@ -45,10 +45,14 @@ SizedWorld make_world(double width, double height,
       3);
   // The ingest workload comes from the deterministic parallel trip driver:
   // bit-identical at any thread count, so the bench input stays stable while
-  // fixture construction uses every core.
+  // fixture construction uses every core. Each trip gets its own
+  // participant so the sharded ladder spreads it over every shard.
   ThreadPool pool(std::thread::hardware_concurrency());
   const auto specs = out.world->make_trip_specs(0, 240, seed + 1);
   out.trips = out.world->simulate_trips(specs, seed + 1, &pool);
+  for (std::size_t i = 0; i < out.trips.size(); ++i) {
+    out.trips[i].upload.participant_id = static_cast<std::int32_t>(i);
+  }
   return out;
 }
 
@@ -66,9 +70,7 @@ std::vector<SizedWorld>& worlds() {
 }
 
 // Replays `trips` through any TrafficIngestor front end and returns
-// trips/second — the interface is the whole point: the serial server, the
-// concurrent server and the async ingest service all time through the same
-// harness.
+// trips/second.
 double replay_trips_per_s(TrafficIngestor& server,
                           const std::vector<AnnotatedTrip>& trips) {
   const auto start = std::chrono::steady_clock::now();
@@ -186,45 +188,52 @@ void report() {
                ", \"p99\": " + num(p99) + "}");
   }
 
-  // Concurrent ingestion: analysis is lock-free against immutable state;
-  // estimates are batched per thread and folded into striped fusion locks.
-  print_banner(std::cout, "Ablation A4b: concurrent ingestion scaling");
+  // Sharded ingestion: analysis is lock-free against immutable state; each
+  // shard batches its estimates and folds them into the striped fusion.
+  print_banner(std::cout, "Ablation A4b: sharded ingestion scaling");
   {
     SizedWorld& big = worlds()[2];
-    Table ct({"threads", "trips/s", "scaling"});
+    Table ct({"shards", "trips/s", "scaling"});
     std::ostringstream rows;
     double base_tps = 0.0;
     bool first_row = true;
-    for (const int threads : {1, 2, 4, 8}) {
-      ConcurrentTrafficServer concurrent(big.world->city(), big.database);
-      TrafficIngestor& server = concurrent;  // workers only see the interface
+    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+      ShardedIngestConfig sharding;
+      sharding.shards = shards;
+      ShardedIngestService service(big.world->city(), big.database, {},
+                                   sharding);
       const auto start = std::chrono::steady_clock::now();
       const int rounds = 4;  // replay the day several times for stable timing
+      const int producers = 2;
       std::vector<std::thread> pool;
-      for (int t_id = 0; t_id < threads; ++t_id) {
-        pool.emplace_back([&, t_id] {
+      for (int p = 0; p < producers; ++p) {
+        pool.emplace_back([&, p] {
           for (int r = 0; r < rounds; ++r) {
-            for (std::size_t i = static_cast<std::size_t>(t_id);
-                 i < big.trips.size(); i += static_cast<std::size_t>(threads)) {
-              server.process_trip(big.trips[i].upload);
+            for (std::size_t i = static_cast<std::size_t>(p);
+                 i < big.trips.size(); i += producers) {
+              service.process_trip(big.trips[i].upload);
             }
           }
         });
       }
       for (std::thread& th : pool) th.join();
+      service.drain();
       const double elapsed = seconds_since(start);
+      require_balanced_shards(
+          service, "A4b ladder, " + std::to_string(shards) + " shards");
       const double tps = rounds * big.trips.size() / std::max(elapsed, 1e-9);
-      if (threads == 1) base_tps = tps;
-      ct.add_row({std::to_string(threads), fmt(tps, 0),
+      if (shards == 1) base_tps = tps;
+      ct.add_row({std::to_string(shards), fmt(tps, 0),
                   fmt(tps / std::max(base_tps, 1e-9), 2) + "x"});
       if (!first_row) rows << ", ";
       first_row = false;
-      rows << "{\"threads\": " << threads << ", \"trips_per_s\": " << num(tps)
+      rows << "{\"shards\": " << shards << ", \"trips_per_s\": " << num(tps)
            << ", \"scaling\": " << num(tps / std::max(base_tps, 1e-9)) << "}";
     }
     ct.print(std::cout);
-    std::cout << "(striped fusion locks + per-thread batching; scaling tracks "
-                 "the available cores — on a single-core host it stays flat)\n";
+    std::cout << "(one consumer thread per shard, two producers; scaling "
+                 "tracks the available cores — on a single-core host it stays "
+                 "flat)\n";
     json.field("\"ingestion\": [" + rows.str() + "]");
   }
 

@@ -1,5 +1,8 @@
 #include "bench_common.h"
 
+#include <cstdlib>
+#include <iostream>
+
 #ifndef BUSSENSE_GIT_DESCRIBE
 #define BUSSENSE_GIT_DESCRIBE "unknown"
 #endif
@@ -43,6 +46,27 @@ const std::vector<std::string>& figure2_routes() {
   static const std::vector<std::string> kRoutes = {"79", "99", "243", "252",
                                                    "257"};
   return kRoutes;
+}
+
+std::vector<std::uint64_t> require_balanced_shards(
+    const ShardedIngestService& service, const std::string& label) {
+  std::vector<std::uint64_t> processed;
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < service.shard_count(); ++s) {
+    const MetricsSnapshot snap = service.shard_registry(s).snapshot();
+    const auto it = snap.counters.find("ingest.shard.processed");
+    processed.push_back(it == snap.counters.end() ? 0 : it->second);
+    total += processed.back();
+  }
+  for (std::size_t s = 0; s < processed.size(); ++s) {
+    if (2 * processed.size() * processed[s] < total) {
+      std::cerr << label << ": shard " << s << " processed " << processed[s]
+                << " of " << total
+                << " uploads, under half its fair share\n";
+      std::exit(1);
+    }
+  }
+  return processed;
 }
 
 int run_benchmarks(int argc, char** argv) {

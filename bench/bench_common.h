@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/ingest_service.h"
 #include "core/server.h"
 #include "core/stop_database.h"
 #include "trafficsim/world.h"
@@ -76,6 +77,14 @@ const Testbed& testbed();
 
 /// Names of the five routes used in the paper's Figure 2 feasibility study.
 const std::vector<std::string>& figure2_routes();
+
+/// Uploads each shard of `service` processed (ingest.shard.processed, in
+/// shard order). Exits the bench with status 1 when any shard processed
+/// under half its fair share: a shard ladder whose workload lands on one
+/// shard measures nothing, so it fails loudly instead of publishing a
+/// number.
+std::vector<std::uint64_t> require_balanced_shards(
+    const ShardedIngestService& service, const std::string& label);
 
 /// Prints the banner, then initialises and runs google-benchmark with the
 /// remaining CLI arguments. Returns the process exit code.

@@ -1,26 +1,24 @@
-// Ingest service throughput, latency and metrics overhead.
+// Ingest front end throughput and overheads.
 //
-// Four questions a deployment asks of the async front ends:
+// Four questions a deployment asks of the ingest tier:
 //
-//   1. sustained throughput — trips/second through the bounded queue for
-//      1/2/4/8 workers at two queue depths (kBlock, lossless);
-//   2. scale-out — the sharded service's shard ladder (1/2/4/8 shards,
-//      SPSC rings, no coordinator); the contract is monotone scaling —
-//      adding shards must never cost throughput, and on a many-core host
-//      it should scale near-linearly;
-//   3. enqueue-to-fused latency — the p50/p99 of the single-queue
-//      service's own ingest.queue_latency_s histogram, i.e. the time from
-//      a producer handing over an upload until its estimates reach the
-//      fusion layer;
-//   4. observability cost — serial-server throughput with the metrics
+//   1. scale-out — the sharded service's shard ladder (1/2/4/8 shards,
+//      SPSC rings, no coordinator) over uploads from distinct
+//      participants; the contract is monotone scaling — adding shards must
+//      never cost throughput, and on a many-core host it should scale
+//      near-linearly. Each rung checks its own workload: the bench exits
+//      non-zero if any shard processed under half its fair share;
+//   2. observability cost — serial-server throughput with the metrics
 //      layer on vs off (the instruments are relaxed atomics; the contract
 //      is <= 5% overhead);
-//   5. durability cost — the WAL fsync-policy ladder (off / kNever /
+//   3. durability cost — the WAL fsync-policy ladder (off / kNever /
 //      kInterval(256) / kEveryRecord) on the serial server; the contract
 //      is <= 10% overhead for kInterval, the recommended deployment
-//      setting.
+//      setting;
+//   4. the LOD city-week — determinism of the metropolis generator and
+//      its replay throughput through the sharded service.
 //
-// Emits BENCH_ingest.json with all five.
+// Emits BENCH_ingest.json with all four.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -50,58 +48,20 @@ struct Fmt {
   }
 };
 
+// 360 trips, each from its own participant, so the participant hash
+// spreads them over every shard of the ladder.
 std::vector<AnnotatedTrip>& bench_trips() {
   static std::vector<AnnotatedTrip> trips = [] {
     const Testbed& bed = testbed();
     ThreadPool pool(std::thread::hardware_concurrency());
     const auto specs = bed.world.make_trip_specs(0, 360, 91);
-    return bed.world.simulate_trips(specs, 91, &pool);
+    std::vector<AnnotatedTrip> out = bed.world.simulate_trips(specs, 91, &pool);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i].upload.participant_id = static_cast<std::int32_t>(i);
+    }
+    return out;
   }();
   return trips;
-}
-
-// Replays every trip through the service from `producers` producer threads
-// and returns {trips/s, p50 latency s, p99 latency s}.
-struct RunResult {
-  double trips_per_s = 0.0;
-  double p50_s = 0.0;
-  double p99_s = 0.0;
-};
-
-RunResult run_service(std::size_t workers, std::size_t capacity, int rounds) {
-  const Testbed& bed = testbed();
-  const auto& trips = bench_trips();
-  IngestServiceConfig svc;
-  svc.workers = workers;
-  svc.queue_capacity = capacity;
-  svc.backpressure = IngestServiceConfig::Backpressure::kBlock;
-  IngestService service(bed.world.city(), bed.database, {}, svc);
-
-  const int producers = 2;
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> pool;
-  for (int p = 0; p < producers; ++p) {
-    pool.emplace_back([&, p] {
-      for (int r = 0; r < rounds; ++r) {
-        for (std::size_t i = static_cast<std::size_t>(p); i < trips.size();
-             i += producers) {
-          service.process_trip(trips[i].upload);
-        }
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  service.drain();
-  const double elapsed = seconds_since(start);
-
-  RunResult out;
-  out.trips_per_s =
-      rounds * static_cast<double>(trips.size()) / std::max(elapsed, 1e-9);
-  const auto lat =
-      service.metrics().snapshot().histograms.at("ingest.queue_latency_s");
-  out.p50_s = lat.percentile(0.50);
-  out.p99_s = lat.percentile(0.99);
-  return out;
 }
 
 // Replays every trip through the sharded service from two producer
@@ -133,6 +93,8 @@ double run_sharded(std::size_t shards, std::size_t ring_capacity, int rounds) {
     for (std::thread& t : pool) t.join();
     service.drain();
     const double elapsed = seconds_since(start);
+    require_balanced_shards(service,
+                            "shard ladder, " + std::to_string(shards) + " shards");
     best = std::max(best, static_cast<double>(trips.size()) /
                               std::max(elapsed, 1e-9));
   }
@@ -366,28 +328,6 @@ void report() {
   const std::size_t n_trips = bench_trips().size();
   std::cout << "workload: " << n_trips << " trips on the default city\n";
 
-  print_banner(std::cout, "Ingest service: sustained throughput & latency");
-  Table t({"workers", "queue", "trips/s", "p50 enq->fused", "p99 enq->fused"});
-  std::ostringstream rows;
-  bool first = true;
-  for (const std::size_t capacity : {64u, 4096u}) {
-    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-      const RunResult r = run_service(workers, capacity, 3);
-      t.add_row({std::to_string(workers), std::to_string(capacity),
-                 Fmt::fixed(r.trips_per_s, 0),
-                 Fmt::fixed(1e6 * r.p50_s, 1) + " us",
-                 Fmt::fixed(1e6 * r.p99_s, 1) + " us"});
-      if (!first) rows << ", ";
-      first = false;
-      rows << "{\"workers\": " << workers << ", \"queue_capacity\": " << capacity
-           << ", \"trips_per_s\": " << num(r.trips_per_s)
-           << ", \"p50_enqueue_to_fused_s\": " << num(r.p50_s)
-           << ", \"p99_enqueue_to_fused_s\": " << num(r.p99_s) << "}";
-    }
-  }
-  t.print(std::cout);
-  json.field("\"service\": [" + rows.str() + "]");
-
   print_banner(std::cout, "Sharded ingest: shard ladder (SPSC rings)");
   Table st({"shards", "trips/s", "vs 1 shard"});
   std::ostringstream srows;
@@ -449,24 +389,6 @@ void report() {
   json.write("BENCH_ingest.json");
   std::cout << "wrote BENCH_ingest.json\n";
 }
-
-void BM_IngestServiceProcessTrip(benchmark::State& state) {
-  const Testbed& bed = testbed();
-  const auto& trips = bench_trips();
-  IngestServiceConfig svc;
-  svc.workers = static_cast<std::size_t>(state.range(0));
-  svc.queue_capacity = 256;
-  IngestService service(bed.world.city(), bed.database, {}, svc);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    service.process_trip(trips[i % trips.size()].upload);
-    ++i;
-  }
-  service.drain();
-  state.SetItemsProcessed(static_cast<std::int64_t>(i));
-}
-BENCHMARK(BM_IngestServiceProcessTrip)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_MetricsCounterInc(benchmark::State& state) {
   MetricsRegistry reg;

@@ -10,7 +10,7 @@
 //   2. publish stall — how long one epoch build+swap takes while readers
 //      hammer the pointer (publish.build_s p50/p99). Readers never block
 //      a publish; the build cost is the snapshot construction itself;
-//   3. ingest interference — trips/second through the concurrent server
+//   3. ingest interference — trips/second through the serial server
 //      with 8 readers + a publisher running vs quiescent. The readers are
 //      rate-limited to a fixed ~100k queries/s aggregate (production
 //      queries arrive at a rate; the flat-out saturation numbers are
@@ -69,9 +69,10 @@ SimTime latest_sample_time() {
   return latest;
 }
 
-// A concurrent server primed with the bench workload, ready to publish.
+// A server primed with the bench workload, ready to publish (its fusion
+// store is internally locked, so publishes may run on any thread).
 struct PrimedBackend {
-  ConcurrentTrafficServer server;
+  TrafficServer server;
   SimTime now;
 
   PrimedBackend() : server(testbed().world.city(), testbed().database) {
@@ -145,12 +146,12 @@ ReadResult run_readers(int readers, double duration_s) {
 }
 
 // Ingest throughput with and without the serving tier active: replays the
-// bench trips through a fresh concurrent server, optionally with 8 reader
+// bench trips through a fresh serial server, optionally with 8 reader
 // threads + a 2 ms publisher attached to it.
 double run_ingest(bool readers_on, int readers = 8) {
   const Testbed& bed = testbed();
   const auto& trips = bench_trips();
-  ConcurrentTrafficServer server(bed.world.city(), bed.database);
+  TrafficServer server(bed.world.city(), bed.database);
   EpochPublisher pub(server.catalog());
   QueryService svc(pub);
   const auto& keys = server.catalog().adjacent_keys();

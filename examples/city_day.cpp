@@ -30,13 +30,12 @@ int main(int argc, char** argv) {
   StopDatabase db = build_stop_database(
       city, [&](StopId s, int run) { return world.scan_stop(s, survey, run % 2); },
       5);
-  // Uploads flow through the asynchronous ingest front end — a bounded
-  // queue drained by a small worker pool. The rest of the example only
-  // talks to the TrafficIngestor interface, and the maps it prints are
-  // bit-identical to the serial TrafficServer (determinism contract).
-  IngestServiceConfig svc;
-  svc.workers = ThreadPool::default_concurrency(4);
-  IngestService service(city, std::move(db), {}, svc);
+  // Uploads flow through the asynchronous ingest front end — participant
+  // shards, each drained by its own consumer thread. The rest of the
+  // example only talks to the TrafficIngestor interface, and the maps it
+  // prints are bit-identical to the serial TrafficServer (determinism
+  // contract).
+  ShardedIngestService service(city, std::move(db));
   TrafficIngestor& server = service;
 
   // The maps below are read through the serving tier: each display hour

@@ -15,8 +15,8 @@
 // Run:  ./offline_pipeline [workdir]
 //
 // The backend stages run behind the TrafficIngestor interface: swap the
-// IngestService below for a plain TrafficServer and the estimates are
-// bit-identical (the interface's determinism contract).
+// ShardedIngestService below for a plain TrafficServer and the estimates
+// are bit-identical (the interface's determinism contract).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -33,7 +33,8 @@ using namespace bussense;
 
 // Canonical text form of a map: enough to show two runs agreed exactly.
 // Lines are sorted because snapshot order follows processing order, which
-// a worker pool does not pin; the estimates themselves are deterministic.
+// the shard consumers do not pin; the estimates themselves are
+// deterministic.
 static std::string map_fingerprint(const TrafficMap& map) {
   std::vector<std::string> lines;
   char buf[128];
@@ -90,13 +91,13 @@ int main(int argc, char** argv) {
   backend.durability.fsync = FsyncPolicy::kInterval;
   std::string crashed_fingerprint;
   {
-    // Async front end: uploads land in a bounded queue and a worker pool
-    // runs the pipeline. Everything below the construction line only sees
-    // the TrafficIngestor interface.
-    IngestServiceConfig svc;
-    svc.workers = 2;
-    svc.queue_capacity = 256;
-    IngestService service(city, load_stop_database(db_path), backend, svc);
+    // Async front end: uploads land in per-participant shards, each with
+    // its own consumer thread and WAL segment. Everything below the
+    // construction line only sees the TrafficIngestor interface.
+    ShardedIngestConfig sharding;
+    sharding.shards = 2;
+    ShardedIngestService service(city, load_stop_database(db_path), backend,
+                                 sharding);
     TrafficIngestor& server = service;
     server.open();  // fresh directory: nothing to recover yet
 
@@ -136,7 +137,7 @@ int main(int argc, char** argv) {
     // The observability layer sees every stage; persist it for operators.
     const std::string metrics_path = (dir / "metrics.json").string();
     std::ofstream(metrics_path) << server.metrics().to_json() << "\n";
-    std::cout << "server: metrics (queue depth, per-stage latency) in "
+    std::cout << "server: metrics (per-stage latency, WAL counters) in "
               << metrics_path << "\n";
 
     // No close(): scope exit models a power cut after the final fsync
@@ -146,7 +147,11 @@ int main(int argc, char** argv) {
 
   // --- 4. the restarted server ------------------------------------------
   {
-    IngestService service(city, load_stop_database(db_path), backend, {});
+    // Same shard count: each shard replays its own WAL segment.
+    ShardedIngestConfig sharding;
+    sharding.shards = 2;
+    ShardedIngestService service(city, load_stop_database(db_path), backend,
+                                 sharding);
     TrafficIngestor& server = service;
     const RecoveryReport rec = server.open();
     std::cout << "restart: checkpoint "

@@ -9,9 +9,12 @@
 # broke (fail-fast -- later stages do not run).
 #
 # Optional ThreadSanitizer stage: BUSSENSE_SANITIZE=ON ./scripts/tier1.sh
-# additionally builds the concurrency-sensitive suites (the concurrent
-# server and the async ingest service) under TSan in build-tsan/ and runs
-# the binaries directly. Off by default -- TSan builds are ~10x slower.
+# additionally builds the concurrency-sensitive suites under TSan in
+# build-tsan/ and runs the binaries directly: test_ingest_service (the
+# sharded front end's backpressure, shutdown and interleaved-ops
+# bit-identity properties) and test_robustness (multi-producer sharded
+# ingest against the serial server, snapshots racing the shard
+# consumers). Off by default -- TSan builds are ~10x slower.
 #
 # Optional sharded-ingest stage: BUSSENSE_SHARDED=ON ./scripts/tier1.sh
 # builds the sharded scale-out suites (the SPSC ring and the sharded
@@ -91,13 +94,13 @@ begin_stage "ctest"
 end_stage
 
 if [[ "${BUSSENSE_SANITIZE:-}" == "ON" ]]; then
-  begin_stage "TSan concurrency (test_concurrency, test_ingest_service)"
+  begin_stage "TSan concurrency (test_ingest_service, test_robustness)"
   cmake -B build-tsan -S . -DBUSSENSE_SANITIZE=thread
-  cmake --build build-tsan -j --target test_concurrency test_ingest_service
+  cmake --build build-tsan -j --target test_ingest_service test_robustness
   # Run the binaries directly: a partial TSan build registers no stale
   # ctest placeholders for the targets we skipped.
-  ./build-tsan/tests/test_concurrency
   ./build-tsan/tests/test_ingest_service
+  ./build-tsan/tests/test_robustness
   end_stage
 fi
 

@@ -51,7 +51,7 @@ struct CheckpointState {
   std::uint64_t trips_processed = 0;
   std::vector<FusionExportEntry> fusion;  ///< sorted by key
   /// One entry per admission controller: empty when admission is off, one
-  /// for the serial/concurrent front ends, one per shard when sharded.
+  /// for the serial front end, one per shard when sharded.
   std::vector<AdmissionCheckpoint> admission;
 };
 

@@ -1,11 +1,9 @@
 // Shared nested-config building blocks for every server/service config.
 //
-// ServerConfig, ConcurrentServerConfig, IngestServiceConfig and
-// ShardedIngestConfig all grew the same nested `Stages`/`Observability`
-// structs plus a validate() entry point; the serving-tier configs repeated
-// `Observability` a third time. This header defines each block once —
-// existing field names stay source-compatible via member aliases
-// (`using Stages = StagesConfig;` etc. at the embedding site).
+// ServerConfig embeds each block below; the serving-tier configs reuse
+// ObservabilityConfig. Each is defined once, here. ShardedIngestConfig
+// carries only its own three knobs (shards, ring capacity, backpressure)
+// and takes everything else from the ServerConfig it is given.
 //
 // DurabilityConfig is the knob set for the write-ahead trip log +
 // checkpoint/restore subsystem (core/trip_log.h, core/checkpoint.h,

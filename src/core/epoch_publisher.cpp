@@ -369,19 +369,6 @@ std::uint64_t EpochPublisher::publish_from(const SpeedFusion& fusion,
       max_age_s);
 }
 
-std::uint64_t EpochPublisher::publish_from(const StripedSpeedFusion& fusion,
-                                           SimTime now) {
-  return publish_from(fusion, now, config_.max_age_s);
-}
-
-std::uint64_t EpochPublisher::publish_from(const StripedSpeedFusion& fusion,
-                                           SimTime now, double max_age_s) {
-  const double t0 = inst_.build_s ? monotonic_time_s() : 0.0;
-  return publish_impl(
-      TrafficMap::snapshot_visiting(fusion, catalog(), now, max_age_s), t0,
-      max_age_s);
-}
-
 std::uint64_t EpochPublisher::publish_impl(TrafficMap map, double start_s,
                                            double max_age_s) {
   // Snapshot construction (index, overlay, aggregates) runs outside the

@@ -66,8 +66,7 @@ struct EpochPublisherConfig {
   /// Spatial grid for region queries, over the city bounding box.
   int grid_cols = 32;
   int grid_rows = 16;
-  using Observability = ObservabilityConfig;  // core/config_common.h
-  Observability obs;
+  ObservabilityConfig obs;  // core/config_common.h
 
   /// Throws std::invalid_argument on nonsense (no readers, empty grid,
   /// non-positive staleness window).
@@ -260,9 +259,6 @@ class EpochPublisher {
   /// config().max_age_s.
   std::uint64_t publish_from(const SpeedFusion& fusion, SimTime now);
   std::uint64_t publish_from(const SpeedFusion& fusion, SimTime now,
-                             double max_age_s);
-  std::uint64_t publish_from(const StripedSpeedFusion& fusion, SimTime now);
-  std::uint64_t publish_from(const StripedSpeedFusion& fusion, SimTime now,
                              double max_age_s);
 
   /// Periodic publishing: calls tick(*this) immediately, then every

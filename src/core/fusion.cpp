@@ -2,20 +2,48 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
+#include <cstdint>
 
 namespace bussense {
 
 SpeedFusion::SpeedFusion(FusionConfig config) : config_(config) {}
 
-void SpeedFusion::add(const SpeedEstimate& estimate) {
-  State& state = states_[estimate.segment];
+void SpeedFusion::add_locked(Stripe& stripe, const SpeedEstimate& estimate) {
+  State& state = stripe.states[estimate.segment];
   const auto period =
       static_cast<std::int64_t>(std::floor(estimate.time / config_.update_period_s));
   state.pending[period].push_back(estimate.att_speed_kmh);
 }
 
-void SpeedFusion::apply(State& state, double mean_obs, SimTime at, int count) {
+void SpeedFusion::add(const SpeedEstimate& estimate) {
+  Stripe& stripe = stripes_[stripe_of(estimate.segment)];
+  const std::lock_guard<std::mutex> lock(stripe.mutex);
+  add_locked(stripe, estimate);
+}
+
+void SpeedFusion::add(const std::vector<SpeedEstimate>& estimates) {
+  if (estimates.empty()) return;
+  // Hash each estimate once, then one pass per touched stripe: batches are
+  // small (tens of estimates), so the rescans are cheaper than the lock
+  // traffic they avoid.
+  std::vector<std::uint8_t> owner(estimates.size());
+  std::uint32_t touched = 0;
+  for (std::size_t i = 0; i < estimates.size(); ++i) {
+    owner[i] = static_cast<std::uint8_t>(stripe_of(estimates[i].segment));
+    touched |= std::uint32_t{1} << owner[i];
+  }
+  for (std::size_t s = 0; s < kStripes; ++s) {
+    if ((touched >> s & 1u) == 0) continue;
+    Stripe& stripe = stripes_[s];
+    const std::lock_guard<std::mutex> lock(stripe.mutex);
+    for (std::size_t i = 0; i < estimates.size(); ++i) {
+      if (owner[i] == s) add_locked(stripe, estimates[i]);
+    }
+  }
+}
+
+void SpeedFusion::apply(State& state, double mean_obs, SimTime at,
+                        int count) const {
   if (!state.fused) {
     state.fused = FusedSpeed{mean_obs, config_.observation_variance, at, count};
     return;
@@ -34,67 +62,79 @@ void SpeedFusion::apply(State& state, double mean_obs, SimTime at, int count) {
 void SpeedFusion::flush_until(SimTime now) {
   const auto now_period =
       static_cast<std::int64_t>(std::floor(now / config_.update_period_s));
-  for (auto& [key, state] : states_) {
-    (void)key;
-    while (!state.pending.empty()) {
-      const auto it = state.pending.begin();
-      // A batch closes when its period has fully elapsed.
-      if (it->first >= now_period) break;
-      std::vector<double>& values = it->second;
-      // Sum in sorted order: the period mean then depends only on the
-      // multiset of estimates, never on their arrival order.
-      std::sort(values.begin(), values.end());
-      double sum = 0.0;
-      for (const double v : values) sum += v;
-      const int count = static_cast<int>(values.size());
-      const SimTime close_time =
-          (static_cast<double>(it->first) + 1.0) * config_.update_period_s;
-      apply(state, sum / count, close_time, count);
-      state.pending.erase(it);
+  for (Stripe& stripe : stripes_) {
+    const std::lock_guard<std::mutex> lock(stripe.mutex);
+    for (auto& [key, state] : stripe.states) {
+      (void)key;
+      while (!state.pending.empty()) {
+        const auto it = state.pending.begin();
+        // A batch closes when its period has fully elapsed.
+        if (it->first >= now_period) break;
+        std::vector<double>& values = it->second;
+        // Sum in sorted order: the period mean then depends only on the
+        // multiset of estimates, never on their arrival order.
+        std::sort(values.begin(), values.end());
+        double sum = 0.0;
+        for (const double v : values) sum += v;
+        const int count = static_cast<int>(values.size());
+        const SimTime close_time =
+            (static_cast<double>(it->first) + 1.0) * config_.update_period_s;
+        apply(state, sum / count, close_time, count);
+        state.pending.erase(it);
+      }
     }
   }
 }
 
 std::optional<FusedSpeed> SpeedFusion::query(const SegmentKey& segment) const {
-  const auto it = states_.find(segment);
-  if (it == states_.end()) return std::nullopt;
+  const Stripe& stripe = stripes_[stripe_of(segment)];
+  const std::lock_guard<std::mutex> lock(stripe.mutex);
+  const auto it = stripe.states.find(segment);
+  if (it == stripe.states.end()) return std::nullopt;
   return it->second.fused;
 }
 
 std::vector<std::pair<SegmentKey, FusedSpeed>> SpeedFusion::all() const {
   std::vector<std::pair<SegmentKey, FusedSpeed>> out;
-  out.reserve(states_.size());
-  for (const auto& [key, state] : states_) {
-    if (state.fused) out.emplace_back(key, *state.fused);
-  }
+  visit_all([&](const SegmentKey& key, const FusedSpeed& fused) {
+    out.emplace_back(key, fused);
+  });
   return out;
 }
 
 void SpeedFusion::visit_all(
     const std::function<void(const SegmentKey&, const FusedSpeed&)>& fn) const {
-  // Same traversal as all(): visitation order and the copying overload's
-  // vector order are identical, so consumers that fold in order (e.g. the
-  // float sums in TrafficMap aggregates) are bit-identical either way.
-  for (const auto& [key, state] : states_) {
-    if (state.fused) fn(key, *state.fused);
+  // The one traversal all() also takes: visitation order and the copying
+  // overload's vector order are identical, so consumers that fold in order
+  // (e.g. the float sums in TrafficMap aggregates) are bit-identical either
+  // way.
+  for (const Stripe& stripe : stripes_) {
+    const std::lock_guard<std::mutex> lock(stripe.mutex);
+    for (const auto& [key, state] : stripe.states) {
+      if (state.fused) fn(key, *state.fused);
+    }
   }
 }
 
 std::vector<FusionExportEntry> SpeedFusion::export_state() const {
   std::vector<FusionExportEntry> out;
-  out.reserve(states_.size());
-  for (const auto& [key, state] : states_) {
-    FusionExportEntry entry;
-    entry.key = key;
-    entry.fused = state.fused;
-    entry.pending.reserve(state.pending.size());
-    for (const auto& [period, values] : state.pending) {
-      std::vector<double> sorted = values;
-      std::sort(sorted.begin(), sorted.end());
-      entry.pending.emplace_back(period, std::move(sorted));
+  for (const Stripe& stripe : stripes_) {
+    const std::lock_guard<std::mutex> lock(stripe.mutex);
+    for (const auto& [key, state] : stripe.states) {
+      FusionExportEntry entry;
+      entry.key = key;
+      entry.fused = state.fused;
+      entry.pending.reserve(state.pending.size());
+      for (const auto& [period, values] : state.pending) {
+        std::vector<double> sorted = values;
+        std::sort(sorted.begin(), sorted.end());
+        entry.pending.emplace_back(period, std::move(sorted));
+      }
+      out.push_back(std::move(entry));
     }
-    out.push_back(std::move(entry));
   }
+  // Stripes partition the key space, so one global sort yields the
+  // canonical order whatever the stripe layout.
   std::sort(out.begin(), out.end(),
             [](const FusionExportEntry& a, const FusionExportEntry& b) {
               return a.key.from != b.key.from ? a.key.from < b.key.from
@@ -104,114 +144,18 @@ std::vector<FusionExportEntry> SpeedFusion::export_state() const {
 }
 
 void SpeedFusion::restore_state(const std::vector<FusionExportEntry>& entries) {
-  states_.clear();
+  for (Stripe& stripe : stripes_) {
+    const std::lock_guard<std::mutex> lock(stripe.mutex);
+    stripe.states.clear();
+  }
   for (const FusionExportEntry& entry : entries) {
-    State& state = states_[entry.key];
+    Stripe& stripe = stripes_[stripe_of(entry.key)];
+    const std::lock_guard<std::mutex> lock(stripe.mutex);
+    State& state = stripe.states[entry.key];
     state.fused = entry.fused;
     for (const auto& [period, values] : entry.pending) {
       state.pending[period] = values;
     }
-  }
-}
-
-// ----------------------------------------------------- StripedSpeedFusion
-
-StripedSpeedFusion::StripedSpeedFusion(FusionConfig config,
-                                       std::size_t stripe_count)
-    : config_(config) {
-  stripes_.reserve(std::max<std::size_t>(1, stripe_count));
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, stripe_count); ++i) {
-    stripes_.push_back(std::make_unique<Stripe>(config_));
-  }
-}
-
-void StripedSpeedFusion::add(const SpeedEstimate& estimate) {
-  Stripe& stripe = *stripes_[stripe_of(estimate.segment)];
-  const std::lock_guard<std::mutex> lock(stripe.mutex);
-  stripe.fusion.add(estimate);
-}
-
-void StripedSpeedFusion::add_batch(const std::vector<SpeedEstimate>& estimates) {
-  if (estimates.empty()) return;
-  // One pass per stripe keeps each lock acquired at most once; batches are
-  // small (tens of estimates), so the extra scans are cheaper than the
-  // lock traffic they avoid.
-  for (std::size_t s = 0; s < stripes_.size(); ++s) {
-    bool locked = false;
-    std::unique_lock<std::mutex> lock(stripes_[s]->mutex, std::defer_lock);
-    for (const SpeedEstimate& e : estimates) {
-      if (stripe_of(e.segment) != s) continue;
-      if (!locked) {
-        lock.lock();
-        locked = true;
-      }
-      stripes_[s]->fusion.add(e);
-    }
-  }
-}
-
-void StripedSpeedFusion::flush_until(SimTime now) {
-  for (const auto& stripe : stripes_) {
-    const std::lock_guard<std::mutex> lock(stripe->mutex);
-    stripe->fusion.flush_until(now);
-  }
-}
-
-std::optional<FusedSpeed> StripedSpeedFusion::query(
-    const SegmentKey& segment) const {
-  const Stripe& stripe = *stripes_[stripe_of(segment)];
-  const std::lock_guard<std::mutex> lock(stripe.mutex);
-  return stripe.fusion.query(segment);
-}
-
-std::vector<std::pair<SegmentKey, FusedSpeed>> StripedSpeedFusion::all() const {
-  std::vector<std::pair<SegmentKey, FusedSpeed>> out;
-  for (const auto& stripe : stripes_) {
-    const std::lock_guard<std::mutex> lock(stripe->mutex);
-    auto part = stripe->fusion.all();
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-std::vector<FusionExportEntry> StripedSpeedFusion::export_state() const {
-  std::vector<FusionExportEntry> out;
-  for (const auto& stripe : stripes_) {
-    const std::lock_guard<std::mutex> lock(stripe->mutex);
-    auto part = stripe->fusion.export_state();
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  // Stripes partition the key space, so the concatenation has no duplicate
-  // keys — one global sort yields the same canonical order as the
-  // single-shard export.
-  std::sort(out.begin(), out.end(),
-            [](const FusionExportEntry& a, const FusionExportEntry& b) {
-              return a.key.from != b.key.from ? a.key.from < b.key.from
-                                              : a.key.to < b.key.to;
-            });
-  return out;
-}
-
-void StripedSpeedFusion::restore_state(
-    const std::vector<FusionExportEntry>& entries) {
-  std::vector<std::vector<FusionExportEntry>> per_stripe(stripes_.size());
-  for (const FusionExportEntry& entry : entries) {
-    per_stripe[stripe_of(entry.key)].push_back(entry);
-  }
-  for (std::size_t s = 0; s < stripes_.size(); ++s) {
-    const std::lock_guard<std::mutex> lock(stripes_[s]->mutex);
-    stripes_[s]->fusion.restore_state(per_stripe[s]);
-  }
-}
-
-void StripedSpeedFusion::visit_all(
-    const std::function<void(const SegmentKey&, const FusedSpeed&)>& fn) const {
-  // Stripe-by-stripe in index order — the exact concatenation order of
-  // all(), without materializing the per-stripe vectors.
-  for (const auto& stripe : stripes_) {
-    const std::lock_guard<std::mutex> lock(stripe->mutex);
-    stripe->fusion.visit_all(fn);
   }
 }
 

@@ -15,7 +15,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -57,17 +56,31 @@ struct FusionExportEntry {
   std::vector<std::pair<std::int64_t, std::vector<double>>> pending;
 };
 
+/// Period-batched Eq. 4 fusion, internally locked.
+///
+/// Segments are partitioned by hash across kStripes independent stripes,
+/// each behind its own mutex: a segment's entire history lives in exactly
+/// one stripe, so the per-segment arithmetic — and with it the
+/// order-insensitive determinism described at add() — is untouched, while
+/// writers on different stripes never contend. Every method is thread-safe,
+/// so the sharded ingest consumers fold into one SpeedFusion concurrently.
 class SpeedFusion {
  public:
+  static constexpr std::size_t kStripes = 16;
+
   explicit SpeedFusion(FusionConfig config = {});
 
-  /// Feeds one raw estimate; batched until its period closes.
+  /// Feeds one raw estimate; batched until its period closes. Locks the
+  /// owning stripe only.
   ///
   /// Determinism: a period's estimates are summed in *sorted* order when
   /// the batch closes, so the fused result depends only on the multiset of
   /// estimates per period — any arrival order (e.g. from concurrent
   /// ingestion workers) yields bit-identical doubles.
   void add(const SpeedEstimate& estimate);
+
+  /// Folds a batch, taking each stripe lock at most once.
+  void add(const std::vector<SpeedEstimate>& estimates);
 
   /// Closes every batch whose period ends at or before `now`, applying the
   /// Eq. 4 update. Call before querying.
@@ -76,13 +89,13 @@ class SpeedFusion {
   /// Latest fused estimate for a segment, if any.
   std::optional<FusedSpeed> query(const SegmentKey& segment) const;
 
-  /// All segments with a fused estimate.
+  /// All segments with a fused estimate, stripe by stripe.
   std::vector<std::pair<SegmentKey, FusedSpeed>> all() const;
 
   /// Visits every fused estimate in place, in exactly the order all()
   /// would list them — callers that only need one pass (epoch builds,
-  /// exports) skip the intermediate vector copy. The callback must not
-  /// re-enter this fusion.
+  /// exports) skip the intermediate vector copy. Each stripe lock is held
+  /// for its own pass only; the callback must not re-enter this fusion.
   void visit_all(
       const std::function<void(const SegmentKey&, const FusedSpeed&)>& fn) const;
 
@@ -104,67 +117,21 @@ class SpeedFusion {
     // the close-time summation can be order-insensitive.
     std::map<std::int64_t, std::vector<double>> pending;
   };
-
-  void apply(State& state, double mean_obs, SimTime at, int count);
-
-  FusionConfig config_;
-  std::unordered_map<SegmentKey, State, SegmentKeyHash> states_;
-};
-
-/// Sharded, internally locked fusion for concurrent ingestion.
-///
-/// Segments are partitioned by hash across `stripe_count` independent
-/// SpeedFusion shards, each behind its own mutex: a segment's entire
-/// history lives in exactly one shard, so the per-segment arithmetic — and
-/// with it SpeedFusion's order-insensitive determinism — is untouched,
-/// while writers on different stripes never contend.
-class StripedSpeedFusion {
- public:
-  explicit StripedSpeedFusion(FusionConfig config = {},
-                              std::size_t stripe_count = 16);
-
-  /// Thread-safe; locks the owning stripe only.
-  void add(const SpeedEstimate& estimate);
-
-  /// Folds a batch, taking each stripe lock at most once.
-  void add_batch(const std::vector<SpeedEstimate>& estimates);
-
-  /// Closes batches on every stripe (thread-safe).
-  void flush_until(SimTime now);
-
-  std::optional<FusedSpeed> query(const SegmentKey& segment) const;
-  std::vector<std::pair<SegmentKey, FusedSpeed>> all() const;
-
-  /// Visits every fused estimate stripe by stripe, in exactly the order
-  /// all() would list them (thread-safe; each stripe lock is held for its
-  /// own pass only). The callback must not touch this fusion.
-  void visit_all(
-      const std::function<void(const SegmentKey&, const FusedSpeed&)>& fn) const;
-
-  /// Merged state of every stripe, sorted by key (byte-deterministic;
-  /// thread-safe).
-  std::vector<FusionExportEntry> export_state() const;
-
-  /// Replaces all state; each entry is routed to its owning stripe, so the
-  /// restored per-segment state is bit-identical at any stripe count.
-  void restore_state(const std::vector<FusionExportEntry>& entries);
-
-  const FusionConfig& config() const { return config_; }
-  std::size_t stripe_count() const { return stripes_.size(); }
-
- private:
   struct Stripe {
     mutable std::mutex mutex;
-    SpeedFusion fusion;
-    explicit Stripe(const FusionConfig& config) : fusion(config) {}
+    std::unordered_map<SegmentKey, State, SegmentKeyHash> states;
   };
 
-  std::size_t stripe_of(const SegmentKey& key) const {
-    return SegmentKeyHash{}(key) % stripes_.size();
+  static std::size_t stripe_of(const SegmentKey& key) {
+    return SegmentKeyHash{}(key) % kStripes;
   }
+  void add_locked(Stripe& stripe, const SpeedEstimate& estimate);
+  void apply(State& state, double mean_obs, SimTime at, int count) const;
 
   FusionConfig config_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  // A vector (not an array) so the fusion stays movable: the mutexes stay
+  // put in the heap buffer.
+  std::vector<Stripe> stripes_ = std::vector<Stripe>(kStripes);
 };
 
 }  // namespace bussense

@@ -10,237 +10,6 @@
 
 namespace bussense {
 
-void IngestServiceConfig::validate() const {
-  if (queue_capacity == 0) {
-    throw std::invalid_argument(
-        "IngestServiceConfig: queue_capacity must be > 0");
-  }
-  if (backpressure == Backpressure::kBlock && workers == 0) {
-    throw std::invalid_argument(
-        "IngestServiceConfig: kBlock with workers == 0 would deadlock every "
-        "enqueue against a full queue; use kReject/kDropOldest in manual "
-        "mode");
-  }
-  concurrency.validate();
-}
-
-IngestService::IngestService(const City& city, StopDatabase database,
-                             ServerConfig config, IngestServiceConfig service)
-    : backend_(city, std::move(database), config, service.concurrency),
-      service_(service),
-      durable_(config.durability.enabled) {
-  service_.validate();
-  if (config.obs.enabled) {
-    MetricsRegistry& reg = backend_.metrics_registry();
-    inst_.enqueued = &reg.counter("ingest.enqueued");
-    inst_.processed = &reg.counter("ingest.processed");
-    inst_.rejected_queue_full = &reg.counter("ingest.rejected_queue_full");
-    inst_.rejected_shutdown = &reg.counter("ingest.rejected_shutdown");
-    inst_.dropped_oldest = &reg.counter("ingest.dropped_oldest");
-    inst_.worker_errors = &reg.counter("ingest.worker_errors");
-    inst_.queue_latency_s = &reg.histogram("ingest.queue_latency_s");
-    inst_.queue_depth = &reg.gauge("ingest.queue_depth");
-  }
-  if (service_.workers > 0) {
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<unsigned>(service_.workers));
-    coordinator_ = std::thread([this] {
-      // One long parallel_for parks every pool thread (the coordinator
-      // included) in the drain loop until shutdown closes the queue.
-      try {
-        pool_->parallel_for(service_.workers, [this](std::size_t) {
-          worker_loop();
-        });
-      } catch (...) {
-        // worker_loop() catches per-item failures; anything reaching here
-        // (allocation failure in the pool machinery) only ends the loop
-        // early — shutdown() still drains on the caller's thread.
-      }
-    });
-  }
-}
-
-IngestService::~IngestService() { shutdown(); }
-
-TripReport IngestService::process_trip(const TripUpload& trip) {
-  TripReport report;
-  if (durable_ && (!lifecycle_open_.load(std::memory_order_acquire) ||
-                   lifecycle_closed_.load(std::memory_order_acquire))) {
-    report.outcome = IngestOutcome::kRejected;
-    report.reject_reason = RejectReason::kShutdown;
-    if (inst_.rejected_shutdown) inst_.rejected_shutdown->inc();
-    return report;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!closed_ &&
-        service_.backpressure == IngestServiceConfig::Backpressure::kBlock) {
-      not_full_.wait(lock, [&] {
-        return closed_ || queue_.size() < service_.queue_capacity;
-      });
-    }
-    if (closed_) {
-      report.outcome = IngestOutcome::kRejected;
-      report.reject_reason = RejectReason::kShutdown;
-      if (inst_.rejected_shutdown) inst_.rejected_shutdown->inc();
-      return report;
-    }
-    if (queue_.size() >= service_.queue_capacity) {
-      switch (service_.backpressure) {
-        case IngestServiceConfig::Backpressure::kBlock:
-          break;  // unreachable: the wait above guarantees a slot
-        case IngestServiceConfig::Backpressure::kReject:
-          report.outcome = IngestOutcome::kRejected;
-          report.reject_reason = RejectReason::kQueueFull;
-          if (inst_.rejected_queue_full) inst_.rejected_queue_full->inc();
-          return report;
-        case IngestServiceConfig::Backpressure::kDropOldest:
-          queue_.pop_front();
-          if (inst_.dropped_oldest) inst_.dropped_oldest->inc();
-          break;
-      }
-    }
-    queue_.push_back(Item{trip, inst_.queue_latency_s ? monotonic_time_s()
-                                                      : 0.0});
-    if (inst_.queue_depth) {
-      inst_.queue_depth->set(static_cast<double>(queue_.size()));
-    }
-  }
-  if (inst_.enqueued) inst_.enqueued->inc();
-  not_empty_.notify_one();
-  report.outcome = IngestOutcome::kQueued;
-  return report;
-}
-
-IngestService::Item IngestService::pop_locked(
-    std::unique_lock<std::mutex>& lock) {
-  Item item = std::move(queue_.front());
-  queue_.pop_front();
-  ++in_flight_;
-  if (inst_.queue_depth) {
-    inst_.queue_depth->set(static_cast<double>(queue_.size()));
-  }
-  lock.unlock();
-  not_full_.notify_one();
-  return item;
-}
-
-void IngestService::process_item(Item& item) {
-  try {
-    const TripReport report = backend_.process_trip(item.trip);
-    // Admission rejections (duplicate/malformed/skew bounds) surface here
-    // rather than at enqueue time — the queued path admits on the worker.
-    // They are already counted under ingest.rejected.* by the controller,
-    // so ingest.processed keeps meaning "ran the full pipeline".
-    if (report.accepted() && inst_.processed) inst_.processed->inc();
-    if (inst_.queue_latency_s) {
-      inst_.queue_latency_s->record(monotonic_time_s() - item.enqueued_at);
-    }
-  } catch (...) {
-    // A malformed upload must not take a worker down; the error count is
-    // the operator's signal.
-    if (inst_.worker_errors) inst_.worker_errors->inc();
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  --in_flight_;
-  if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
-}
-
-void IngestService::worker_loop() {
-  for (;;) {
-    Item item;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      not_empty_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // closed and fully drained
-      item = pop_locked(lock);
-    }
-    process_item(item);
-  }
-}
-
-std::size_t IngestService::process_queued(std::size_t max_items) {
-  std::size_t done = 0;
-  while (done < max_items) {
-    Item item;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (queue_.empty()) break;
-      item = pop_locked(lock);
-    }
-    process_item(item);
-    ++done;
-  }
-  return done;
-}
-
-void IngestService::drain() {
-  if (service_.workers == 0) {
-    process_queued(static_cast<std::size_t>(-1));
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void IngestService::advance_time(SimTime now) {
-  drain();
-  backend_.advance_time(now);
-}
-
-RecoveryReport IngestService::open() {
-  RecoveryReport report = backend_.open();
-  lifecycle_open_.store(true, std::memory_order_release);
-  return report;
-}
-
-std::uint64_t IngestService::checkpoint() {
-  drain();
-  return backend_.checkpoint();
-}
-
-void IngestService::close() {
-  drain();
-  backend_.close();
-  lifecycle_closed_.store(true, std::memory_order_release);
-}
-
-void IngestService::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-  }
-  not_empty_.notify_all();
-  not_full_.notify_all();
-  if (coordinator_.joinable()) coordinator_.join();
-  // Manual mode (or a pool that died early): finish the queue here.
-  process_queued(static_cast<std::size_t>(-1));
-  // No accepted estimate may be stranded in a worker's thread batch.
-  backend_.flush_batches();
-}
-
-TrafficMap IngestService::snapshot(SimTime now, double max_age_s) const {
-  return backend_.snapshot(now, max_age_s);
-}
-
-std::uint64_t IngestService::publish_epoch(EpochPublisher& publisher,
-                                           SimTime now,
-                                           double max_age_s) const {
-  return backend_.publish_epoch(publisher, now, max_age_s);
-}
-
-std::size_t IngestService::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
-bool IngestService::closed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return closed_;
-}
-
-// --------------------------------------------------------- sharded service
-
 namespace {
 
 // Service ids are handed out once and never reused, so a thread's cached
@@ -281,19 +50,13 @@ void ShardedIngestConfig::validate() const {
     throw std::invalid_argument(
         "ShardedIngestConfig: ring_capacity must be > 0");
   }
-  if (max_producer_lanes == 0) {
-    throw std::invalid_argument(
-        "ShardedIngestConfig: max_producer_lanes must be > 0");
-  }
-  concurrency.validate();
 }
 
 ShardedIngestService::ShardedIngestService(const City& city,
                                            StopDatabase database,
                                            ServerConfig config,
                                            ShardedIngestConfig sharding)
-    : backend_(city, std::move(database), sharded_backend_config(config),
-               sharding.concurrency),
+    : backend_(city, std::move(database), sharded_backend_config(config)),
       sharding_(sharding),
       service_id_(
           g_next_sharded_service_id.fetch_add(1, std::memory_order_relaxed)) {
@@ -312,8 +75,8 @@ ShardedIngestService::ShardedIngestService(const City& city,
   for (std::size_t i = 0; i < sharding_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
-    shard->lanes.reserve(sharding_.max_producer_lanes);
-    for (std::size_t lane = 0; lane < sharding_.max_producer_lanes; ++lane) {
+    shard->lanes.reserve(kProducerLanes);
+    for (std::size_t lane = 0; lane < kProducerLanes; ++lane) {
       shard->lanes.push_back(
           std::make_unique<SpscRing<TripUpload>>(sharding_.ring_capacity));
     }
@@ -356,7 +119,7 @@ std::size_t ShardedIngestService::shard_of(std::int32_t participant_id) const {
 
 std::size_t ShardedIngestService::producer_lane() {
   // Per-thread cache: service id → this thread's lane slot. Slots are
-  // handed out in registration order; threads past max_producer_lanes get
+  // handed out in registration order; threads past kProducerLanes get
   // the sentinel and use the overflow queue.
   thread_local std::unordered_map<std::uint64_t, std::size_t> t_lanes;
   auto [it, inserted] = t_lanes.try_emplace(service_id_, 0);
@@ -406,7 +169,7 @@ TripReport ShardedIngestService::process_trip(const TripUpload& trip) {
     }
   } else {
     // Overflow lane: bounded, mutex-guarded — correctness identical, just
-    // slower. Only threads beyond max_producer_lanes land here.
+    // slower. Only threads beyond kProducerLanes land here.
     Backoff backoff;
     for (;;) {
       if (closed_.load(std::memory_order_acquire)) {
@@ -448,12 +211,20 @@ void ShardedIngestService::process_one(Shard& shard, const TripUpload& trip) {
     // Write-ahead into the shard's own segment; only this consumer thread
     // appends to it, so segment order == the shard's processing order.
     if (durability_) durability_->append_trip(shard.index, *use, info);
-    backend_.process_trip(*use);
+    const TripReport report = backend_.process_admitted(*use);
+    shard.batch.insert(shard.batch.end(), report.estimates.begin(),
+                       report.estimates.end());
+    if (shard.batch.size() >= kFoldBatch) fold_batch(shard);
     if (shard.inst.processed) shard.inst.processed->inc();
   } catch (...) {
     // A hostile upload must not take the shard's consumer down.
     if (shard.inst.worker_errors) shard.inst.worker_errors->inc();
   }
+}
+
+void ShardedIngestService::fold_batch(Shard& shard) {
+  backend_.ingest(shard.batch);
+  shard.batch.clear();
 }
 
 std::size_t ShardedIngestService::drain_shard_once(Shard& shard) {
@@ -497,6 +268,9 @@ void ShardedIngestService::shard_loop(Shard& shard) {
   for (;;) {
     shard.busy.store(true, std::memory_order_release);
     const std::size_t done = drain_shard_once(shard);
+    // Fold before going idle: drain() reads busy == false with empty rings
+    // as "every popped upload's estimates are in the fusion".
+    if (!shard.batch.empty()) fold_batch(shard);
     shard.busy.store(false, std::memory_order_release);
     if (done > 0) {
       backoff.reset();
@@ -554,8 +328,8 @@ RecoveryReport ShardedIngestService::open() {
   if (recovery.checkpoint) {
     report.checkpoint_loaded = true;
     report.checkpoint_id = recovery.checkpoint->id;
-    backend_.restore_fusion(recovery.checkpoint->state.fusion);
-    backend_.set_trips_processed(recovery.checkpoint->state.trips_processed);
+    backend_.restore(recovery.checkpoint->state.fusion,
+                     recovery.checkpoint->state.trips_processed);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       if (shards_[i]->admission &&
           i < recovery.checkpoint->state.admission.size()) {
@@ -598,7 +372,6 @@ std::uint64_t ShardedIngestService::checkpoint() {
     return 0;
   }
   drain();
-  backend_.flush_batches();
   CheckpointState state;
   state.trips_processed = backend_.trips_processed();
   state.fusion = backend_.export_fusion();
@@ -629,9 +402,8 @@ void ShardedIngestService::shutdown() {
   for (auto& shard : shards_) {
     while (drain_shard_once(*shard) > 0) {
     }
+    if (!shard->batch.empty()) fold_batch(*shard);
   }
-  // No accepted estimate may be stranded in a consumer's thread batch.
-  backend_.flush_batches();
 }
 
 TrafficMap ShardedIngestService::snapshot(SimTime now, double max_age_s) const {

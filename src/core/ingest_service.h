@@ -1,184 +1,9 @@
-// Asynchronous ingest front ends: the single-queue IngestService (bounded
-// MPMC queue + worker pool + explicit backpressure) and the scale-out
-// ShardedIngestService (participant-hash shards fed by lock-free SPSC
-// rings, no coordinator — see the second half of this header).
+// ShardedIngestService: the asynchronous ingest front end.
 //
 // A deployment receives trip uploads from thousands of phones on whatever
 // schedule the cellular network delivers them; the analysis pipeline runs
-// at its own pace. IngestService decouples the two with a bounded MPMC
-// queue: producers call process_trip() from any thread and get an
-// immediate outcome (kQueued / kRejected), a fixed pool of workers drains
-// the queue through ConcurrentTrafficServer, and a configurable
-// backpressure policy decides what happens when producers outrun the
-// workers:
-//
-//   * kBlock      — the producer waits for a slot (lossless, applies the
-//                   backpressure to the caller);
-//   * kReject     — the upload is refused with RejectReason::kQueueFull
-//                   (the phone retries later; the refusal is counted);
-//   * kDropOldest — the oldest queued upload is discarded to make room
-//                   (freshest-data-wins, suited to live maps).
-//
-// Determinism: the queue only changes *when* a trip is analysed, never
-// what the analysis computes, and the striped fusion backend is
-// order-independent per period (see core/concurrent_server.h). The fused
-// map after drain() + advance_time() is therefore bit-identical to
-// feeding the same accepted uploads through the serial TrafficServer —
-// property-tested at several worker counts, with metrics on and off.
-//
-// Shutdown is graceful: shutdown() (also run by the destructor) closes
-// the queue to new uploads, lets the workers finish every queued trip,
-// then flushes the per-thread fusion batches so no accepted estimate is
-// lost.
-//
-// Admission control (ServerConfig::admission, core/admission.h) runs on
-// the worker when the queued upload reaches the backend — not at enqueue
-// time — so process_trip() still answers immediately. Admission verdicts
-// land in the ingest.rejected.* counters; ingest.processed counts only
-// uploads that ran the full pipeline.
-#pragma once
-
-#include <atomic>
-#include <condition_variable>
-#include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
-
-#include "common/spsc_ring.h"
-#include "common/thread_pool.h"
-#include "core/concurrent_server.h"
-#include "core/traffic_ingestor.h"
-
-namespace bussense {
-
-struct IngestServiceConfig {
-  /// What process_trip() does when the queue is at capacity.
-  enum class Backpressure : std::uint8_t { kBlock, kReject, kDropOldest };
-
-  std::size_t queue_capacity = 1024;  ///< bounded; 0 is invalid
-  /// Worker threads draining the queue. 0 = manual mode: nothing runs in
-  /// the background and the owner steps the service with process_queued()
-  /// — the deterministic harness the backpressure tests build on.
-  std::size_t workers = 4;
-  Backpressure backpressure = Backpressure::kBlock;
-  ConcurrentServerConfig concurrency;
-
-  /// Throws std::invalid_argument on nonsense: a zero-capacity queue, or
-  /// kBlock with no workers (every full-queue enqueue would deadlock).
-  void validate() const;
-};
-
-class IngestService final : public TrafficIngestor {
- public:
-  IngestService(const City& city, StopDatabase database,
-                ServerConfig config = {}, IngestServiceConfig service = {});
-  ~IngestService() override;
-
-  IngestService(const IngestService&) = delete;
-  IngestService& operator=(const IngestService&) = delete;
-
-  /// Enqueues the upload. Returns outcome kQueued (report data empty — the
-  /// pipeline runs later; read metrics() for throughput) or kRejected with
-  /// the reason. Safe from any thread, including after shutdown().
-  TripReport process_trip(const TripUpload& trip) override;
-
-  /// Blocks until every queued upload has been analysed and its estimates
-  /// handed to the fusion layer. In manual mode (workers == 0) the calling
-  /// thread does the work.
-  void drain();
-
-  /// drain(), then closes fusion periods up to `now`. This preserves the
-  /// TrafficIngestor contract: every estimate accepted before this call is
-  /// in the map it produces.
-  void advance_time(SimTime now) override;
-
-  /// Closes the queue (further uploads are rejected with kShutdown), lets
-  /// the workers finish everything already queued, stops them, and flushes
-  /// the per-thread fusion batches. Idempotent.
-  void shutdown();
-
-  /// Manual mode: analyse up to `max_items` queued uploads on the calling
-  /// thread; returns how many were processed. Races with nothing when
-  /// workers == 0 (its intended use).
-  std::size_t process_queued(std::size_t max_items);
-
-  TrafficMap snapshot(SimTime now, double max_age_s = 3600.0) const override;
-  std::uint64_t publish_epoch(EpochPublisher& publisher, SimTime now,
-                              double max_age_s = 3600.0) const override;
-  const MetricsRegistry& metrics() const override { return backend_.metrics(); }
-  const SegmentCatalog& catalog() const override { return backend_.catalog(); }
-  std::uint64_t trips_processed() const override {
-    return backend_.trips_processed();
-  }
-
-  /// Durable lifecycle, delegated to the concurrent backend (which owns
-  /// the WAL/checkpoint manager). checkpoint() and close() drain the queue
-  /// first so the recovery point covers every enqueued upload; with
-  /// durability enabled, process_trip() outside open()..close() is
-  /// rejected with kShutdown at enqueue time.
-  RecoveryReport open() override;
-  std::uint64_t checkpoint() override;
-  void close() override;
-
-  std::size_t queue_depth() const;
-  bool closed() const;
-  const ConcurrentTrafficServer& backend() const { return backend_; }
-
- private:
-  struct Item {
-    TripUpload trip;
-    double enqueued_at = 0.0;  ///< monotonic_time_s() at enqueue
-  };
-
-  void worker_loop();
-  void process_item(Item& item);
-  Item pop_locked(std::unique_lock<std::mutex>& lock);
-
-  ConcurrentTrafficServer backend_;
-  IngestServiceConfig service_;
-  bool durable_ = false;  ///< config.durability.enabled
-  std::atomic<bool> lifecycle_open_{false};
-  std::atomic<bool> lifecycle_closed_{false};
-
-  mutable std::mutex mutex_;
-  std::condition_variable not_empty_;  ///< queue gained an item / closed
-  std::condition_variable not_full_;   ///< queue lost an item / closed
-  std::condition_variable idle_;       ///< queue empty and nothing in flight
-  std::deque<Item> queue_;
-  std::size_t in_flight_ = 0;
-  bool closed_ = false;
-
-  // Worker machinery: the coordinator thread parks the pool's workers in
-  // worker_loop() via one long parallel_for. Absent in manual mode.
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread coordinator_;
-
-  // Instruments live in the backend's registry so one snapshot covers the
-  // whole pipeline; null when observability is disabled.
-  struct Instruments {
-    Counter* enqueued = nullptr;
-    Counter* processed = nullptr;
-    Counter* rejected_queue_full = nullptr;
-    Counter* rejected_shutdown = nullptr;
-    Counter* dropped_oldest = nullptr;
-    Counter* worker_errors = nullptr;
-    BucketHistogram* queue_latency_s = nullptr;  ///< enqueue → handed to fusion
-    Gauge* queue_depth = nullptr;
-  };
-  Instruments inst_;
-};
-
-// ---------------------------------------------------------------------------
-// Sharded scale-out ingest.
-//
-// IngestService above tops out early: one mutex-guarded MPMC deque, one
-// coordinator thread and cross-thread fusion batching serialize every
-// upload no matter how many workers drain the queue. ShardedIngestService
-// removes every shared point on the hot path:
+// at its own pace. This service decouples the two with no shared point on
+// the hot path:
 //
 //   * uploads are partitioned by participant id with a stable hash
 //     (mix64), so one participant's stream always lands on the same
@@ -192,24 +17,51 @@ class IngestService final : public TrafficIngestor {
 //     the shard on partition-local state: a participant's replays and
 //     skew history live where its uploads are processed, so the checks
 //     are race-free without a shared controller;
+//   * each shard runs the pipeline through one shared TrafficServer
+//     backend (TrafficServer::process_admitted), buffers the estimates in
+//     its own batch and folds that batch into the backend's internally
+//     locked fusion store — when it fills, and always before the shard
+//     reports idle, so once drain() returns every accepted estimate is in
+//     the fusion;
 //   * each shard records into its own MetricsRegistry
 //     (ingest.shard.* instruments); shard_metrics() merges the
 //     registries in shard order, which is deterministic — the counters
 //     depend only on the partitioning, never on scheduling.
 //
-// Determinism: analysis is pure, and the shards fold their estimates into
-// the shared striped fusion, which batches per 5-minute period and sums
-// each period's estimates in *sorted* order when advance_time() closes it
-// (core/fusion.h). The fused map therefore depends only on the multiset
-// of accepted uploads — shard count, arrival order, ring sizes and merge
-// timing are all invisible, and the snapshot is bit-identical to feeding
-// the same uploads through the serial TrafficServer (property-tested
-// across shard and producer counts, admission and metrics on and off).
+// Determinism: analysis is pure, and the fusion store batches per
+// 5-minute period and sums each period's estimates in *sorted* order when
+// advance_time() closes it (core/fusion.h). The fused map therefore
+// depends only on the multiset of accepted uploads — shard count, arrival
+// order, ring sizes and fold timing are all invisible, and the snapshot is
+// bit-identical to feeding the same uploads through the serial
+// TrafficServer (property-tested across shard and producer counts,
+// admission and metrics on and off).
 //
 // Backpressure: a full ring either blocks the producer (kBlock — spin,
 // then yield, then sleep) or rejects with RejectReason::kQueueFull
-// (kReject). kDropOldest does not exist here: only the consumer may pop
-// an SPSC ring, so the producer cannot shed the oldest entry.
+// (kReject). The producer cannot shed the oldest entry instead: only the
+// consumer may pop an SPSC ring.
+//
+// Shutdown is graceful: shutdown() (also run by the destructor) closes
+// the service to new uploads, lets every shard finish its rings and fold
+// its batch, and joins the consumers.
+#pragma once
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+#include "common/spsc_ring.h"
+#include "core/server.h"
+#include "core/traffic_ingestor.h"
+
+namespace bussense {
+
 struct ShardedIngestConfig {
   /// What process_trip() does when the producer's ring for the target
   /// shard is full.
@@ -217,21 +69,23 @@ struct ShardedIngestConfig {
 
   std::size_t shards = 4;             ///< independent partitions; > 0
   std::size_t ring_capacity = 1024;   ///< per (producer, shard) ring; > 0
-  /// SPSC lanes per shard. The first `max_producer_lanes` producer
-  /// threads each get a private ring per shard; later threads fall back
-  /// to a small mutex-guarded overflow queue (counted, correctness
-  /// unchanged).
-  std::size_t max_producer_lanes = 16;
   Backpressure backpressure = Backpressure::kBlock;
-  ConcurrentServerConfig concurrency;
 
-  /// Throws std::invalid_argument on nonsense (zero shards, lanes or ring
+  /// Throws std::invalid_argument on nonsense (zero shards or ring
   /// capacity).
   void validate() const;
 };
 
 class ShardedIngestService final : public TrafficIngestor {
  public:
+  /// SPSC lanes per shard: the first kProducerLanes producer threads each
+  /// get a private ring per shard; later threads fall back to a small
+  /// mutex-guarded overflow queue (counted, correctness unchanged).
+  static constexpr std::size_t kProducerLanes = 16;
+  /// Estimates a shard buffers before it folds them into the fusion store
+  /// (it also folds whatever it holds before it goes idle).
+  static constexpr std::size_t kFoldBatch = 32;
+
   ShardedIngestService(const City& city, StopDatabase database,
                        ServerConfig config = {},
                        ShardedIngestConfig sharding = {});
@@ -246,8 +100,7 @@ class ShardedIngestService final : public TrafficIngestor {
   TripReport process_trip(const TripUpload& trip) override;
 
   /// Blocks until every pushed upload has been analysed and its estimates
-  /// handed to the fusion layer. Exact once producers are quiescent (the
-  /// same contract as IngestService::drain()).
+  /// folded into the fusion store. Exact once producers are quiescent.
   void drain();
 
   /// drain(), then advances the per-shard admission watermarks and closes
@@ -255,8 +108,8 @@ class ShardedIngestService final : public TrafficIngestor {
   void advance_time(SimTime now) override;
 
   /// Closes the service (further uploads rejected with kShutdown), lets
-  /// every shard finish its rings, joins the consumers and flushes the
-  /// fusion batches. Idempotent; also run by the destructor.
+  /// every shard finish its rings and fold its batch, and joins the
+  /// consumers. Idempotent; also run by the destructor.
   void shutdown();
 
   TrafficMap snapshot(SimTime now, double max_age_s = 3600.0) const override;
@@ -295,7 +148,9 @@ class ShardedIngestService final : public TrafficIngestor {
   /// only while producers and consumers are quiescent.
   std::size_t queue_depth() const;
   bool closed() const { return closed_.load(std::memory_order_acquire); }
-  const ConcurrentTrafficServer& backend() const { return backend_; }
+  /// The shared pipeline: a TrafficServer with admission and durability
+  /// stripped from its config.
+  const TrafficServer& backend() const { return backend_; }
 
  private:
   struct Shard {
@@ -303,12 +158,16 @@ class ShardedIngestService final : public TrafficIngestor {
     /// Fixed lane array, one SPSC ring per producer slot, allocated
     /// eagerly so consumers never race a lane's publication.
     std::vector<std::unique_ptr<SpscRing<TripUpload>>> lanes;
-    /// Spill path for producer threads beyond max_producer_lanes.
+    /// Spill path for producer threads beyond kProducerLanes.
     mutable std::mutex overflow_mutex;
     std::deque<TripUpload> overflow;
-    /// True while the consumer is popping/processing; drain() polls
-    /// rings-then-busy so a popped-but-unfinished upload is never missed.
+    /// True while the consumer is popping, processing or folding; drain()
+    /// polls rings-then-busy so a popped-but-unfolded upload is never
+    /// missed.
     std::atomic<bool> busy{false};
+    /// Estimates analysed but not yet folded; touched only by the thread
+    /// that drains this shard.
+    std::vector<SpeedEstimate> batch;
     /// Partition-local admission state (null when admission is disabled).
     std::unique_ptr<AdmissionController> admission;
     /// Shard-local instruments; merged by shard_metrics(). Always present
@@ -330,9 +189,10 @@ class ShardedIngestService final : public TrafficIngestor {
   bool shard_pending(const Shard& shard) const;
   std::size_t drain_shard_once(Shard& shard);
   void process_one(Shard& shard, const TripUpload& trip);
+  void fold_batch(Shard& shard);
   void shard_loop(Shard& shard);
 
-  ConcurrentTrafficServer backend_;
+  TrafficServer backend_;
   ShardedIngestConfig sharding_;
   std::vector<std::unique_ptr<Shard>> shards_;
 

@@ -12,8 +12,8 @@ namespace {
 // Scratch buffers reused across calls. The hot path — StopMatcher scoring a
 // sample against many candidate records — used to heap-allocate a fresh DP
 // matrix per pair; for ≤7-cell fingerprints that allocation dominated the
-// arithmetic. thread_local (not static) because the concurrent server calls
-// similarity() from many ingestion workers at once.
+// arithmetic. thread_local (not static) because the sharded ingest service
+// calls similarity() from many shard consumers at once.
 thread_local std::vector<double> t_rows;          ///< 2 rolling rows (double DP)
 thread_local std::vector<std::int32_t> t_rows10;  ///< 2 rolling rows (fixed DP)
 thread_local std::vector<double> t_matrix;        ///< full H (align only)

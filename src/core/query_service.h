@@ -33,8 +33,7 @@ namespace bussense {
 
 struct QueryServiceConfig {
   ArrivalPredictorConfig predictor;
-  using Observability = ObservabilityConfig;  // core/config_common.h
-  Observability obs;
+  ObservabilityConfig obs;  // core/config_common.h
 };
 
 /// Answer to a segment-speed query. `live` is false when the epoch carries

@@ -145,8 +145,7 @@ MappedTrip TrafficServer::map_trip(
   return trip;
 }
 
-TrafficServer::TripReport TrafficServer::analyze_trip(
-    const TripUpload& trip) const {
+TripReport TrafficServer::analyze_trip(const TripUpload& trip) const {
   TripReport report;
   report.matched = match_samples(trip, &report.rejected_samples);
   const auto clusters = cluster_samples(report.matched);
@@ -160,14 +159,24 @@ TrafficServer::TripReport TrafficServer::analyze_trip(
   return report;
 }
 
+TripReport TrafficServer::process_admitted(const TripUpload& trip) {
+  const double start = inst_.trip_s ? monotonic_time_s() : 0.0;
+  TripReport report = analyze_trip(trip);
+  trips_processed_.fetch_add(1, std::memory_order_relaxed);
+  if (inst_.trip_s) {
+    inst_.trip_s->record(monotonic_time_s() - start);
+    inst_.trips->inc();
+  }
+  return report;
+}
+
 void TrafficServer::ingest(const std::vector<SpeedEstimate>& estimates) {
   const double start = inst_.fold_s ? monotonic_time_s() : 0.0;
-  for (const SpeedEstimate& e : estimates) fusion_.add(e);
+  fusion_.add(estimates);
   if (inst_.fold_s) inst_.fold_s->record(monotonic_time_s() - start);
 }
 
-TrafficServer::TripReport TrafficServer::process_trip(const TripUpload& trip) {
-  const double start = inst_.trip_s ? monotonic_time_s() : 0.0;
+TripReport TrafficServer::process_trip(const TripUpload& trip) {
   if (durability_ && (!opened_ || closed_)) {
     TripReport rejected;
     rejected.outcome = IngestOutcome::kRejected;
@@ -189,13 +198,8 @@ TrafficServer::TripReport TrafficServer::process_trip(const TripUpload& trip) {
   // Write-ahead: the admitted upload reaches the log before any of its
   // estimates touch the fusion state.
   if (durability_) durability_->append_trip(0, *use, info);
-  TripReport report = analyze_trip(*use);
+  TripReport report = process_admitted(*use);
   ingest(report.estimates);
-  ++trips_processed_;
-  if (inst_.trip_s) {
-    inst_.trip_s->record(monotonic_time_s() - start);
-    inst_.trips->inc();
-  }
   return report;
 }
 
@@ -218,9 +222,7 @@ void TrafficServer::apply_recovered(const WalRecord& record,
     admission_->note_replayed(record.signature, record.trip.participant_id,
                               record.skew_offset_s);
   }
-  const TripReport trip_report = analyze_trip(record.trip);
-  ingest(trip_report.estimates);
-  ++trips_processed_;
+  ingest(process_admitted(record.trip).estimates);
   ++report->replayed_trips;
 }
 
@@ -235,8 +237,8 @@ RecoveryReport TrafficServer::open() {
   if (recovery.checkpoint) {
     report.checkpoint_loaded = true;
     report.checkpoint_id = recovery.checkpoint->id;
-    fusion_.restore_state(recovery.checkpoint->state.fusion);
-    trips_processed_ = recovery.checkpoint->state.trips_processed;
+    restore(recovery.checkpoint->state.fusion,
+            recovery.checkpoint->state.trips_processed);
     if (admission_ && !recovery.checkpoint->state.admission.empty()) {
       admission_->restore_state(recovery.checkpoint->state.admission.front());
     }
@@ -254,10 +256,16 @@ RecoveryReport TrafficServer::open() {
 std::uint64_t TrafficServer::checkpoint() {
   if (!durability_ || !opened_ || closed_) return 0;
   CheckpointState state;
-  state.trips_processed = trips_processed_;
+  state.trips_processed = trips_processed();
   state.fusion = fusion_.export_state();
   if (admission_) state.admission.push_back(admission_->export_state());
   return durability_->save_checkpoint(std::move(state));
+}
+
+void TrafficServer::restore(const std::vector<FusionExportEntry>& fusion,
+                            std::uint64_t trips_processed) {
+  fusion_.restore_state(fusion);
+  trips_processed_.store(trips_processed, std::memory_order_relaxed);
 }
 
 void TrafficServer::close() {

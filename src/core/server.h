@@ -4,14 +4,18 @@
 // per-trip ML mapping under route constraints → travel time extraction →
 // BTT→ATT model → Bayesian fusion → traffic map.
 //
-// TrafficServer is the serial front end of the TrafficIngestor interface
-// (core/traffic_ingestor.h); ConcurrentTrafficServer and IngestService
-// build on its stateless analyze_trip() split. Every pipeline stage
-// reports throughput, rejection counts and latency into the server's
-// MetricsRegistry (disable via ServerConfig::Observability — results are
-// bit-identical either way).
+// TrafficServer is the serial, synchronous front end of the
+// TrafficIngestor interface (core/traffic_ingestor.h) and the reference
+// every identity property compares against. It is also the backend of the
+// one asynchronous front end, ShardedIngestService (core/ingest_service.h):
+// analysis is a pure function of immutable state and the fusion store is
+// internally locked, so shard consumers call process_admitted() and
+// ingest() concurrently. Every pipeline stage reports throughput,
+// rejection counts and latency into the server's MetricsRegistry (disable
+// via ServerConfig::obs — results are bit-identical either way).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -39,12 +43,8 @@ struct ServerConfig {
   AttModelConfig att;
   FusionConfig fusion;
 
-  /// Shared nested blocks (core/config_common.h); the aliases keep the
-  /// historical `ServerConfig::Stages{...}` spellings source-compatible.
-  using Stages = StagesConfig;
-  using Observability = ObservabilityConfig;
-  Stages stages;
-  Observability obs;
+  StagesConfig stages;
+  ObservabilityConfig obs;
 
   /// Write-ahead trip log + checkpoint/restore (DESIGN.md §14). Off by
   /// default; when enabled the front end gains the
@@ -70,18 +70,22 @@ class TrafficServer : public TrafficIngestor {
   TrafficServer(const City& city, StopDatabase database,
                 ServerConfig config = {});
 
-  /// Compatibility alias: the report type now lives with the interface.
-  using TripReport = bussense::TripReport;
-
-  /// Runs the full pipeline and folds the estimates into the fusion state.
+  /// Runs the full pipeline — admission, write-ahead log,
+  /// process_admitted(), ingest() — and folds the estimates into the
+  /// fusion state.
   TripReport process_trip(const TripUpload& trip) override;
 
   /// The pure analysis part of process_trip: match → cluster → map →
-  /// estimate, touching no mutable state. Thread-safe against itself; the
-  /// concurrent front end (core/concurrent_server.h) builds on this split.
+  /// estimate. Feeds no fusion state and counts no trip; thread-safe.
   TripReport analyze_trip(const TripUpload& trip) const;
 
+  /// An upload that already passed admission and the log: analyze_trip(),
+  /// counted as processed, estimates not yet folded — the caller hands
+  /// them to ingest(), alone or batched with other trips'. Thread-safe.
+  TripReport process_admitted(const TripUpload& trip);
+
   /// Folds estimates into the fusion state (the mutable half).
+  /// Thread-safe: the fusion store locks per stripe.
   void ingest(const std::vector<SpeedEstimate>& estimates);
 
   /// Pipeline stages exposed individually (benches and ablations).
@@ -104,11 +108,14 @@ class TrafficServer : public TrafficIngestor {
   std::uint64_t checkpoint() override;
   void close() override;
 
-  /// The shared admission stage; null when ServerConfig::admission is
-  /// disabled. The concurrent front end routes its uploads through this
-  /// same controller so dedup/skew state is pipeline-wide.
-  AdmissionController* admission() { return admission_.get(); }
-  const AdmissionController* admission() const { return admission_.get(); }
+  /// Recovery hooks for the sharded front end, which owns the WAL
+  /// segments and admission but folds into this server: the checkpointed
+  /// state that lives here. Call only while quiescent.
+  std::vector<FusionExportEntry> export_fusion() const {
+    return fusion_.export_state();
+  }
+  void restore(const std::vector<FusionExportEntry>& fusion,
+               std::uint64_t trips_processed);
 
   const MetricsRegistry& metrics() const override { return *metrics_; }
   /// Mutable registry access (front ends layered on top register their own
@@ -120,7 +127,9 @@ class TrafficServer : public TrafficIngestor {
   const SegmentCatalog& catalog() const override { return catalog_; }
   const SpeedFusion& fusion() const { return fusion_; }
   const RouteGraph& route_graph() const { return route_graph_; }
-  std::uint64_t trips_processed() const override { return trips_processed_; }
+  std::uint64_t trips_processed() const override {
+    return trips_processed_.load(std::memory_order_relaxed);
+  }
 
  private:
   const City* city_;
@@ -133,7 +142,7 @@ class TrafficServer : public TrafficIngestor {
   TravelEstimator estimator_;
   SpeedFusion fusion_;
   std::unique_ptr<AdmissionController> admission_;
-  std::uint64_t trips_processed_ = 0;
+  std::atomic<std::uint64_t> trips_processed_{0};
 
   // Durability (null when disabled). Destruction without close() models a
   // crash: the WAL keeps only what reached the fd per the fsync policy.

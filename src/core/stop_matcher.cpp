@@ -28,7 +28,7 @@ struct Survivor {
 };
 
 // Per-thread matcher scratch, reused across calls (thread_local because the
-// concurrent server matches from many workers). `counts` (shared-cell
+// sharded ingest service matches from many shard consumers). `counts` (shared-cell
 // occurrences per record) and the `touched` bitmap are sized to the database
 // and return to all zeros as the walk enumerates them, so a call pays no
 // O(database) reset.

@@ -1,12 +1,11 @@
 // TrafficIngestor: the one server API every backend front end implements.
 //
-// Four front ends share the pipeline of Figure 4 — the serial
-// TrafficServer, the thread-safe ConcurrentTrafficServer, the
-// asynchronous IngestService (bounded queue + worker pool), and the
-// scale-out ShardedIngestService (participant-hash shards over lock-free
-// SPSC rings). Examples, benches and deployments program against this
-// interface and swap the front end with one line; all four produce
-// bit-identical fused maps for the same accepted upload multiset
+// Two front ends share the pipeline of Figure 4 — the serial, synchronous
+// TrafficServer and the asynchronous ShardedIngestService
+// (participant-hash shards over lock-free SPSC rings, folding into a
+// TrafficServer backend). Examples, benches and deployments program
+// against this interface and swap the front end with one line; both
+// produce bit-identical fused maps for the same accepted upload multiset
 // (property-tested).
 //
 // Call contract, shared by every implementation:
@@ -65,7 +64,7 @@ enum class IngestOutcome : std::uint8_t {
 /// itself (DESIGN.md §9) — counted under ingest.rejected.*.
 enum class RejectReason : std::uint8_t {
   kNone,         ///< not rejected
-  kQueueFull,    ///< bounded queue at capacity under the kReject policy
+  kQueueFull,    ///< the shard's ring is full under the kReject policy
   kShutdown,     ///< service is shutting down / already shut down
   kDuplicate,    ///< replay of a recently admitted upload (signature LRU)
   kMalformed,    ///< sample-count/fingerprint-size/duration bounds violated
@@ -124,8 +123,7 @@ class TrafficIngestor {
  public:
   virtual ~TrafficIngestor() = default;
 
-  /// Lifecycle (see header comment). Defaults are durability-off no-ops so
-  /// non-durable front ends and existing callers stay source-compatible.
+  /// Lifecycle (see header comment). Defaults are durability-off no-ops.
   virtual RecoveryReport open() { return {}; }
   virtual std::uint64_t checkpoint() { return 0; }
   virtual void close() {}

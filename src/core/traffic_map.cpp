@@ -57,10 +57,15 @@ TrafficMap TrafficMap::snapshot(const SpeedFusion& fusion,
   return from_fused(fusion.all(), catalog, now, max_age_s);
 }
 
-TrafficMap TrafficMap::snapshot(const StripedSpeedFusion& fusion,
-                                const SegmentCatalog& catalog, SimTime now,
-                                double max_age_s) {
-  return from_fused(fusion.all(), catalog, now, max_age_s);
+TrafficMap TrafficMap::snapshot_visiting(const SpeedFusion& fusion,
+                                         const SegmentCatalog& catalog,
+                                         SimTime now, double max_age_s) {
+  TrafficMap map;
+  map.time_ = now;
+  fusion.visit_all([&](const SegmentKey& key, const FusedSpeed& fused) {
+    map.add_fused(key, fused, catalog, now, max_age_s);
+  });
+  return map;
 }
 
 std::map<SpeedLevel, int> TrafficMap::level_histogram() const {

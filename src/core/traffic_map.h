@@ -40,26 +40,14 @@ class TrafficMap {
   static TrafficMap snapshot(const SpeedFusion& fusion,
                              const SegmentCatalog& catalog, SimTime now,
                              double max_age_s = 3600.0);
-  static TrafficMap snapshot(const StripedSpeedFusion& fusion,
-                             const SegmentCatalog& catalog, SimTime now,
-                             double max_age_s = 3600.0);
 
   /// Visitation-based build: identical to snapshot() — same per-item path,
   /// same traversal order, bit-identical result — but the fused map is
   /// consumed in place instead of being copied into an intermediate
-  /// vector. This is the epoch-publish entry point (DESIGN.md §13);
-  /// FusionT needs visit_all(callback) (both fusion classes provide it).
-  template <class FusionT>
-  static TrafficMap snapshot_visiting(const FusionT& fusion,
+  /// vector. This is the epoch-publish entry point (DESIGN.md §13).
+  static TrafficMap snapshot_visiting(const SpeedFusion& fusion,
                                       const SegmentCatalog& catalog,
-                                      SimTime now, double max_age_s = 3600.0) {
-    TrafficMap map;
-    map.time_ = now;
-    fusion.visit_all([&](const SegmentKey& key, const FusedSpeed& fused) {
-      map.add_fused(key, fused, catalog, now, max_age_s);
-    });
-    return map;
-  }
+                                      SimTime now, double max_age_s = 3600.0);
 
   const std::vector<MapSegment>& segments() const { return segments_; }
   SimTime time() const { return time_; }

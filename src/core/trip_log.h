@@ -86,8 +86,9 @@ struct WalScanResult {
 /// prefix so a writer can append safely after the scan.
 WalScanResult scan_trip_log(const std::string& path, bool repair);
 
-/// Appender for one WAL segment. Thread-safe (internal mutex): the
-/// concurrent front end appends from any worker thread. The caller scans
+/// Appender for one WAL segment. Thread-safe (internal mutex), though each
+/// segment has one writer in practice (the serial server, or the shard that
+/// owns it). The caller scans
 /// (and repairs) the segment first and seeds `next_seq` from the scan.
 class TripLogWriter {
  public:

@@ -10,8 +10,7 @@
 // The driver is single-threaded and deterministic: the same TimedUpload
 // sequence against the same front-end configuration produces the same
 // accepted multiset, the same fused map and the same counters, whichever
-// front end (serial server, concurrent server, async service, sharded
-// service) sits behind the interface.
+// front end (serial server or sharded service) sits behind the interface.
 #pragma once
 
 #include <cstdint>

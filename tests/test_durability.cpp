@@ -3,7 +3,7 @@
 // The tentpole property: kill an ingestor mid-period at a randomized point,
 // recover from the latest checkpoint + WAL suffix, resume the feed — the
 // final fused TrafficMap must be byte-identical to an uninterrupted run,
-// across all four front ends with admission on and off. The fault half of
+// across both front ends with admission on and off. The fault half of
 // the suite attacks the log bytes directly: torn tails are truncated, CRC
 // failures end the scan, duplicated blocks are skipped, and a corrupt or
 // half-written checkpoint falls back to an older valid one — corruption is
@@ -27,7 +27,6 @@
 
 #include "core/admission.h"
 #include "core/checkpoint.h"
-#include "core/concurrent_server.h"
 #include "core/ingest_service.h"
 #include "core/server.h"
 #include "core/stop_database.h"
@@ -534,12 +533,8 @@ TEST(DurableLifecycle, AsyncServiceRejectsAtEnqueueOutsideOpenClose) {
   const Testbed& bed = testbed();
   const auto& uploads = sorted_uploads();
   TempDir dir;
-  IngestServiceConfig manual;
-  manual.workers = 0;
-  manual.backpressure = IngestServiceConfig::Backpressure::kReject;
-  manual.queue_capacity = uploads.size() + 1;
-  IngestService service(bed.world.city(), bed.database,
-                        durable_config(dir.str(), false), manual);
+  ShardedIngestService service(bed.world.city(), bed.database,
+                               durable_config(dir.str(), false));
 
   EXPECT_EQ(service.process_trip(uploads[0]).reject_reason,
             RejectReason::kShutdown);
@@ -549,6 +544,87 @@ TEST(DurableLifecycle, AsyncServiceRejectsAtEnqueueOutsideOpenClose) {
   EXPECT_EQ(service.process_trip(uploads[1]).reject_reason,
             RejectReason::kShutdown);
   EXPECT_EQ(service.trips_processed(), 1u);
+}
+
+// Bit-identity of two fusion exports: same keys, fused posteriors and
+// still-open period batches.
+void expect_export_equal(const std::vector<FusionExportEntry>& got,
+                         const std::vector<FusionExportEntry>& want,
+                         const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].key == want[i].key) << label;
+    ASSERT_EQ(got[i].fused.has_value(), want[i].fused.has_value()) << label;
+    if (got[i].fused) {
+      EXPECT_EQ(got[i].fused->mean_kmh, want[i].fused->mean_kmh) << label;
+      EXPECT_EQ(got[i].fused->variance, want[i].fused->variance) << label;
+      EXPECT_EQ(got[i].fused->updated_at, want[i].fused->updated_at) << label;
+      EXPECT_EQ(got[i].fused->observation_count,
+                want[i].fused->observation_count)
+          << label;
+    }
+    EXPECT_EQ(got[i].pending, want[i].pending) << label;
+  }
+}
+
+// A shard buffers its estimates and folds them kFoldBatch at a time; a
+// trip with fewer estimates than that must still reach the fusion store at
+// every barrier — advance_time() (which drains), checkpoint() and the
+// recovery built on it, and shutdown() — bit-identical to the serial
+// server.
+TEST(ShardBatch, PartialBatchReachesFusionAtEveryBarrier) {
+  const Testbed& bed = testbed();
+  const TrafficServer probe(bed.world.city(), bed.database);
+  const TripUpload* small = nullptr;
+  for (const TripUpload& upload : sorted_uploads()) {
+    const std::size_t n = probe.analyze_trip(upload).estimates.size();
+    if (n > 0 && n < ShardedIngestService::kFoldBatch) {
+      small = &upload;
+      break;
+    }
+  }
+  ASSERT_NE(small, nullptr);
+  const SimTime end = at_clock(1, 0, 0);
+
+  TrafficServer serial(bed.world.city(), bed.database);
+  ASSERT_TRUE(serial.process_trip(*small).accepted());
+  const std::vector<FusionExportEntry> open_state = serial.export_fusion();
+  serial.advance_time(end);
+  const std::string closed_map = map_bytes(serial.snapshot(end, kDay));
+  ASSERT_FALSE(closed_map.empty());
+
+  {
+    ShardedIngestService service(bed.world.city(), bed.database);
+    ASSERT_TRUE(service.process_trip(*small).accepted());
+    service.advance_time(end);
+    EXPECT_EQ(map_bytes(service.snapshot(end, kDay)), closed_map);
+  }
+  {
+    ShardedIngestService service(bed.world.city(), bed.database);
+    ASSERT_TRUE(service.process_trip(*small).accepted());
+    service.shutdown();
+    expect_export_equal(service.backend().export_fusion(), open_state,
+                        "shutdown");
+  }
+  {
+    TempDir dir;
+    const ServerConfig cfg = durable_config(dir.str(), false);
+    {  // Checkpoint, then crash: the checkpoint alone must carry the trip.
+      ShardedIngestService service(bed.world.city(), bed.database, cfg);
+      service.open();
+      ASSERT_TRUE(service.process_trip(*small).accepted());
+      EXPECT_GT(service.checkpoint(), 0u);
+    }
+    ShardedIngestService recovered(bed.world.city(), bed.database, cfg);
+    const RecoveryReport report = recovered.open();
+    EXPECT_TRUE(report.checkpoint_loaded);
+    EXPECT_EQ(report.replayed_trips, 0u);
+    expect_export_equal(recovered.backend().export_fusion(), open_state,
+                        "checkpoint recovery");
+    recovered.advance_time(end);
+    EXPECT_EQ(map_bytes(recovered.snapshot(end, kDay)), closed_map);
+    recovered.close();
+  }
 }
 
 // ------------------------------------------------- admission replay (skew)
@@ -623,15 +699,13 @@ TEST(AdmissionReplay, NoteReplayedRebuildsSkewAndDedupState) {
 
 // ---------------------------------------------------- crash-recovery suite
 
-enum class FrontEnd { kSerial, kConcurrent, kService, kSharded };
+enum class FrontEnd { kSerial, kSharded };
 
 constexpr std::size_t kShards = 3;
 
 const char* name_of(FrontEnd fe) {
   switch (fe) {
     case FrontEnd::kSerial: return "serial";
-    case FrontEnd::kConcurrent: return "concurrent";
-    case FrontEnd::kService: return "service";
     case FrontEnd::kSharded: return "sharded";
   }
   return "?";
@@ -644,17 +718,6 @@ std::unique_ptr<TrafficIngestor> make_front_end(FrontEnd fe,
     case FrontEnd::kSerial:
       return std::make_unique<TrafficServer>(bed.world.city(), bed.database,
                                              cfg);
-    case FrontEnd::kConcurrent:
-      return std::make_unique<ConcurrentTrafficServer>(bed.world.city(),
-                                                       bed.database, cfg);
-    case FrontEnd::kService: {
-      IngestServiceConfig manual;
-      manual.workers = 0;  // manual mode: deterministic processing order
-      manual.backpressure = IngestServiceConfig::Backpressure::kReject;
-      manual.queue_capacity = sorted_uploads().size() + 1;
-      return std::make_unique<IngestService>(bed.world.city(), bed.database,
-                                             cfg, manual);
-    }
     case FrontEnd::kSharded: {
       ShardedIngestConfig svc;
       svc.shards = kShards;
@@ -686,7 +749,7 @@ std::string reference_map_bytes(FrontEnd fe, bool admission_on,
 // at a barrier on the way, optionally checkpointing, optionally tearing
 // the log tail after the kill), destroy without close() — a crash — then
 // recover into a fresh instance and resume the feed. The final map must be
-// byte-identical to the uninterrupted serial reference (all front ends
+// byte-identical to the uninterrupted serial reference (both front ends
 // fuse bit-identically to it — the ingest identity suite).
 void run_crash_recovery_case(FrontEnd fe, bool admission_on, int variant,
                              std::uint64_t seed, const std::string& expected) {
@@ -802,14 +865,16 @@ TEST(CrashRecovery, ByteIdenticalAcrossFrontEndsAdmissionAndKillPoints) {
   const std::string expected_on =
       reference_map_bytes(FrontEnd::kSerial, true, adv_index, end);
 
+  // Every front end runs every kill variant (checkpoint + WAL suffix, torn
+  // tail, fake mid-checkpoint crash) with admission off and on.
   std::uint64_t seed = 5150;
-  for (const FrontEnd fe : {FrontEnd::kSerial, FrontEnd::kConcurrent,
-                            FrontEnd::kService, FrontEnd::kSharded}) {
+  for (const FrontEnd fe : {FrontEnd::kSerial, FrontEnd::kSharded}) {
     for (const bool admission_on : {false, true}) {
-      const int variant = static_cast<int>(seed % 3);
-      run_crash_recovery_case(fe, admission_on, variant, seed,
-                              admission_on ? expected_on : expected_off);
-      ++seed;
+      for (int variant = 0; variant < 3; ++variant) {
+        run_crash_recovery_case(fe, admission_on, variant, seed,
+                                admission_on ? expected_on : expected_off);
+        ++seed;
+      }
     }
   }
 }

@@ -5,7 +5,7 @@
 //     and independent of the rest of the batch;
 //   * a zeroed plan is the identity;
 //   * on a clean workload the pipeline is bit-identical with admission
-//     checks on or off, and across all four TrafficIngestor front ends
+//     checks on or off, and across both TrafficIngestor front ends
 //     (the sharded service runs admission partition-locally — dedup and
 //     skew state live inside the participant's shard);
 //   * the admission stage rejects replays/malformed/disordered uploads
@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/concurrent_server.h"
 #include "core/ingest_service.h"
 #include "core/server.h"
 #include "core/stop_database.h"
@@ -396,32 +395,6 @@ TEST(AdmissionIdentity, CleanWorkloadBitIdenticalAcrossFrontEnds) {
   EXPECT_EQ(serial.metrics().snapshot().counters.at("ingest.admitted"),
             clean.size());
 
-  // Concurrent server, admission on, 4 threads.
-  ConcurrentTrafficServer concurrent(bed.world.city(), bed.database,
-                                     admission_on());
-  std::vector<std::thread> pool;
-  for (int t = 0; t < 4; ++t) {
-    pool.emplace_back([&, t] {
-      for (std::size_t i = static_cast<std::size_t>(t); i < clean.size();
-           i += 4) {
-        concurrent.process_trip(clean[i]);
-      }
-    });
-  }
-  for (std::thread& th : pool) th.join();
-  concurrent.advance_time(end);
-  expect_fused_equal(expected, concurrent.fusion(), "concurrent");
-  EXPECT_EQ(concurrent.trips_processed(), clean.size());
-
-  // Async ingest service, admission on, 4 workers.
-  IngestService service(bed.world.city(), bed.database, admission_on());
-  for (const TripUpload& upload : clean) {
-    ASSERT_TRUE(service.process_trip(upload).accepted());
-  }
-  service.advance_time(end);
-  expect_fused_equal(expected, service.backend().fusion(), "service");
-  EXPECT_EQ(service.trips_processed(), clean.size());
-
   // Sharded ingest service, admission on — but partition-local: each
   // shard's dedup LRU and skew table only ever sees its own participants.
   // 4 shards, 3 producer threads.
@@ -462,8 +435,8 @@ TEST(AdmissionIdentity, DuplicateOnlyPlanFusesToCleanBaseline) {
   for (const TripUpload& upload : bed.uploads) baseline.process_trip(upload);
   baseline.advance_time(end);
 
-  ConcurrentTrafficServer hardened(bed.world.city(), bed.database,
-                                   admission_on());
+  ShardedIngestService hardened(bed.world.city(), bed.database,
+                               admission_on());
   std::vector<std::thread> pool;
   for (int t = 0; t < 4; ++t) {
     pool.emplace_back([&, t] {
@@ -475,22 +448,25 @@ TEST(AdmissionIdentity, DuplicateOnlyPlanFusesToCleanBaseline) {
   }
   for (std::thread& th : pool) th.join();
   hardened.advance_time(end);
-  expect_fused_equal(baseline.fusion().all(), hardened.fusion(),
+  expect_fused_equal(baseline.fusion().all(), hardened.backend().fusion(),
                      "dedup vs clean");
 
-  const MetricsSnapshot snap = hardened.metrics().snapshot();
+  // Replays carry their original's participant id, so dedup — which is
+  // partition-local — sees every copy in the same shard.
+  const MetricsSnapshot snap = hardened.shard_metrics();
   EXPECT_EQ(snap.counters.at("ingest.rejected.duplicate"), stats.duplicated);
   EXPECT_EQ(snap.counters.at("ingest.admitted"), bed.uploads.size());
 }
 
 // Every submitted upload is accounted for: admitted + Σ rejected == sent.
+// The sharded service admits inside the shard, after process_trip() has
+// answered kQueued, so the verdicts are read from the shard registries.
 TEST(AdmissionAccounting, VerdictCountsCoverEverySubmission) {
   const Testbed& bed = testbed();
   const auto corrupted =
       inject_faults(bed.uploads, FaultPlan::standard(404, 0.2));
 
-  ConcurrentTrafficServer server(bed.world.city(), bed.database,
-                                 admission_on());
+  ShardedIngestService server(bed.world.city(), bed.database, admission_on());
   std::uint64_t accepted_reports = 0, rejected_reports = 0;
   std::mutex count_mutex;
   std::vector<std::thread> pool;
@@ -513,15 +489,16 @@ TEST(AdmissionAccounting, VerdictCountsCoverEverySubmission) {
   for (std::thread& th : pool) th.join();
   server.advance_time(at_clock(1, 0, 0));
 
-  EXPECT_EQ(accepted_reports + rejected_reports, corrupted.size());
-  const MetricsSnapshot snap = server.metrics().snapshot();
+  // Every upload was queued; admission judged each one in its shard.
+  EXPECT_EQ(accepted_reports, corrupted.size());
+  EXPECT_EQ(rejected_reports, 0u);
+  const MetricsSnapshot snap = server.shard_metrics();
   const std::uint64_t admitted = snap.counters.at("ingest.admitted");
   const std::uint64_t rejected =
       snap.counters.at("ingest.rejected.duplicate") +
       snap.counters.at("ingest.rejected.malformed") +
       snap.counters.at("ingest.rejected.non_monotone");
-  EXPECT_EQ(admitted, accepted_reports);
-  EXPECT_EQ(rejected, rejected_reports);
+  EXPECT_EQ(snap.counters.at("ingest.shard.processed"), admitted);
   EXPECT_EQ(admitted + rejected, corrupted.size());
   EXPECT_GT(rejected, 0u);  // 20% corruption must trip some check
   EXPECT_EQ(server.trips_processed(), admitted);

@@ -1,13 +1,13 @@
-// Asynchronous ingest services: backpressure semantics, graceful shutdown,
-// and the determinism contract — both queued paths (the single-queue
-// IngestService and the scale-out ShardedIngestService) must produce a
-// fused map bit-identical to the serial TrafficServer for the same
-// accepted uploads, with metrics and admission on or off, at any worker,
-// shard and producer count, and regardless of when the cross-shard merge
-// (advance_time) runs.
+// The asynchronous ingest front end (ShardedIngestService): backpressure
+// semantics, graceful shutdown, and the determinism contract — the
+// sharded path must produce a fused map bit-identical to the serial
+// TrafficServer for the same accepted uploads, with metrics and admission
+// on or off, at any shard and producer count, and regardless of when
+// advance_time runs relative to live ingest.
 //
 // Configure with -DBUSSENSE_SANITIZE=thread to run this suite under
-// ThreadSanitizer (scripts/tier1.sh BUSSENSE_SHARDED=ON does).
+// ThreadSanitizer (scripts/tier1.sh BUSSENSE_SANITIZE=ON and
+// BUSSENSE_SHARDED=ON do).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,38 +50,9 @@ const Testbed& testbed() {
   return bed;
 }
 
-using Backpressure = IngestServiceConfig::Backpressure;
-
-IngestServiceConfig manual_config(Backpressure policy, std::size_t capacity) {
-  IngestServiceConfig svc;
-  svc.workers = 0;  // manual mode: the test steps the queue
-  svc.backpressure = policy;
-  svc.queue_capacity = capacity;
-  return svc;
-}
+using Backpressure = ShardedIngestConfig::Backpressure;
 
 // ------------------------------------------------------------- validation
-
-TEST(IngestServiceConfig, RejectsNonsense) {
-  const Testbed& bed = testbed();
-  IngestServiceConfig zero_cap;
-  zero_cap.queue_capacity = 0;
-  EXPECT_THROW(IngestService(bed.world.city(), bed.database, {}, zero_cap),
-               std::invalid_argument);
-
-  // kBlock with no workers would deadlock the first enqueue on a full
-  // queue; validate() must refuse the combination up front.
-  IngestServiceConfig block_manual;
-  block_manual.workers = 0;
-  block_manual.backpressure = Backpressure::kBlock;
-  EXPECT_THROW(IngestService(bed.world.city(), bed.database, {}, block_manual),
-               std::invalid_argument);
-
-  IngestServiceConfig bad_stripes;
-  bad_stripes.concurrency.fusion_stripes = 0;
-  EXPECT_THROW(IngestService(bed.world.city(), bed.database, {}, bad_stripes),
-               std::invalid_argument);
-}
 
 TEST(ServerConfigValidation, ThrowsOnNonsense) {
   const Testbed& bed = testbed();
@@ -97,71 +68,67 @@ TEST(ServerConfigValidation, ThrowsOnNonsense) {
 
 // ------------------------------------------------------------ backpressure
 
+// Several producers race a one-slot ring per lane under kReject: every
+// upload is either queued (and then processed) or refused with kQueueFull,
+// and every refusal is counted. The producers cycle the feed until they
+// have seen a bounded number of refusals, so the refusal path is known to
+// have run; once drained, the freed capacity queues the next upload again.
 TEST(IngestBackpressure, RejectPolicyCountsRefusals) {
   const Testbed& bed = testbed();
-  ASSERT_GE(bed.trips.size(), 8u);
-  IngestService service(bed.world.city(), bed.database, {},
-                        manual_config(Backpressure::kReject, 4));
+  ShardedIngestConfig svc;
+  svc.shards = 1;
+  svc.ring_capacity = 1;  // tiny on purpose: producers outrun the consumer
+  svc.backpressure = Backpressure::kReject;
+  ShardedIngestService service(bed.world.city(), bed.database, {}, svc);
 
-  std::size_t queued = 0, rejected = 0;
-  for (std::size_t i = 0; i < 7; ++i) {
-    const TripReport r = service.process_trip(bed.trips[i].upload);
-    if (r.outcome == IngestOutcome::kQueued) {
-      ++queued;
-    } else {
-      ++rejected;
-      EXPECT_EQ(r.outcome, IngestOutcome::kRejected);
-      EXPECT_EQ(r.reject_reason, RejectReason::kQueueFull);
-      EXPECT_FALSE(r.accepted());
-    }
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kWantRefusals = 16;
+  const std::size_t max_attempts = 4 * bed.trips.size();  // per producer
+  std::atomic<std::size_t> queued{0}, refused{0};
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::size_t a = 0; a < max_attempts && refused < kWantRefusals;
+           ++a) {
+        const std::size_t i = (p + a * kProducers) % bed.trips.size();
+        const TripReport r = service.process_trip(bed.trips[i].upload);
+        if (r.outcome == IngestOutcome::kQueued) {
+          ++queued;
+        } else {
+          ++refused;
+          EXPECT_EQ(r.outcome, IngestOutcome::kRejected);
+          EXPECT_EQ(r.reject_reason, RejectReason::kQueueFull);
+          EXPECT_FALSE(r.accepted());
+        }
+      }
+    });
   }
-  EXPECT_EQ(queued, 4u);
-  EXPECT_EQ(rejected, 3u);
-  EXPECT_EQ(service.queue_depth(), 4u);
+  for (std::thread& t : producers) t.join();
+  service.drain();
+  EXPECT_GT(refused.load(), 0u);
+  EXPECT_EQ(service.queue_depth(), 0u);
+  EXPECT_EQ(service.trips_processed(), queued.load());
 
   // The refusals are an operator-visible signal, not a silent drop.
-  const MetricsSnapshot ms = service.metrics().snapshot();
-  EXPECT_EQ(ms.counters.at("ingest.enqueued"), 4u);
-  EXPECT_EQ(ms.counters.at("ingest.rejected_queue_full"), 3u);
-  EXPECT_EQ(ms.gauges.at("ingest.queue_depth"), 4.0);
+  const MetricsSnapshot sm = service.shard_metrics();
+  EXPECT_EQ(sm.counters.at("ingest.shard.enqueued"), queued.load());
+  EXPECT_EQ(sm.counters.at("ingest.shard.processed"), queued.load());
+  EXPECT_EQ(sm.counters.at("ingest.shard.rejected_ring_full"), refused.load());
 
-  // Draining frees capacity: the next upload is accepted again.
-  EXPECT_EQ(service.process_queued(2), 2u);
-  EXPECT_EQ(service.process_trip(bed.trips[7].upload).outcome,
+  // Draining freed the ring: the next upload is queued, not refused.
+  EXPECT_EQ(service.process_trip(bed.trips.front().upload).outcome,
             IngestOutcome::kQueued);
   service.drain();
-  EXPECT_EQ(service.queue_depth(), 0u);
-  EXPECT_EQ(service.trips_processed(), 5u);
-}
-
-TEST(IngestBackpressure, DropOldestKeepsFreshestUploads) {
-  const Testbed& bed = testbed();
-  ASSERT_GE(bed.trips.size(), 6u);
-  IngestService service(bed.world.city(), bed.database, {},
-                        manual_config(Backpressure::kDropOldest, 3));
-
-  for (std::size_t i = 0; i < 6; ++i) {
-    // Every enqueue is accepted — the queue sheds the oldest instead.
-    EXPECT_EQ(service.process_trip(bed.trips[i].upload).outcome,
-              IngestOutcome::kQueued);
-  }
-  EXPECT_EQ(service.queue_depth(), 3u);
-  const MetricsSnapshot ms = service.metrics().snapshot();
-  EXPECT_EQ(ms.counters.at("ingest.enqueued"), 6u);
-  EXPECT_EQ(ms.counters.at("ingest.dropped_oldest"), 3u);
-
-  service.drain();
-  // Only the freshest three survived to the pipeline.
-  EXPECT_EQ(service.trips_processed(), 3u);
+  EXPECT_EQ(service.trips_processed(), queued.load() + 1);
 }
 
 TEST(IngestBackpressure, BlockPolicyIsLossless) {
   const Testbed& bed = testbed();
-  IngestServiceConfig svc;
-  svc.workers = 2;
-  svc.queue_capacity = 2;  // tiny on purpose: producers must block
+  ShardedIngestConfig svc;
+  svc.shards = 2;
+  svc.ring_capacity = 2;  // tiny on purpose: producers must block
   svc.backpressure = Backpressure::kBlock;
-  IngestService service(bed.world.city(), bed.database, {}, svc);
+  ShardedIngestService service(bed.world.city(), bed.database, {}, svc);
 
   std::atomic<std::size_t> accepted{0};
   std::vector<std::thread> producers;
@@ -177,23 +144,20 @@ TEST(IngestBackpressure, BlockPolicyIsLossless) {
   service.drain();
   EXPECT_EQ(accepted.load(), bed.trips.size());
   EXPECT_EQ(service.trips_processed(), bed.trips.size());
-  const MetricsSnapshot ms = service.metrics().snapshot();
-  EXPECT_EQ(ms.counters.at("ingest.processed"), bed.trips.size());
-  EXPECT_EQ(ms.counters.at("ingest.rejected_queue_full"), 0u);
-  EXPECT_EQ(ms.counters.at("ingest.dropped_oldest"), 0u);
+  const MetricsSnapshot sm = service.shard_metrics();
+  EXPECT_EQ(sm.counters.at("ingest.shard.processed"), bed.trips.size());
+  EXPECT_EQ(sm.counters.at("ingest.shard.rejected_ring_full"), 0u);
 }
 
 // ---------------------------------------------------------------- shutdown
 
 TEST(IngestShutdown, DrainsQueueAndRejectsLateUploads) {
   const Testbed& bed = testbed();
-  IngestService service(bed.world.city(), bed.database, {},
-                        manual_config(Backpressure::kReject, 64));
+  ShardedIngestService service(bed.world.city(), bed.database);
   const std::size_t n = std::min<std::size_t>(bed.trips.size(), 20);
   for (std::size_t i = 0; i < n; ++i) {
-    service.process_trip(bed.trips[i].upload);
+    EXPECT_TRUE(service.process_trip(bed.trips[i].upload).accepted());
   }
-  EXPECT_EQ(service.queue_depth(), n);
 
   service.shutdown();
   EXPECT_TRUE(service.closed());
@@ -205,24 +169,81 @@ TEST(IngestShutdown, DrainsQueueAndRejectsLateUploads) {
   const TripReport late = service.process_trip(bed.trips[0].upload);
   EXPECT_EQ(late.outcome, IngestOutcome::kRejected);
   EXPECT_EQ(late.reject_reason, RejectReason::kShutdown);
-  EXPECT_EQ(service.metrics().snapshot().counters.at(
-                "ingest.rejected_shutdown"),
-            1u);
+  EXPECT_EQ(
+      service.shard_metrics().counters.at("ingest.shard.rejected_shutdown"),
+      1u);
 
   service.shutdown();  // idempotent
   EXPECT_EQ(service.trips_processed(), n);
 }
 
+// ------------------------------------------------------------- determinism
+
+// Producer threads interleave process_trip with advance_time and snapshot
+// mid-ingestion; the fused map must still be bit-identical to serial
+// ingestion. advance_time(0) closes no period that is still receiving
+// estimates — the determinism contract — but drains the shards and flushes
+// the fusion store against concurrent folds from the shard consumers.
+TEST(ConcurrencyDeterminism, InterleavedOpsBitIdenticalToSerial) {
+  const Testbed& bed = testbed();
+  ASSERT_GT(bed.trips.size(), 40u);
+  const SimTime end = at_clock(1, 0, 0);
+
+  TrafficServer serial(bed.world.city(), bed.database);
+  for (const AnnotatedTrip& trip : bed.trips) serial.process_trip(trip.upload);
+  serial.advance_time(end);
+  const auto expected = serial.fusion().all();
+  ASSERT_FALSE(expected.empty());
+
+  for (const int threads : {2, 4, 8}) {
+    ShardedIngestConfig svc;
+    svc.shards = 3;
+    svc.ring_capacity = 8;
+    ShardedIngestService service(bed.world.city(), bed.database, {}, svc);
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+      pool.emplace_back([&] {
+        int done = 0;
+        for (std::size_t i = next.fetch_add(1); i < bed.trips.size();
+             i = next.fetch_add(1)) {
+          ASSERT_TRUE(service.process_trip(bed.trips[i].upload).accepted());
+          if (++done % 8 == 0) {
+            service.advance_time(0.0);
+            (void)service.snapshot(end, 24 * kHour);
+          }
+        }
+      });
+    }
+    for (std::thread& th : pool) th.join();
+    service.advance_time(end);
+
+    EXPECT_EQ(service.trips_processed(), bed.trips.size());
+    const SpeedFusion& fusion = service.backend().fusion();
+    ASSERT_EQ(fusion.all().size(), expected.size()) << threads;
+    for (const auto& [key, fused] : expected) {
+      const auto got = fusion.query(key);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->mean_kmh, fused.mean_kmh);
+      EXPECT_EQ(got->variance, fused.variance);
+      EXPECT_EQ(got->updated_at, fused.updated_at);
+      EXPECT_EQ(got->observation_count, fused.observation_count);
+    }
+  }
+}
+
+// Shutdown while producers are blocked on full rings (kBlock): each
+// blocked producer is released with kShutdown or its upload is processed —
+// never stranded between the ring and the pipeline.
 TEST(IngestShutdown, UnderProducerLoadLosesNoAcceptedUpload) {
   const Testbed& bed = testbed();
   for (int round = 0; round < 3; ++round) {
-    IngestServiceConfig svc;
-    svc.workers = 4;
-    svc.queue_capacity = 8;
-    svc.backpressure = Backpressure::kReject;
-    auto service = std::make_unique<IngestService>(bed.world.city(),
-                                                   bed.database, ServerConfig{},
-                                                   svc);
+    ShardedIngestConfig svc;
+    svc.shards = 2;
+    svc.ring_capacity = 2;
+    svc.backpressure = Backpressure::kBlock;
+    auto service = std::make_unique<ShardedIngestService>(
+        bed.world.city(), bed.database, ServerConfig{}, svc);
     std::atomic<std::size_t> accepted{0}, rejected{0};
     std::vector<std::thread> producers;
     for (int p = 0; p < 4; ++p) {
@@ -233,32 +254,26 @@ TEST(IngestShutdown, UnderProducerLoadLosesNoAcceptedUpload) {
           if (r.accepted()) {
             ++accepted;
           } else {
+            EXPECT_EQ(r.reject_reason, RejectReason::kShutdown);
             ++rejected;
           }
         }
       });
     }
-    // Tear the service down while producers are still hammering it; the
-    // destructor runs the same graceful shutdown.
     service->shutdown();
     for (std::thread& t : producers) t.join();
     EXPECT_EQ(accepted.load() + rejected.load(), bed.trips.size());
-    // Every accepted upload made it through the pipeline — none were lost
-    // between the queue and the workers.
     EXPECT_EQ(service->trips_processed(), accepted.load());
-    const MetricsSnapshot ms = service->metrics().snapshot();
-    EXPECT_EQ(ms.counters.at("ingest.processed"), accepted.load());
-    EXPECT_EQ(ms.counters.at("ingest.rejected_queue_full") +
-                  ms.counters.at("ingest.rejected_shutdown"),
+    const MetricsSnapshot sm = service->shard_metrics();
+    EXPECT_EQ(sm.counters.at("ingest.shard.processed"), accepted.load());
+    EXPECT_EQ(sm.counters.at("ingest.shard.rejected_shutdown"),
               rejected.load());
   }
 }
 
-// ------------------------------------------------------------- determinism
-
-// The tentpole property: serial server, async service with metrics on, and
-// async service with metrics off — same accepted uploads, bit-identical
-// fused maps, at several worker counts.
+// More producer threads than a shard has SPSC lanes: the threads past
+// kProducerLanes go through the mutex-guarded overflow queue, and the
+// fused map is still bit-identical to serial, metrics on and off.
 TEST(IngestDeterminism, QueuedPathBitIdenticalToSerial) {
   const Testbed& bed = testbed();
   ASSERT_GT(bed.trips.size(), 30u);
@@ -270,43 +285,40 @@ TEST(IngestDeterminism, QueuedPathBitIdenticalToSerial) {
   const auto expected = serial.fusion().all();
   ASSERT_FALSE(expected.empty());
 
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    for (const bool metrics_on : {true, false}) {
-      ServerConfig cfg;
-      cfg.obs.enabled = metrics_on;
-      IngestServiceConfig svc;
-      svc.workers = workers;
-      svc.queue_capacity = 16;  // small: exercises blocking backpressure
-      svc.backpressure = Backpressure::kBlock;
-      // Small batches + few stripes on purpose: more interleavings.
-      svc.concurrency.fusion_stripes = 4;
-      svc.concurrency.batch_flush_threshold = 8;
-      IngestService service(bed.world.city(), bed.database, cfg, svc);
+  const std::size_t producers = ShardedIngestService::kProducerLanes + 4;
+  for (const bool metrics_on : {true, false}) {
+    ServerConfig cfg;
+    cfg.obs.enabled = metrics_on;
+    ShardedIngestConfig svc;
+    svc.shards = 2;
+    svc.ring_capacity = 4;
+    ShardedIngestService service(bed.world.city(), bed.database, cfg, svc);
 
-      std::vector<std::thread> producers;
-      for (int p = 0; p < 3; ++p) {
-        producers.emplace_back([&, p] {
-          for (std::size_t i = static_cast<std::size_t>(p);
-               i < bed.trips.size(); i += 3) {
-            ASSERT_TRUE(service.process_trip(bed.trips[i].upload).accepted());
-          }
-        });
-      }
-      for (std::thread& t : producers) t.join();
-      service.advance_time(end);  // drains, then closes periods
+    std::vector<std::thread> pool;
+    for (std::size_t p = 0; p < producers; ++p) {
+      pool.emplace_back([&, p] {
+        for (std::size_t i = p; i < bed.trips.size(); i += producers) {
+          ASSERT_TRUE(service.process_trip(bed.trips[i].upload).accepted());
+        }
+      });
+    }
+    for (std::thread& t : pool) t.join();
+    service.advance_time(end);
 
-      EXPECT_EQ(service.trips_processed(), bed.trips.size());
-      const auto got = service.backend().fusion().all();
-      ASSERT_EQ(got.size(), expected.size())
-          << workers << " workers, metrics " << metrics_on;
-      for (const auto& [key, fused] : expected) {
-        const auto q = service.backend().fusion().query(key);
-        ASSERT_TRUE(q.has_value());
-        EXPECT_EQ(q->mean_kmh, fused.mean_kmh);
-        EXPECT_EQ(q->variance, fused.variance);
-        EXPECT_EQ(q->updated_at, fused.updated_at);
-        EXPECT_EQ(q->observation_count, fused.observation_count);
-      }
+    EXPECT_EQ(service.trips_processed(), bed.trips.size());
+    const SpeedFusion& fusion = service.backend().fusion();
+    ASSERT_EQ(fusion.all().size(), expected.size()) << metrics_on;
+    for (const auto& [key, fused] : expected) {
+      const auto q = fusion.query(key);
+      ASSERT_TRUE(q.has_value());
+      EXPECT_EQ(q->mean_kmh, fused.mean_kmh);
+      EXPECT_EQ(q->variance, fused.variance);
+      EXPECT_EQ(q->updated_at, fused.updated_at);
+      EXPECT_EQ(q->observation_count, fused.observation_count);
+    }
+    if (metrics_on) {
+      EXPECT_GT(service.shard_metrics().counters.at("ingest.shard.overflowed"),
+                0u);
     }
   }
 }
@@ -315,14 +327,15 @@ TEST(IngestDeterminism, MetricsOffRegistryStaysEmpty) {
   const Testbed& bed = testbed();
   ServerConfig cfg;
   cfg.obs.enabled = false;
-  IngestService service(bed.world.city(), bed.database, cfg,
-                        manual_config(Backpressure::kReject, 64));
+  ShardedIngestService service(bed.world.city(), bed.database, cfg);
   service.process_trip(bed.trips[0].upload);
   service.drain();
-  const MetricsSnapshot ms = service.metrics().snapshot();
-  EXPECT_TRUE(ms.counters.empty());
-  EXPECT_TRUE(ms.gauges.empty());
-  EXPECT_TRUE(ms.histograms.empty());
+  for (const MetricsSnapshot& ms :
+       {service.metrics().snapshot(), service.shard_metrics()}) {
+    EXPECT_TRUE(ms.counters.empty());
+    EXPECT_TRUE(ms.gauges.empty());
+    EXPECT_TRUE(ms.histograms.empty());
+  }
 }
 
 // ------------------------------------------------------- metrics registry
@@ -426,7 +439,7 @@ const std::vector<TripUpload>& nonempty_uploads() {
 
 // Canonical byte rendering of a snapshot: segments in key order, every
 // float as %.17g, so two equal strings mean bit-identical fused maps.
-// (Striped fusion hands segments out in hash-map order, which tracks
+// (The fusion store hands segments out in hash-map order, which tracks
 // insertion order — canonicalise before comparing bytes.)
 std::string map_bytes(const TrafficMap& map) {
   std::vector<MapSegment> segments = map.segments();
@@ -458,16 +471,6 @@ TEST(ShardedIngestConfigValidation, RejectsNonsense) {
   zero_ring.ring_capacity = 0;
   EXPECT_THROW(
       ShardedIngestService(bed.world.city(), bed.database, {}, zero_ring),
-      std::invalid_argument);
-  ShardedIngestConfig zero_lanes;
-  zero_lanes.max_producer_lanes = 0;
-  EXPECT_THROW(
-      ShardedIngestService(bed.world.city(), bed.database, {}, zero_lanes),
-      std::invalid_argument);
-  ShardedIngestConfig bad_stripes;
-  bad_stripes.concurrency.fusion_stripes = 0;
-  EXPECT_THROW(
-      ShardedIngestService(bed.world.city(), bed.database, {}, bad_stripes),
       std::invalid_argument);
 }
 
@@ -570,9 +573,6 @@ TEST(ShardedIngestDeterminism, BitIdenticalToSerialAcrossShardsAdmissionMetrics)
         ShardedIngestConfig svc;
         svc.shards = shards;
         svc.ring_capacity = 8;  // tiny: exercises blocking backpressure
-        // Small batches + few stripes on purpose: more interleavings.
-        svc.concurrency.fusion_stripes = 4;
-        svc.concurrency.batch_flush_threshold = 8;
         ShardedIngestService service(bed.world.city(), bed.database, cfg, svc);
 
         std::vector<std::thread> producers;
@@ -651,8 +651,6 @@ TEST(ShardedIngestDeterminism, CrossShardMergeByteIdenticalAcrossReshuffledRuns)
     ShardedIngestConfig svc;
     svc.shards = std::size_t{1} << (run % 4);  // 1, 2, 4, 8
     svc.ring_capacity = 16;
-    svc.concurrency.fusion_stripes = 4;
-    svc.concurrency.batch_flush_threshold = 8;
     ShardedIngestService service(bed.world.city(), bed.database, cfg, svc);
 
     Rng rng(static_cast<std::uint64_t>(900 + run));

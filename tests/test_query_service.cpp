@@ -5,7 +5,7 @@
 // The concurrency properties this suite pins down:
 //
 //   * no torn epoch — 8 readers validating internal invariants while a
-//     publisher churns epochs over live concurrent ingest (run under
+//     publisher churns epochs over live sharded ingest (run under
 //     ThreadSanitizer by scripts/tier1.sh BUSSENSE_SERVING=ON);
 //   * retired epochs are reclaimed — a 10k-epoch churn with readers
 //     attached ends with exactly one live epoch (run under
@@ -243,20 +243,6 @@ TEST(EpochServing, AllFrontEndsPublishIdenticalEpochs) {
   const std::string expected = epoch_bytes(serial);
   EXPECT_EQ(expected, map_bytes(serial.snapshot(now)));
 
-  ConcurrentTrafficServer concurrent(bed.world.city(), bed.database);
-  for (const TripUpload& u : uploads) concurrent.process_trip(u);
-  concurrent.advance_time(now);
-  EXPECT_EQ(epoch_bytes(concurrent), expected);
-
-  IngestServiceConfig manual;
-  manual.workers = 0;
-  manual.backpressure = IngestServiceConfig::Backpressure::kReject;
-  manual.queue_capacity = uploads.size() + 1;
-  IngestService service(bed.world.city(), bed.database, {}, manual);
-  for (const TripUpload& u : uploads) service.process_trip(u);
-  service.advance_time(now);
-  EXPECT_EQ(epoch_bytes(service), expected);
-
   ShardedIngestService sharded(bed.world.city(), bed.database);
   for (const TripUpload& u : uploads) sharded.process_trip(u);
   sharded.advance_time(now);
@@ -267,7 +253,7 @@ TEST(EpochServing, AllFrontEndsPublishIdenticalEpochs) {
 
 // The cutoff in TrafficMap::add_fused is strict `>` on the age: an
 // estimate exactly max_age_s old is included; one epsilon older is not.
-// Pinned across both fusion overloads and the visiting build.
+// Pinned across the copying and the visiting build.
 TEST(TrafficMapStaleness, BoundaryIsInclusiveAtExactlyMaxAge) {
   const Testbed& bed = testbed();
   const SegmentCatalog catalog(bed.world.city());
@@ -284,47 +270,26 @@ TEST(TrafficMapStaleness, BoundaryIsInclusiveAtExactlyMaxAge) {
   ASSERT_TRUE(fused.has_value());
   const SimTime updated = fused->updated_at;
 
-  StripedSpeedFusion striped;
-  striped.add(e);
-  striped.flush_until(10000.0);
-  ASSERT_EQ(striped.query(key)->updated_at, updated);
-
   const double max_age = 600.0;
   const SimTime at_boundary = updated + max_age;  // age == max_age exactly
   const SimTime past_boundary =
       std::nextafter(at_boundary, std::numeric_limits<double>::infinity());
 
-  // Exactly max_age_s old: included, by every build path.
+  // Exactly max_age_s old: included, by both build paths.
   EXPECT_EQ(
       TrafficMap::snapshot(fusion, catalog, at_boundary, max_age).segments().size(),
       1u);
-  EXPECT_EQ(TrafficMap::snapshot(striped, catalog, at_boundary, max_age)
-                .segments()
-                .size(),
-            1u);
   EXPECT_EQ(TrafficMap::snapshot_visiting(fusion, catalog, at_boundary, max_age)
                 .segments()
                 .size(),
             1u);
-  EXPECT_EQ(
-      TrafficMap::snapshot_visiting(striped, catalog, at_boundary, max_age)
-          .segments()
-          .size(),
-      1u);
 
-  // One epsilon older: excluded, by every build path.
+  // One epsilon older: excluded, by both build paths.
   EXPECT_TRUE(TrafficMap::snapshot(fusion, catalog, past_boundary, max_age)
-                  .segments()
-                  .empty());
-  EXPECT_TRUE(TrafficMap::snapshot(striped, catalog, past_boundary, max_age)
                   .segments()
                   .empty());
   EXPECT_TRUE(
       TrafficMap::snapshot_visiting(fusion, catalog, past_boundary, max_age)
-          .segments()
-          .empty());
-  EXPECT_TRUE(
-      TrafficMap::snapshot_visiting(striped, catalog, past_boundary, max_age)
           .segments()
           .empty());
 }
@@ -650,12 +615,13 @@ TEST(EpochPublisher, OverflowReadersBeyondSlotCapacity) {
 // ------------------------------------------------- concurrency properties
 
 // Property (a): no torn epoch. Eight readers continuously pin and validate
-// internal invariants of whatever epoch they see, while one thread ingests
-// trips through the concurrent server and another publishes epochs from
-// the live striped fusion. Run under TSan by the tier-1 serving stage.
+// internal invariants of whatever epoch they see, while one thread feeds
+// trips to the sharded service (whose consumers fold into the fusion
+// store) and advances time, and another publishes epochs from the live
+// fusion. Run under TSan by the tier-1 serving stage.
 TEST(EpochServingProperty, NoTornEpochUnderPublishAndIngest) {
   const Testbed& bed = testbed();
-  ConcurrentTrafficServer server(bed.world.city(), bed.database);
+  ShardedIngestService server(bed.world.city(), bed.database);
   EpochPublisherConfig cfg;
   cfg.max_readers = 16;
   EpochPublisher pub(server.catalog(), cfg);
@@ -672,19 +638,24 @@ TEST(EpochServingProperty, NoTornEpochUnderPublishAndIngest) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> validated{0};
 
+  // Every epoch is stamped with one far horizon and admits estimates of
+  // any age, so it shows whatever periods the ingest thread has closed.
+  const SimTime horizon = at_clock(30, 0, 0);
   std::thread ingest([&] {
     std::size_t i = 0;
+    SimTime now = at_clock(0, 8, 0);
     while (!stop.load(std::memory_order_relaxed)) {
       server.process_trip(uploads[i++ % uploads.size()]);
+      if (i % 8 == 0) {
+        now = std::min(now + kMinute, horizon);
+        server.advance_time(now);  // the only producer: drains, then closes
+      }
     }
   });
 
   std::thread publisher([&] {
-    SimTime now = at_clock(0, 8, 0);
     while (!stop.load(std::memory_order_relaxed)) {
-      now += kMinute;
-      server.advance_time(now);
-      server.publish_epoch(pub, now);
+      server.publish_epoch(pub, horizon, horizon);
     }
   });
 

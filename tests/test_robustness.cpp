@@ -1,12 +1,12 @@
 // Robustness and concurrency tests: malformed uploads from the crowd must
-// never corrupt or crash the backend, and concurrent ingestion must be
-// deterministic.
+// never corrupt or crash the backend, and sharded (multi-threaded)
+// ingestion must be deterministic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <thread>
 
-#include "core/concurrent_server.h"
+#include "core/ingest_service.h"
 #include "core/server.h"
 #include "core/stop_database.h"
 #include "trafficsim/world.h"
@@ -145,55 +145,57 @@ TEST(ConcurrentServer, MatchesSerialResults) {
   for (const AnnotatedTrip& trip : day.trips) serial.process_trip(trip.upload);
   serial.advance_time(at_clock(0, 23, 0));
 
-  ConcurrentTrafficServer concurrent(bed.world.city(), bed.database);
+  ShardedIngestService sharded(bed.world.city(), bed.database);
   const int threads = 4;
   std::vector<std::thread> pool;
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
       for (std::size_t i = static_cast<std::size_t>(t); i < day.trips.size();
            i += threads) {
-        concurrent.process_trip(day.trips[i].upload);
+        sharded.process_trip(day.trips[i].upload);
       }
     });
   }
   for (std::thread& th : pool) th.join();
-  concurrent.advance_time(at_clock(0, 23, 0));
+  sharded.advance_time(at_clock(0, 23, 0));
 
-  EXPECT_EQ(concurrent.trips_processed(), day.trips.size());
+  EXPECT_EQ(sharded.trips_processed(), day.trips.size());
   // Period-batched fusion sums are order-insensitive, so the fused map is
   // identical whatever the interleaving.
+  const SpeedFusion& fusion = sharded.backend().fusion();
   const auto serial_all = serial.fusion().all();
   for (const auto& [key, fused] : serial_all) {
-    const auto other = concurrent.fusion().query(key);
+    const auto other = fusion.query(key);
     ASSERT_TRUE(other.has_value());
     // Sorted-order period sums make fusion order-insensitive, so the fused
     // values are bit-identical — not merely close — to serial ingestion.
     EXPECT_EQ(other->mean_kmh, fused.mean_kmh);
     EXPECT_EQ(other->observation_count, fused.observation_count);
   }
-  EXPECT_EQ(concurrent.fusion().all().size(), serial_all.size());
+  EXPECT_EQ(fusion.all().size(), serial_all.size());
 }
 
 TEST(ConcurrentServer, SnapshotWhileIngesting) {
   const Testbed& bed = testbed();
   Rng rng(10);
   const auto day = bed.world.simulate_day(0, 1.0, rng);
-  ConcurrentTrafficServer server(bed.world.city(), bed.database);
+  ShardedIngestService server(bed.world.city(), bed.database);
   std::atomic<bool> done{false};
   std::thread ingester([&] {
     for (const AnnotatedTrip& trip : day.trips) server.process_trip(trip.upload);
     done = true;
   });
-  int snapshots = 0;
-  while (!done) {
-    server.advance_time(at_clock(0, 23, 0));
+  // Reads race the shard consumers' folds and the ingester's pushes.
+  do {
     const TrafficMap map = server.snapshot(at_clock(0, 20, 0), 24 * kHour);
     (void)map;
-    ++snapshots;
-  }
+  } while (server.trips_processed() < day.trips.size());
   ingester.join();
-  EXPECT_GT(snapshots, 0);
+  EXPECT_TRUE(done);
+  server.advance_time(at_clock(0, 23, 0));
   EXPECT_EQ(server.trips_processed(), day.trips.size());
+  EXPECT_FALSE(
+      server.snapshot(at_clock(0, 20, 0), 24 * kHour).segments().empty());
 }
 
 TEST(ConcurrentServer, AnalyzeIsPure) {
