@@ -3,7 +3,7 @@
 // Four questions a deployment asks of the ingest tier:
 //
 //   1. scale-out — the sharded service's shard ladder (1/2/4/8 shards,
-//      SPSC rings, no coordinator) over uploads from distinct
+//      one locked inbox each, no coordinator) over uploads from distinct
 //      participants; the contract is monotone scaling — adding shards must
 //      never cost throughput, and on a many-core host it should scale
 //      near-linearly. Each rung checks its own workload: the bench exits
@@ -68,14 +68,13 @@ std::vector<AnnotatedTrip>& bench_trips() {
 // threads for `rounds` full passes and returns best-of-round trips/s.
 // Best-of keeps the ladder comparable on noisy or core-starved hosts:
 // the contract under test is "no negative scaling", not absolute speed.
-double run_sharded(std::size_t shards, std::size_t ring_capacity, int rounds) {
+double run_sharded(std::size_t shards, int rounds) {
   const Testbed& bed = testbed();
   const auto& trips = bench_trips();
   double best = 0.0;
   for (int r = 0; r < rounds; ++r) {
     ShardedIngestConfig cfg;
     cfg.shards = shards;
-    cfg.ring_capacity = ring_capacity;
     cfg.backpressure = ShardedIngestConfig::Backpressure::kBlock;
     ShardedIngestService service(bed.world.city(), bed.database, {}, cfg);
 
@@ -328,13 +327,13 @@ void report() {
   const std::size_t n_trips = bench_trips().size();
   std::cout << "workload: " << n_trips << " trips on the default city\n";
 
-  print_banner(std::cout, "Sharded ingest: shard ladder (SPSC rings)");
+  print_banner(std::cout, "Sharded ingest: shard ladder (one inbox per shard)");
   Table st({"shards", "trips/s", "vs 1 shard"});
   std::ostringstream srows;
   double one_shard = 0.0;
   bool sfirst = true;
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const double tps = run_sharded(shards, 1024, 3);
+    const double tps = run_sharded(shards, 3);
     if (shards == 1) one_shard = tps;
     st.add_row({std::to_string(shards), Fmt::fixed(tps, 0),
                 Fmt::fixed(one_shard > 0.0 ? tps / one_shard : 0.0, 2) + "x"});

@@ -17,9 +17,12 @@
 # consumers). Off by default -- TSan builds are ~10x slower.
 #
 # Optional sharded-ingest stage: BUSSENSE_SHARDED=ON ./scripts/tier1.sh
-# builds the sharded scale-out suites (the SPSC ring and the sharded
-# ingest service's bit-identity property tests) under TSan in build-tsan/
-# and runs the binaries directly. Off by default for the same reason.
+# builds the sharded ingest suites under TSan in build-tsan/ and runs the
+# binaries directly: all of test_ingest_service (backpressure, shutdown
+# and bit-identity properties) and the sharded lifecycle tests of
+# test_durability (enqueue guards, close() racing producers, partial
+# batches at every barrier, crash recovery through the shard WAL
+# segments). Off by default for the same reason.
 #
 # Optional fault/fuzz stage: BUSSENSE_FAULTS=ON ./scripts/tier1.sh builds
 # the adversarial-input suites (fault injection + admission, golden
@@ -105,13 +108,15 @@ if [[ "${BUSSENSE_SANITIZE:-}" == "ON" ]]; then
 fi
 
 if [[ "${BUSSENSE_SHARDED:-}" == "ON" ]]; then
-  begin_stage "TSan sharded ingest (test_spsc_ring, test_ingest_service)"
+  begin_stage "TSan sharded ingest (test_ingest_service, test_durability lifecycle)"
   cmake -B build-tsan -S . -DBUSSENSE_SANITIZE=thread
-  cmake --build build-tsan -j --target test_spsc_ring test_ingest_service
-  ./build-tsan/tests/test_spsc_ring
-  # The ingest suite carries the sharded bit-identity property tests; run
-  # just those here (the full suite already runs under BUSSENSE_SANITIZE).
-  ./build-tsan/tests/test_ingest_service --gtest_filter='Sharded*'
+  cmake --build build-tsan -j --target test_ingest_service test_durability
+  ./build-tsan/tests/test_ingest_service
+  # The lifecycle and crash-recovery tests race producers against close()
+  # and the shard consumers against the WAL; the rest of the suite is
+  # single-threaded byte parsing, covered by the ASan durability stage.
+  ./build-tsan/tests/test_durability \
+    --gtest_filter='DurableLifecycle.*:ShardBatch.*:CrashRecovery.ByteIdentical*'
   end_stage
 fi
 

@@ -318,7 +318,7 @@ EpochPublisher::Pin EpochPublisher::pin() const {
   } else {
     // Overflow path: the mutex makes load+insert atomic with respect to
     // the publisher's reclaim scan, which takes the same mutex.
-    const std::lock_guard<std::mutex> lock(overflow_mutex_);
+    const std::lock_guard<std::mutex> lock(overflow_pins_mutex_);
     e = current_.load(std::memory_order_seq_cst);
     if (e == nullptr) return Pin();
     overflow_pins_.insert(e);
@@ -332,7 +332,7 @@ void EpochPublisher::unpin() const {
   LocalPin& lp = local_pin();
   if (--lp.depth > 0) return;
   if (lp.overflow) {
-    const std::lock_guard<std::mutex> lock(overflow_mutex_);
+    const std::lock_guard<std::mutex> lock(overflow_pins_mutex_);
     overflow_pins_.erase(overflow_pins_.find(lp.snap));
   } else {
     // Release order: the publisher acquiring this null observes every read
@@ -408,7 +408,7 @@ std::size_t EpochPublisher::count_pinned_locked(
     }
   }
   {
-    const std::lock_guard<std::mutex> lock(overflow_mutex_);
+    const std::lock_guard<std::mutex> lock(overflow_pins_mutex_);
     pinned += overflow_pins_.size();
     if (hazards) {
       hazards->insert(hazards->end(), overflow_pins_.begin(),

@@ -333,7 +333,7 @@ class EpochPublisher {
   // Reader registry.
   mutable std::vector<Slot> slots_;
   mutable std::atomic<std::size_t> next_slot_{0};
-  mutable std::mutex overflow_mutex_;
+  mutable std::mutex overflow_pins_mutex_;
   mutable std::multiset<const EpochSnapshot*> overflow_pins_;
 
   std::atomic<std::uint64_t> published_{0};

@@ -1,8 +1,6 @@
 #include "core/ingest_service.h"
 
-#include <chrono>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "common/rng.h"
@@ -11,25 +9,6 @@
 namespace bussense {
 
 namespace {
-
-// Service ids are handed out once and never reused, so a thread's cached
-// lane slot for a destroyed service is simply never looked up again.
-std::atomic<std::uint64_t> g_next_sharded_service_id{1};
-
-// A producer blocked on a full ring (or an idle consumer) escalates from
-// yielding to short sleeps; on a loaded machine the ring turns over long
-// before the sleep tier is reached.
-struct Backoff {
-  std::size_t spins = 0;
-  void pause() {
-    if (++spins < 64) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
-  void reset() { spins = 0; }
-};
 
 ServerConfig sharded_backend_config(ServerConfig config) {
   // The shards own admission (partition-local dedup/skew state) and the
@@ -46,9 +25,9 @@ void ShardedIngestConfig::validate() const {
   if (shards == 0) {
     throw std::invalid_argument("ShardedIngestConfig: shards must be > 0");
   }
-  if (ring_capacity == 0) {
+  if (queue_capacity == 0) {
     throw std::invalid_argument(
-        "ShardedIngestConfig: ring_capacity must be > 0");
+        "ShardedIngestConfig: queue_capacity must be > 0");
   }
 }
 
@@ -57,9 +36,7 @@ ShardedIngestService::ShardedIngestService(const City& city,
                                            ServerConfig config,
                                            ShardedIngestConfig sharding)
     : backend_(city, std::move(database), sharded_backend_config(config)),
-      sharding_(sharding),
-      service_id_(
-          g_next_sharded_service_id.fetch_add(1, std::memory_order_relaxed)) {
+      sharding_(sharding) {
   sharding_.validate();
   if (config.durability.enabled) {
     config.durability.validate();
@@ -75,11 +52,6 @@ ShardedIngestService::ShardedIngestService(const City& city,
   for (std::size_t i = 0; i < sharding_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
-    shard->lanes.reserve(kProducerLanes);
-    for (std::size_t lane = 0; lane < kProducerLanes; ++lane) {
-      shard->lanes.push_back(
-          std::make_unique<SpscRing<TripUpload>>(sharding_.ring_capacity));
-    }
     shard->registry = std::make_unique<MetricsRegistry>();
     if (config.admission.enabled) {
       shard->admission =
@@ -92,11 +64,10 @@ ShardedIngestService::ShardedIngestService(const City& city,
       MetricsRegistry& reg = *shard->registry;
       shard->inst.enqueued = &reg.counter("ingest.shard.enqueued");
       shard->inst.processed = &reg.counter("ingest.shard.processed");
-      shard->inst.rejected_ring_full =
-          &reg.counter("ingest.shard.rejected_ring_full");
+      shard->inst.rejected_queue_full =
+          &reg.counter("ingest.shard.rejected_queue_full");
       shard->inst.rejected_shutdown =
           &reg.counter("ingest.shard.rejected_shutdown");
-      shard->inst.overflowed = &reg.counter("ingest.shard.overflowed");
       shard->inst.worker_errors = &reg.counter("ingest.shard.worker_errors");
     }
     shards_.push_back(std::move(shard));
@@ -117,81 +88,49 @@ std::size_t ShardedIngestService::shard_of(std::int32_t participant_id) const {
   return static_cast<std::size_t>(key % shards_.size());
 }
 
-std::size_t ShardedIngestService::producer_lane() {
-  // Per-thread cache: service id → this thread's lane slot. Slots are
-  // handed out in registration order; threads past kProducerLanes get
-  // the sentinel and use the overflow queue.
-  thread_local std::unordered_map<std::uint64_t, std::size_t> t_lanes;
-  auto [it, inserted] = t_lanes.try_emplace(service_id_, 0);
-  if (inserted) {
-    it->second = next_producer_slot_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return it->second;
+bool ShardedIngestService::accepting() const {
+  if (closed_.load(std::memory_order_acquire)) return false;
+  return !durability_ || (lifecycle_open_.load(std::memory_order_acquire) &&
+                          !lifecycle_closed_.load(std::memory_order_acquire));
 }
 
 TripReport ShardedIngestService::process_trip(const TripUpload& trip) {
-  TripReport report;
-  pushing_.fetch_add(1, std::memory_order_acq_rel);
   Shard& shard = *shards_[shard_of(trip.participant_id)];
-  const auto reject = [&](RejectReason why, Counter* counter) {
-    pushing_.fetch_sub(1, std::memory_order_acq_rel);
+  TripUpload copy = trip;  // the one deep copy, made outside the lock
+  RejectReason why = RejectReason::kNone;
+  bool was_empty = false;
+  {
+    std::unique_lock<std::mutex> lock(shard.mutex);
+    const auto full = [&] {
+      return shard.inbox.size() >= sharding_.queue_capacity;
+    };
+    if (sharding_.backpressure == ShardedIngestConfig::Backpressure::kBlock) {
+      shard.room.wait(lock, [&] { return !accepting() || !full(); });
+    }
+    if (!accepting()) {
+      why = RejectReason::kShutdown;
+    } else if (full()) {
+      why = RejectReason::kQueueFull;
+    } else {
+      was_empty = shard.inbox.empty();
+      shard.inbox.push_back(std::move(copy));
+    }
+  }
+
+  TripReport report;
+  if (why != RejectReason::kNone) {
     report.outcome = IngestOutcome::kRejected;
     report.reject_reason = why;
+    Counter* counter = why == RejectReason::kQueueFull
+                           ? shard.inst.rejected_queue_full
+                           : shard.inst.rejected_shutdown;
     if (counter) counter->inc();
     return report;
-  };
-  if (closed_.load(std::memory_order_acquire)) {
-    return reject(RejectReason::kShutdown, shard.inst.rejected_shutdown);
   }
-  if (durability_ && (!lifecycle_open_.load(std::memory_order_acquire) ||
-                      lifecycle_closed_.load(std::memory_order_acquire))) {
-    return reject(RejectReason::kShutdown, shard.inst.rejected_shutdown);
-  }
-
-  const std::size_t lane = producer_lane();
-  if (lane < shard.lanes.size()) {
-    SpscRing<TripUpload>& ring = *shard.lanes[lane];
-    TripUpload copy = trip;
-    if (!ring.try_push(std::move(copy))) {
-      if (sharding_.backpressure == ShardedIngestConfig::Backpressure::kReject) {
-        return reject(RejectReason::kQueueFull, shard.inst.rejected_ring_full);
-      }
-      Backoff backoff;
-      for (;;) {
-        if (closed_.load(std::memory_order_acquire)) {
-          return reject(RejectReason::kShutdown, shard.inst.rejected_shutdown);
-        }
-        // try_push leaves `copy` untouched on failure, so retrying the
-        // move is safe.
-        if (ring.try_push(std::move(copy))) break;
-        backoff.pause();
-      }
-    }
-  } else {
-    // Overflow lane: bounded, mutex-guarded — correctness identical, just
-    // slower. Only threads beyond kProducerLanes land here.
-    Backoff backoff;
-    for (;;) {
-      if (closed_.load(std::memory_order_acquire)) {
-        return reject(RejectReason::kShutdown, shard.inst.rejected_shutdown);
-      }
-      {
-        std::lock_guard<std::mutex> lock(shard.overflow_mutex);
-        if (shard.overflow.size() < sharding_.ring_capacity) {
-          shard.overflow.push_back(trip);
-          break;
-        }
-      }
-      if (sharding_.backpressure == ShardedIngestConfig::Backpressure::kReject) {
-        return reject(RejectReason::kQueueFull, shard.inst.rejected_ring_full);
-      }
-      backoff.pause();
-    }
-    if (shard.inst.overflowed) shard.inst.overflowed->inc();
-  }
-
+  // The consumer only waits on an empty inbox, so only the first upload
+  // into one needs to wake it.
+  if (was_empty) shard.work.notify_one();
   if (shard.inst.enqueued) shard.inst.enqueued->inc();
-  pushing_.fetch_sub(1, std::memory_order_acq_rel);
   report.outcome = IngestOutcome::kQueued;
   return report;
 }
@@ -227,81 +166,34 @@ void ShardedIngestService::fold_batch(Shard& shard) {
   shard.batch.clear();
 }
 
-std::size_t ShardedIngestService::drain_shard_once(Shard& shard) {
-  std::size_t done = 0;
-  TripUpload trip;
-  for (auto& lane : shard.lanes) {
-    // Bounded burst per lane so one chatty producer cannot starve the rest.
-    for (int burst = 0; burst < 64; ++burst) {
-      if (!lane->try_pop(trip)) break;
-      process_one(shard, trip);
-      ++done;
-    }
-  }
-  for (;;) {
-    bool got = false;
-    {
-      std::lock_guard<std::mutex> lock(shard.overflow_mutex);
-      if (!shard.overflow.empty()) {
-        trip = std::move(shard.overflow.front());
-        shard.overflow.pop_front();
-        got = true;
-      }
-    }
-    if (!got) break;
-    process_one(shard, trip);
-    ++done;
-  }
-  return done;
-}
-
-bool ShardedIngestService::shard_pending(const Shard& shard) const {
-  for (const auto& lane : shard.lanes) {
-    if (!lane->empty()) return true;
-  }
-  std::lock_guard<std::mutex> lock(shard.overflow_mutex);
-  return !shard.overflow.empty();
-}
-
 void ShardedIngestService::shard_loop(Shard& shard) {
-  Backoff backoff;
+  std::vector<TripUpload> work;
+  std::unique_lock<std::mutex> lock(shard.mutex);
   for (;;) {
-    shard.busy.store(true, std::memory_order_release);
-    const std::size_t done = drain_shard_once(shard);
-    // Fold before going idle: drain() reads busy == false with empty rings
-    // as "every popped upload's estimates are in the fusion".
+    shard.work.wait(lock, [&] { return !shard.inbox.empty() || closed(); });
+    // Producers test closed_ under this lock before they queue, so closed
+    // with an empty inbox means nothing more can arrive.
+    if (shard.inbox.empty()) return;
+    work.swap(shard.inbox);
+    shard.busy = true;
+    lock.unlock();
+    shard.room.notify_all();
+    for (const TripUpload& trip : work) process_one(shard, trip);
+    work.clear();
+    // Fold before going idle: drain() reads an empty inbox with busy ==
+    // false as "every accepted upload's estimates are in the fusion".
     if (!shard.batch.empty()) fold_batch(shard);
-    shard.busy.store(false, std::memory_order_release);
-    if (done > 0) {
-      backoff.reset();
-      continue;
-    }
-    if (shard_pending(shard)) continue;
-    if (closed_.load(std::memory_order_acquire) &&
-        pushing_.load(std::memory_order_acquire) == 0 &&
-        !shard_pending(shard)) {
-      return;
-    }
-    backoff.pause();
+    lock.lock();
+    shard.busy = false;
+    if (shard.inbox.empty()) shard.idle.notify_all();
   }
 }
 
 void ShardedIngestService::drain() {
-  Backoff backoff;
-  for (;;) {
-    bool pending = pushing_.load(std::memory_order_acquire) != 0;
-    for (const auto& shard : shards_) {
-      // Rings before busy: seeing a ring go empty happens-after the
-      // consumer raised its busy flag, so a popped-but-unprocessed upload
-      // always shows up in one of the two checks.
-      if (shard_pending(*shard) ||
-          shard->busy.load(std::memory_order_acquire)) {
-        pending = true;
-        break;
-      }
-    }
-    if (!pending) return;
-    backoff.pause();
+  for (auto& shard : shards_) {
+    std::unique_lock<std::mutex> lock(shard->mutex);
+    shard->idle.wait(lock,
+                     [&] { return shard->inbox.empty() && !shard->busy; });
   }
 }
 
@@ -343,20 +235,7 @@ RecoveryReport ShardedIngestService::open() {
   // map as the original interleaving (period sums are order-insensitive).
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     for (const WalRecord& record : recovery.replay[i]) {
-      if (record.type == WalRecordType::kTimeMark) {
-        if (shards_[i]->admission) {
-          shards_[i]->admission->observe_time(record.mark_time);
-        }
-        ++report.replayed_time_marks;
-        continue;
-      }
-      if (shards_[i]->admission) {
-        shards_[i]->admission->note_replayed(
-            record.signature, record.trip.participant_id,
-            record.skew_offset_s);
-      }
-      backend_.process_trip(record.trip);
-      ++report.replayed_trips;
+      backend_.replay(record, shards_[i]->admission.get(), &report);
     }
   }
   report.duplicate_records = recovery.duplicate_records;
@@ -384,25 +263,31 @@ std::uint64_t ShardedIngestService::checkpoint() {
 }
 
 void ShardedIngestService::close() {
-  if (durability_ && lifecycle_open_.load(std::memory_order_acquire) &&
-      !lifecycle_closed_.load(std::memory_order_acquire)) {
+  // Mark first: producers test the mark under their shard's lock, so once
+  // drain() has passed a shard nothing more is queued there, and every
+  // upload already answered kQueued reaches the WAL before it closes.
+  const bool was_closed = lifecycle_closed_.exchange(true);
+  if (durability_ && !was_closed &&
+      lifecycle_open_.load(std::memory_order_acquire)) {
     drain();
     durability_->close();
   }
-  lifecycle_closed_.store(true, std::memory_order_release);
 }
 
 void ShardedIngestService::shutdown() {
   closed_.store(true, std::memory_order_release);
   for (auto& shard : shards_) {
-    if (shard->consumer.joinable()) shard->consumer.join();
-  }
-  // The exit protocol guarantees empty rings, but sweep once more on the
-  // caller's thread in case a consumer died early.
-  for (auto& shard : shards_) {
-    while (drain_shard_once(*shard) > 0) {
+    {
+      // Taking the lock orders the store against every test of it made
+      // under this lock: a consumer or blocked producer that read it false
+      // is already waiting when the notify below arrives.
+      std::lock_guard<std::mutex> lock(shard->mutex);
     }
-    if (!shard->batch.empty()) fold_batch(*shard);
+    shard->work.notify_all();
+    shard->room.notify_all();
+  }
+  for (auto& shard : shards_) {
+    if (shard->consumer.joinable()) shard->consumer.join();
   }
 }
 
@@ -425,9 +310,8 @@ MetricsSnapshot ShardedIngestService::shard_metrics() const {
 std::size_t ShardedIngestService::queue_depth() const {
   std::size_t depth = 0;
   for (const auto& shard : shards_) {
-    for (const auto& lane : shard->lanes) depth += lane->size();
-    std::lock_guard<std::mutex> lock(shard->overflow_mutex);
-    depth += shard->overflow.size();
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    depth += shard->inbox.size();
   }
   return depth;
 }

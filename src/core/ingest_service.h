@@ -2,17 +2,16 @@
 //
 // A deployment receives trip uploads from thousands of phones on whatever
 // schedule the cellular network delivers them; the analysis pipeline runs
-// at its own pace. This service decouples the two with no shared point on
-// the hot path:
+// at its own pace. This service decouples the two:
 //
 //   * uploads are partitioned by participant id with a stable hash
 //     (mix64), so one participant's stream always lands on the same
 //     shard;
 //   * each shard is drained by its own consumer thread — there is no
-//     coordinator and no shared queue. Producers reach a shard through a
-//     per-(producer thread, shard) lock-free SPSC ring
-//     (common/spsc_ring.h); a thread pushing and a consumer popping never
-//     touch a lock or another thread's cache line;
+//     coordinator and no shared queue. A shard's inbox is one bounded
+//     vector under the shard's mutex: a producer copies the upload outside
+//     the lock and moves it in under it; the consumer swaps the whole
+//     inbox out in one lock and processes it unlocked;
 //   * admission control (dedup LRU, clock-skew re-anchoring) runs inside
 //     the shard on partition-local state: a participant's replays and
 //     skew history live where its uploads are processed, so the checks
@@ -32,56 +31,53 @@
 // 5-minute period and sums each period's estimates in *sorted* order when
 // advance_time() closes it (core/fusion.h). The fused map therefore
 // depends only on the multiset of accepted uploads — shard count, arrival
-// order, ring sizes and fold timing are all invisible, and the snapshot is
-// bit-identical to feeding the same uploads through the serial
-// TrafficServer (property-tested across shard and producer counts,
+// order, queue capacity and fold timing are all invisible, and the
+// snapshot is bit-identical to feeding the same uploads through the
+// serial TrafficServer (property-tested across shard and producer counts,
 // admission and metrics on and off).
 //
-// Backpressure: a full ring either blocks the producer (kBlock — spin,
-// then yield, then sleep) or rejects with RejectReason::kQueueFull
-// (kReject). The producer cannot shed the oldest entry instead: only the
-// consumer may pop an SPSC ring.
+// Backpressure: a full inbox either blocks the producer until the
+// consumer swaps it out (kBlock) or rejects with RejectReason::kQueueFull
+// (kReject). A shard holds at most 2 × queue_capacity uploads: its inbox
+// plus the batch its consumer is processing.
 //
 // Shutdown is graceful: shutdown() (also run by the destructor) closes
-// the service to new uploads, lets every shard finish its rings and fold
-// its batch, and joins the consumers.
+// the service to new uploads, lets every shard finish its inbox and fold
+// its batch, and joins the consumers. Producers test the closed and
+// lifecycle marks under the shard lock, and a consumer exits only once it
+// sees "closed and inbox empty" under that same lock, so an upload
+// answered kQueued is always processed.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/spsc_ring.h"
 #include "core/server.h"
 #include "core/traffic_ingestor.h"
 
 namespace bussense {
 
 struct ShardedIngestConfig {
-  /// What process_trip() does when the producer's ring for the target
-  /// shard is full.
+  /// What process_trip() does when the target shard's inbox is full.
   enum class Backpressure : std::uint8_t { kBlock, kReject };
 
-  std::size_t shards = 4;             ///< independent partitions; > 0
-  std::size_t ring_capacity = 1024;   ///< per (producer, shard) ring; > 0
+  std::size_t shards = 4;              ///< independent partitions; > 0
+  std::size_t queue_capacity = 1024;   ///< per shard inbox; > 0
   Backpressure backpressure = Backpressure::kBlock;
 
-  /// Throws std::invalid_argument on nonsense (zero shards or ring
+  /// Throws std::invalid_argument on nonsense (zero shards or queue
   /// capacity).
   void validate() const;
 };
 
 class ShardedIngestService final : public TrafficIngestor {
  public:
-  /// SPSC lanes per shard: the first kProducerLanes producer threads each
-  /// get a private ring per shard; later threads fall back to a small
-  /// mutex-guarded overflow queue (counted, correctness unchanged).
-  static constexpr std::size_t kProducerLanes = 16;
   /// Estimates a shard buffers before it folds them into the fusion store
   /// (it also folds whatever it holds before it goes idle).
   static constexpr std::size_t kFoldBatch = 32;
@@ -99,7 +95,7 @@ class ShardedIngestService final : public TrafficIngestor {
   /// thread, including after shutdown().
   TripReport process_trip(const TripUpload& trip) override;
 
-  /// Blocks until every pushed upload has been analysed and its estimates
+  /// Blocks until every queued upload has been analysed and its estimates
   /// folded into the fusion store. Exact once producers are quiescent.
   void drain();
 
@@ -108,7 +104,7 @@ class ShardedIngestService final : public TrafficIngestor {
   void advance_time(SimTime now) override;
 
   /// Closes the service (further uploads rejected with kShutdown), lets
-  /// every shard finish its rings and fold its batch, and joins the
+  /// every shard finish its inbox and fold its batch, and joins the
   /// consumers. Idempotent; also run by the destructor.
   void shutdown();
 
@@ -136,7 +132,8 @@ class ShardedIngestService final : public TrafficIngestor {
   /// admission and durability are both stripped (shards admit, this class
   /// logs). open() replays shard by shard in seq order — fusion periods
   /// are never closed during replay, so the segment replay order cannot
-  /// change the fused map. checkpoint()/close() drain first.
+  /// change the fused map. checkpoint() drains first; close() marks the
+  /// lifecycle closed, drains, then closes the WAL.
   RecoveryReport open() override;
   std::uint64_t checkpoint() override;
   void close() override;
@@ -144,8 +141,8 @@ class ShardedIngestService final : public TrafficIngestor {
   /// Stable partition of a participant id (mix64 hash mod shard count).
   std::size_t shard_of(std::int32_t participant_id) const;
   std::size_t shard_count() const { return shards_.size(); }
-  /// Uploads currently queued across all rings and overflow queues; exact
-  /// only while producers and consumers are quiescent.
+  /// Uploads waiting in the shard inboxes (not yet taken by a consumer);
+  /// exact only while producers and consumers are quiescent.
   std::size_t queue_depth() const;
   bool closed() const { return closed_.load(std::memory_order_acquire); }
   /// The shared pipeline: a TrafficServer with admission and durability
@@ -155,18 +152,20 @@ class ShardedIngestService final : public TrafficIngestor {
  private:
   struct Shard {
     std::size_t index = 0;  ///< position in shards_ == WAL segment number
-    /// Fixed lane array, one SPSC ring per producer slot, allocated
-    /// eagerly so consumers never race a lane's publication.
-    std::vector<std::unique_ptr<SpscRing<TripUpload>>> lanes;
-    /// Spill path for producer threads beyond kProducerLanes.
-    mutable std::mutex overflow_mutex;
-    std::deque<TripUpload> overflow;
-    /// True while the consumer is popping, processing or folding; drain()
-    /// polls rings-then-busy so a popped-but-unfolded upload is never
-    /// missed.
-    std::atomic<bool> busy{false};
-    /// Estimates analysed but not yet folded; touched only by the thread
-    /// that drains this shard.
+    /// Guards inbox and busy; producers test the closed and lifecycle
+    /// marks under it too.
+    mutable std::mutex mutex;
+    /// Uploads accepted but not yet taken by the consumer; at most
+    /// queue_capacity.
+    std::vector<TripUpload> inbox;
+    /// True while the consumer processes a swapped-out inbox and folds
+    /// its batch; drain() waits for an empty inbox with busy == false.
+    bool busy = false;
+    std::condition_variable work;  ///< consumer: inbox non-empty or closed
+    std::condition_variable room;  ///< kBlock producers: inbox below capacity
+    std::condition_variable idle;  ///< drain(): inbox empty and not busy
+    /// Estimates analysed but not yet folded; touched only by the
+    /// consumer thread.
     std::vector<SpeedEstimate> batch;
     /// Partition-local admission state (null when admission is disabled).
     std::unique_ptr<AdmissionController> admission;
@@ -176,18 +175,17 @@ class ShardedIngestService final : public TrafficIngestor {
     struct Instruments {
       Counter* enqueued = nullptr;
       Counter* processed = nullptr;
-      Counter* rejected_ring_full = nullptr;
+      Counter* rejected_queue_full = nullptr;
       Counter* rejected_shutdown = nullptr;
-      Counter* overflowed = nullptr;
       Counter* worker_errors = nullptr;
     };
     Instruments inst;
     std::thread consumer;
   };
 
-  std::size_t producer_lane();  ///< this thread's lane slot for this service
-  bool shard_pending(const Shard& shard) const;
-  std::size_t drain_shard_once(Shard& shard);
+  /// False once shutdown() or close() ran, or before open() when durable.
+  /// Producers read it under their shard's lock.
+  bool accepting() const;
   void process_one(Shard& shard, const TripUpload& trip);
   void fold_batch(Shard& shard);
   void shard_loop(Shard& shard);
@@ -203,12 +201,6 @@ class ShardedIngestService final : public TrafficIngestor {
   std::atomic<bool> lifecycle_closed_{false};
 
   std::atomic<bool> closed_{false};
-  /// Producers currently inside process_trip(). Consumers only exit when
-  /// closed_ is set, this is zero and their rings are empty — so an upload
-  /// that won the closed_ check is never stranded by shutdown.
-  std::atomic<std::size_t> pushing_{0};
-  std::atomic<std::size_t> next_producer_slot_{0};
-  const std::uint64_t service_id_;  ///< key for thread-local lane lookup
 };
 
 }  // namespace bussense

@@ -209,18 +209,19 @@ void TrafficServer::advance_time(SimTime now) {
   fusion_.flush_until(now);
 }
 
-void TrafficServer::apply_recovered(const WalRecord& record,
-                                    RecoveryReport* report) {
+void TrafficServer::replay(const WalRecord& record,
+                           AdmissionController* admission,
+                           RecoveryReport* report) {
   if (record.type == WalRecordType::kTimeMark) {
     // Watermark only — fusion periods are never closed during replay, so
     // shard/segment replay order cannot change what flush_until() sees.
-    if (admission_) admission_->observe_time(record.mark_time);
+    if (admission) admission->observe_time(record.mark_time);
     ++report->replayed_time_marks;
     return;
   }
-  if (admission_) {
-    admission_->note_replayed(record.signature, record.trip.participant_id,
-                              record.skew_offset_s);
+  if (admission) {
+    admission->note_replayed(record.signature, record.trip.participant_id,
+                             record.skew_offset_s);
   }
   ingest(process_admitted(record.trip).estimates);
   ++report->replayed_trips;
@@ -244,7 +245,7 @@ RecoveryReport TrafficServer::open() {
     }
   }
   for (const WalRecord& record : recovery.replay.front()) {
-    apply_recovered(record, &report);
+    replay(record, admission_.get(), &report);
   }
   report.duplicate_records = recovery.duplicate_records;
   report.truncated_tail_bytes = recovery.truncated_tail_bytes;

@@ -116,6 +116,13 @@ class TrafficServer : public TrafficIngestor {
   }
   void restore(const std::vector<FusionExportEntry>& fusion,
                std::uint64_t trips_processed);
+  /// Applies one recovered WAL record: a time mark advances `admission`'s
+  /// watermark; a trip is re-noted in `admission` (dedup + skew state),
+  /// processed and folded. `admission` is the controller that admitted
+  /// the record — this server's own, or a shard's (null when admission is
+  /// off). Counts the record in `report`.
+  void replay(const WalRecord& record, AdmissionController* admission,
+              RecoveryReport* report);
 
   const MetricsRegistry& metrics() const override { return *metrics_; }
   /// Mutable registry access (front ends layered on top register their own
@@ -149,8 +156,6 @@ class TrafficServer : public TrafficIngestor {
   std::unique_ptr<DurabilityManager> durability_;
   bool opened_ = false;
   bool closed_ = false;
-
-  void apply_recovered(const WalRecord& record, RecoveryReport* report);
 
   // Observability: instruments cached at construction; all null-checked so
   // the disabled path costs one branch. Owned registry exists either way

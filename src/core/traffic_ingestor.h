@@ -2,11 +2,11 @@
 //
 // Two front ends share the pipeline of Figure 4 — the serial, synchronous
 // TrafficServer and the asynchronous ShardedIngestService
-// (participant-hash shards over lock-free SPSC rings, folding into a
-// TrafficServer backend). Examples, benches and deployments program
-// against this interface and swap the front end with one line; both
-// produce bit-identical fused maps for the same accepted upload multiset
-// (property-tested).
+// (participant-hash shards, one locked inbox and consumer thread each,
+// folding into a TrafficServer backend). Examples, benches and
+// deployments program against this interface and swap the front end with
+// one line; both produce bit-identical fused maps for the same accepted
+// upload multiset (property-tested).
 //
 // Call contract, shared by every implementation:
 //
@@ -64,7 +64,7 @@ enum class IngestOutcome : std::uint8_t {
 /// itself (DESIGN.md §9) — counted under ingest.rejected.*.
 enum class RejectReason : std::uint8_t {
   kNone,         ///< not rejected
-  kQueueFull,    ///< the shard's ring is full under the kReject policy
+  kQueueFull,    ///< the shard's inbox is full under the kReject policy
   kShutdown,     ///< service is shutting down / already shut down
   kDuplicate,    ///< replay of a recently admitted upload (signature LRU)
   kMalformed,    ///< sample-count/fingerprint-size/duration bounds violated

@@ -15,12 +15,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -546,6 +548,68 @@ TEST(DurableLifecycle, AsyncServiceRejectsAtEnqueueOutsideOpenClose) {
   EXPECT_EQ(service.trips_processed(), 1u);
 }
 
+// close() racing producers on a durable sharded service: every upload
+// answered kQueued must be processed and logged before the WAL closes —
+// none may reach a consumer only after close() shut the log, which would
+// drop it as a worker error. Each round lets close() land at a different
+// point of the feed; reopening the directory must recover exactly the
+// queued uploads.
+TEST(DurableLifecycle, CloseUnderProducerLoadLogsEveryQueuedUpload) {
+  const Testbed& bed = testbed();
+  const auto& uploads = sorted_uploads();
+  constexpr std::size_t kProducers = 4;
+  ShardedIngestConfig svc;
+  svc.shards = 3;
+  for (std::size_t round = 0; round < 6; ++round) {
+    TempDir dir;
+    const ServerConfig cfg = durable_config(dir.str(), false);
+    std::atomic<std::size_t> queued{0};
+    {
+      ShardedIngestService service(bed.world.city(), bed.database, cfg, svc);
+      service.open();
+      // Producers pace their uploads so the consumers keep up: drain()
+      // then returns while producers are still sending, which is when an
+      // upload can slip in between the drain and the WAL's close.
+      std::vector<std::thread> producers;
+      for (std::size_t p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&, p] {
+          for (std::size_t i = p; i < uploads.size(); i += kProducers) {
+            const TripReport r = service.process_trip(uploads[i]);
+            if (r.outcome == IngestOutcome::kQueued) {
+              ++queued;
+            } else {
+              EXPECT_EQ(r.reject_reason, RejectReason::kShutdown);
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(500));
+          }
+        });
+      }
+      const std::size_t close_after = round * uploads.size() / 12;
+      std::thread closer([&] {
+        while (queued.load() < close_after) std::this_thread::yield();
+        service.close();
+      });
+      closer.join();
+      for (std::thread& t : producers) t.join();
+
+      const std::string label = "round " + std::to_string(round);
+      EXPECT_EQ(
+          service.shard_metrics().counters.at("ingest.shard.worker_errors"),
+          0u)
+          << label;
+      EXPECT_EQ(service.trips_processed(), queued.load()) << label;
+    }
+    ShardedIngestService reopened(bed.world.city(), bed.database, cfg, svc);
+    const RecoveryReport report = reopened.open();
+    std::uint64_t recovered = 0;
+    for (const std::uint64_t r : report.recovered_trips_per_segment) {
+      recovered += r;
+    }
+    EXPECT_EQ(recovered, queued.load()) << "round " << round;
+    reopened.close();
+  }
+}
+
 // Bit-identity of two fusion exports: same keys, fused posteriors and
 // still-open period batches.
 void expect_export_equal(const std::vector<FusionExportEntry>& got,
@@ -721,7 +785,7 @@ std::unique_ptr<TrafficIngestor> make_front_end(FrontEnd fe,
     case FrontEnd::kSharded: {
       ShardedIngestConfig svc;
       svc.shards = kShards;
-      svc.ring_capacity = 64;
+      svc.queue_capacity = 64;
       return std::make_unique<ShardedIngestService>(bed.world.city(),
                                                     bed.database, cfg, svc);
     }

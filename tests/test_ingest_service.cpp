@@ -68,7 +68,7 @@ TEST(ServerConfigValidation, ThrowsOnNonsense) {
 
 // ------------------------------------------------------------ backpressure
 
-// Several producers race a one-slot ring per lane under kReject: every
+// Several producers race a one-slot inbox under kReject: every
 // upload is either queued (and then processed) or refused with kQueueFull,
 // and every refusal is counted. The producers cycle the feed until they
 // have seen a bounded number of refusals, so the refusal path is known to
@@ -77,7 +77,7 @@ TEST(IngestBackpressure, RejectPolicyCountsRefusals) {
   const Testbed& bed = testbed();
   ShardedIngestConfig svc;
   svc.shards = 1;
-  svc.ring_capacity = 1;  // tiny on purpose: producers outrun the consumer
+  svc.queue_capacity = 1;  // tiny on purpose: producers outrun the consumer
   svc.backpressure = Backpressure::kReject;
   ShardedIngestService service(bed.world.city(), bed.database, {}, svc);
 
@@ -113,9 +113,9 @@ TEST(IngestBackpressure, RejectPolicyCountsRefusals) {
   const MetricsSnapshot sm = service.shard_metrics();
   EXPECT_EQ(sm.counters.at("ingest.shard.enqueued"), queued.load());
   EXPECT_EQ(sm.counters.at("ingest.shard.processed"), queued.load());
-  EXPECT_EQ(sm.counters.at("ingest.shard.rejected_ring_full"), refused.load());
+  EXPECT_EQ(sm.counters.at("ingest.shard.rejected_queue_full"), refused.load());
 
-  // Draining freed the ring: the next upload is queued, not refused.
+  // Draining freed the inbox: the next upload is queued, not refused.
   EXPECT_EQ(service.process_trip(bed.trips.front().upload).outcome,
             IngestOutcome::kQueued);
   service.drain();
@@ -126,7 +126,7 @@ TEST(IngestBackpressure, BlockPolicyIsLossless) {
   const Testbed& bed = testbed();
   ShardedIngestConfig svc;
   svc.shards = 2;
-  svc.ring_capacity = 2;  // tiny on purpose: producers must block
+  svc.queue_capacity = 2;  // tiny on purpose: producers must block
   svc.backpressure = Backpressure::kBlock;
   ShardedIngestService service(bed.world.city(), bed.database, {}, svc);
 
@@ -146,35 +146,7 @@ TEST(IngestBackpressure, BlockPolicyIsLossless) {
   EXPECT_EQ(service.trips_processed(), bed.trips.size());
   const MetricsSnapshot sm = service.shard_metrics();
   EXPECT_EQ(sm.counters.at("ingest.shard.processed"), bed.trips.size());
-  EXPECT_EQ(sm.counters.at("ingest.shard.rejected_ring_full"), 0u);
-}
-
-// ---------------------------------------------------------------- shutdown
-
-TEST(IngestShutdown, DrainsQueueAndRejectsLateUploads) {
-  const Testbed& bed = testbed();
-  ShardedIngestService service(bed.world.city(), bed.database);
-  const std::size_t n = std::min<std::size_t>(bed.trips.size(), 20);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(service.process_trip(bed.trips[i].upload).accepted());
-  }
-
-  service.shutdown();
-  EXPECT_TRUE(service.closed());
-  // Graceful: everything queued before shutdown was still analysed...
-  EXPECT_EQ(service.trips_processed(), n);
-  EXPECT_EQ(service.queue_depth(), 0u);
-
-  // ...and late uploads are refused with the explicit reason.
-  const TripReport late = service.process_trip(bed.trips[0].upload);
-  EXPECT_EQ(late.outcome, IngestOutcome::kRejected);
-  EXPECT_EQ(late.reject_reason, RejectReason::kShutdown);
-  EXPECT_EQ(
-      service.shard_metrics().counters.at("ingest.shard.rejected_shutdown"),
-      1u);
-
-  service.shutdown();  // idempotent
-  EXPECT_EQ(service.trips_processed(), n);
+  EXPECT_EQ(sm.counters.at("ingest.shard.rejected_queue_full"), 0u);
 }
 
 // ------------------------------------------------------------- determinism
@@ -198,7 +170,7 @@ TEST(ConcurrencyDeterminism, InterleavedOpsBitIdenticalToSerial) {
   for (const int threads : {2, 4, 8}) {
     ShardedIngestConfig svc;
     svc.shards = 3;
-    svc.ring_capacity = 8;
+    svc.queue_capacity = 8;
     ShardedIngestService service(bed.world.city(), bed.database, {}, svc);
     std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
@@ -228,97 +200,6 @@ TEST(ConcurrencyDeterminism, InterleavedOpsBitIdenticalToSerial) {
       EXPECT_EQ(got->variance, fused.variance);
       EXPECT_EQ(got->updated_at, fused.updated_at);
       EXPECT_EQ(got->observation_count, fused.observation_count);
-    }
-  }
-}
-
-// Shutdown while producers are blocked on full rings (kBlock): each
-// blocked producer is released with kShutdown or its upload is processed —
-// never stranded between the ring and the pipeline.
-TEST(IngestShutdown, UnderProducerLoadLosesNoAcceptedUpload) {
-  const Testbed& bed = testbed();
-  for (int round = 0; round < 3; ++round) {
-    ShardedIngestConfig svc;
-    svc.shards = 2;
-    svc.ring_capacity = 2;
-    svc.backpressure = Backpressure::kBlock;
-    auto service = std::make_unique<ShardedIngestService>(
-        bed.world.city(), bed.database, ServerConfig{}, svc);
-    std::atomic<std::size_t> accepted{0}, rejected{0};
-    std::vector<std::thread> producers;
-    for (int p = 0; p < 4; ++p) {
-      producers.emplace_back([&, p] {
-        for (std::size_t i = static_cast<std::size_t>(p);
-             i < bed.trips.size(); i += 4) {
-          const TripReport r = service->process_trip(bed.trips[i].upload);
-          if (r.accepted()) {
-            ++accepted;
-          } else {
-            EXPECT_EQ(r.reject_reason, RejectReason::kShutdown);
-            ++rejected;
-          }
-        }
-      });
-    }
-    service->shutdown();
-    for (std::thread& t : producers) t.join();
-    EXPECT_EQ(accepted.load() + rejected.load(), bed.trips.size());
-    EXPECT_EQ(service->trips_processed(), accepted.load());
-    const MetricsSnapshot sm = service->shard_metrics();
-    EXPECT_EQ(sm.counters.at("ingest.shard.processed"), accepted.load());
-    EXPECT_EQ(sm.counters.at("ingest.shard.rejected_shutdown"),
-              rejected.load());
-  }
-}
-
-// More producer threads than a shard has SPSC lanes: the threads past
-// kProducerLanes go through the mutex-guarded overflow queue, and the
-// fused map is still bit-identical to serial, metrics on and off.
-TEST(IngestDeterminism, QueuedPathBitIdenticalToSerial) {
-  const Testbed& bed = testbed();
-  ASSERT_GT(bed.trips.size(), 30u);
-  const SimTime end = at_clock(1, 0, 0);
-
-  TrafficServer serial(bed.world.city(), bed.database);
-  for (const AnnotatedTrip& trip : bed.trips) serial.process_trip(trip.upload);
-  serial.advance_time(end);
-  const auto expected = serial.fusion().all();
-  ASSERT_FALSE(expected.empty());
-
-  const std::size_t producers = ShardedIngestService::kProducerLanes + 4;
-  for (const bool metrics_on : {true, false}) {
-    ServerConfig cfg;
-    cfg.obs.enabled = metrics_on;
-    ShardedIngestConfig svc;
-    svc.shards = 2;
-    svc.ring_capacity = 4;
-    ShardedIngestService service(bed.world.city(), bed.database, cfg, svc);
-
-    std::vector<std::thread> pool;
-    for (std::size_t p = 0; p < producers; ++p) {
-      pool.emplace_back([&, p] {
-        for (std::size_t i = p; i < bed.trips.size(); i += producers) {
-          ASSERT_TRUE(service.process_trip(bed.trips[i].upload).accepted());
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    service.advance_time(end);
-
-    EXPECT_EQ(service.trips_processed(), bed.trips.size());
-    const SpeedFusion& fusion = service.backend().fusion();
-    ASSERT_EQ(fusion.all().size(), expected.size()) << metrics_on;
-    for (const auto& [key, fused] : expected) {
-      const auto q = fusion.query(key);
-      ASSERT_TRUE(q.has_value());
-      EXPECT_EQ(q->mean_kmh, fused.mean_kmh);
-      EXPECT_EQ(q->variance, fused.variance);
-      EXPECT_EQ(q->updated_at, fused.updated_at);
-      EXPECT_EQ(q->observation_count, fused.observation_count);
-    }
-    if (metrics_on) {
-      EXPECT_GT(service.shard_metrics().counters.at("ingest.shard.overflowed"),
-                0u);
     }
   }
 }
@@ -467,11 +348,28 @@ TEST(ShardedIngestConfigValidation, RejectsNonsense) {
   EXPECT_THROW(
       ShardedIngestService(bed.world.city(), bed.database, {}, zero_shards),
       std::invalid_argument);
-  ShardedIngestConfig zero_ring;
-  zero_ring.ring_capacity = 0;
+  ShardedIngestConfig zero_queue;
+  zero_queue.queue_capacity = 0;
   EXPECT_THROW(
-      ShardedIngestService(bed.world.city(), bed.database, {}, zero_ring),
+      ShardedIngestService(bed.world.city(), bed.database, {}, zero_queue),
       std::invalid_argument);
+}
+
+// After shutdown(): closed, late uploads refused with the explicit reason
+// and counted, and a second shutdown() is a no-op.
+void expect_late_upload_refused(ShardedIngestService& service,
+                                const TripUpload& late_upload,
+                                std::size_t processed) {
+  EXPECT_TRUE(service.closed());
+  EXPECT_EQ(service.queue_depth(), 0u);
+  const TripReport late = service.process_trip(late_upload);
+  EXPECT_EQ(late.outcome, IngestOutcome::kRejected);
+  EXPECT_EQ(late.reject_reason, RejectReason::kShutdown);
+  EXPECT_EQ(
+      service.shard_metrics().counters.at("ingest.shard.rejected_shutdown"),
+      1u);
+  service.shutdown();  // idempotent
+  EXPECT_EQ(service.trips_processed(), processed);
 }
 
 TEST(ShardedIngest, PartitionIsStableAndShutdownRejectsLateUploads) {
@@ -496,63 +394,90 @@ TEST(ShardedIngest, PartitionIsStableAndShutdownRejectsLateUploads) {
   const MetricsSnapshot sm = service.shard_metrics();
   EXPECT_EQ(sm.counters.at("ingest.shard.enqueued"), uploads.size());
   EXPECT_EQ(sm.counters.at("ingest.shard.processed"), uploads.size());
-  EXPECT_EQ(sm.counters.at("ingest.shard.rejected_ring_full"), 0u);
+  EXPECT_EQ(sm.counters.at("ingest.shard.rejected_queue_full"), 0u);
   EXPECT_EQ(sm.counters.at("ingest.shard.worker_errors"), 0u);
 
   service.shutdown();
-  EXPECT_TRUE(service.closed());
-  const TripReport late = service.process_trip(uploads[0]);
-  EXPECT_EQ(late.outcome, IngestOutcome::kRejected);
-  EXPECT_EQ(late.reject_reason, RejectReason::kShutdown);
-  EXPECT_EQ(
-      service.shard_metrics().counters.at("ingest.shard.rejected_shutdown"),
-      1u);
-  service.shutdown();  // idempotent
-  EXPECT_EQ(service.trips_processed(), uploads.size());
+  expect_late_upload_refused(service, uploads[0], uploads.size());
 }
 
-TEST(ShardedIngest, ShutdownUnderProducerLoadLosesNoAcceptedUpload) {
+// shutdown() with no drain() first is still graceful: everything queued
+// before it is analysed.
+TEST(IngestShutdown, DrainsQueueAndRejectsLateUploads) {
   const Testbed& bed = testbed();
-  const auto& uploads = nonempty_uploads();
+  ShardedIngestService service(bed.world.city(), bed.database);
+  const std::size_t n = std::min<std::size_t>(bed.trips.size(), 20);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(service.process_trip(bed.trips[i].upload).accepted());
+  }
+  service.shutdown();
+  EXPECT_EQ(service.trips_processed(), n);
+  expect_late_upload_refused(service, bed.trips[0].upload, n);
+}
+
+// Shutdown while producers hammer tiny inboxes: each upload is either
+// processed or refused — under kBlock only with kShutdown (a blocked
+// producer is released, never stranded), under kReject with kShutdown or
+// kQueueFull — and every refusal is counted.
+void check_shutdown_under_producer_load(Backpressure policy) {
+  const Testbed& bed = testbed();
   for (int round = 0; round < 3; ++round) {
     ShardedIngestConfig svc;
-    svc.shards = 4;
-    svc.ring_capacity = 4;
-    svc.backpressure = ShardedIngestConfig::Backpressure::kReject;
+    svc.shards = 3;
+    svc.queue_capacity = 2;
+    svc.backpressure = policy;
     auto service = std::make_unique<ShardedIngestService>(
         bed.world.city(), bed.database, ServerConfig{}, svc);
     std::atomic<std::size_t> accepted{0}, rejected{0};
     std::vector<std::thread> producers;
     for (int p = 0; p < 4; ++p) {
       producers.emplace_back([&, p] {
-        for (std::size_t i = static_cast<std::size_t>(p); i < uploads.size();
-             i += 4) {
-          if (service->process_trip(uploads[i]).accepted()) {
+        for (std::size_t i = static_cast<std::size_t>(p);
+             i < bed.trips.size(); i += 4) {
+          const TripReport r = service->process_trip(bed.trips[i].upload);
+          if (r.accepted()) {
             ++accepted;
+            continue;
+          }
+          ++rejected;
+          if (policy == Backpressure::kBlock) {
+            EXPECT_EQ(r.reject_reason, RejectReason::kShutdown);
           } else {
-            ++rejected;
+            EXPECT_TRUE(r.reject_reason == RejectReason::kShutdown ||
+                        r.reject_reason == RejectReason::kQueueFull);
           }
         }
       });
     }
-    // Tear the service down while producers are still hammering it; every
+    // Tear the service down while producers are still feeding it; every
     // upload that was told kQueued must still reach the pipeline.
     service->shutdown();
     for (std::thread& t : producers) t.join();
-    EXPECT_EQ(accepted.load() + rejected.load(), uploads.size());
+    EXPECT_EQ(accepted.load() + rejected.load(), bed.trips.size());
     EXPECT_EQ(service->trips_processed(), accepted.load());
     const MetricsSnapshot sm = service->shard_metrics();
     EXPECT_EQ(sm.counters.at("ingest.shard.processed"), accepted.load());
-    EXPECT_EQ(sm.counters.at("ingest.shard.rejected_ring_full") +
+    EXPECT_EQ(sm.counters.at("ingest.shard.rejected_queue_full") +
                   sm.counters.at("ingest.shard.rejected_shutdown"),
               rejected.load());
+    if (policy == Backpressure::kBlock) {
+      EXPECT_EQ(sm.counters.at("ingest.shard.rejected_queue_full"), 0u);
+    }
   }
+}
+
+TEST(IngestShutdown, UnderProducerLoadLosesNoAcceptedUpload) {
+  check_shutdown_under_producer_load(Backpressure::kBlock);
+}
+
+TEST(ShardedIngest, ShutdownUnderProducerLoadLosesNoAcceptedUpload) {
+  check_shutdown_under_producer_load(Backpressure::kReject);
 }
 
 // The tentpole property: the sharded path must fuse bit-identically to the
 // serial TrafficServer at every shard count, with admission and metrics
-// each on and off, under multi-producer feeding.
-TEST(ShardedIngestDeterminism, BitIdenticalToSerialAcrossShardsAdmissionMetrics) {
+// each on and off, fed by `producer_count` concurrent producers.
+void check_bit_identical_to_serial(std::size_t producer_count) {
   const Testbed& bed = testbed();
   const auto& uploads = nonempty_uploads();
   ASSERT_GT(uploads.size(), 30u);
@@ -572,14 +497,14 @@ TEST(ShardedIngestDeterminism, BitIdenticalToSerialAcrossShardsAdmissionMetrics)
         cfg.admission.enabled = admission_enabled;
         ShardedIngestConfig svc;
         svc.shards = shards;
-        svc.ring_capacity = 8;  // tiny: exercises blocking backpressure
-        ShardedIngestService service(bed.world.city(), bed.database, cfg, svc);
+        svc.queue_capacity = 8;  // tiny: exercises blocking backpressure
+        ShardedIngestService service(bed.world.city(), bed.database, cfg,
+                                     svc);
 
         std::vector<std::thread> producers;
-        for (int p = 0; p < 3; ++p) {
+        for (std::size_t p = 0; p < producer_count; ++p) {
           producers.emplace_back([&, p] {
-            for (std::size_t i = static_cast<std::size_t>(p);
-                 i < uploads.size(); i += 3) {
+            for (std::size_t i = p; i < uploads.size(); i += producer_count) {
               ASSERT_TRUE(service.process_trip(uploads[i]).accepted());
             }
           });
@@ -587,9 +512,11 @@ TEST(ShardedIngestDeterminism, BitIdenticalToSerialAcrossShardsAdmissionMetrics)
         for (std::thread& t : producers) t.join();
         service.advance_time(end);
 
-        const std::string label = std::to_string(shards) + " shards, metrics " +
-                                  (metrics_on ? "on" : "off") + ", admission " +
-                                  (admission_enabled ? "on" : "off");
+        const std::string label =
+            std::to_string(shards) + " shards, " +
+            std::to_string(producer_count) + " producers, metrics " +
+            (metrics_on ? "on" : "off") + ", admission " +
+            (admission_enabled ? "on" : "off");
         EXPECT_EQ(service.trips_processed(), uploads.size()) << label;
         const auto got = service.backend().fusion().all();
         ASSERT_EQ(got.size(), expected.size()) << label;
@@ -606,7 +533,8 @@ TEST(ShardedIngestDeterminism, BitIdenticalToSerialAcrossShardsAdmissionMetrics)
           const MetricsSnapshot sm = service.shard_metrics();
           EXPECT_EQ(sm.counters.at("ingest.shard.enqueued"), uploads.size())
               << label;
-          EXPECT_EQ(sm.counters.at("ingest.shard.processed"), uploads.size())
+          EXPECT_EQ(sm.counters.at("ingest.shard.processed"),
+                    uploads.size())
               << label;
           if (admission_enabled) {
             EXPECT_EQ(sm.counters.at("ingest.admitted"), uploads.size())
@@ -618,6 +546,16 @@ TEST(ShardedIngestDeterminism, BitIdenticalToSerialAcrossShardsAdmissionMetrics)
       }
     }
   }
+}
+
+TEST(ShardedIngestDeterminism, BitIdenticalToSerialAcrossShardsAdmissionMetrics) {
+  check_bit_identical_to_serial(3);
+}
+
+// More producers than the service has shards or inbox slots, so producers
+// queue behind each other on the shard locks and block for room.
+TEST(IngestDeterminism, QueuedPathBitIdenticalToSerial) {
+  check_bit_identical_to_serial(20);
 }
 
 // Cross-shard merge determinism: interleave advance_time with trip bursts,
@@ -650,7 +588,7 @@ TEST(ShardedIngestDeterminism, CrossShardMergeByteIdenticalAcrossReshuffledRuns)
   for (int run = 0; run < 20; ++run) {
     ShardedIngestConfig svc;
     svc.shards = std::size_t{1} << (run % 4);  // 1, 2, 4, 8
-    svc.ring_capacity = 16;
+    svc.queue_capacity = 16;
     ShardedIngestService service(bed.world.city(), bed.database, cfg, svc);
 
     Rng rng(static_cast<std::uint64_t>(900 + run));

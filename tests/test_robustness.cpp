@@ -135,7 +135,7 @@ TEST(Robustness, NegativeAndHugeTimestamps) {
 
 // -------------------------------------------------------------- concurrency
 
-TEST(ConcurrentServer, MatchesSerialResults) {
+TEST(ShardedRobustness, MatchesSerialResults) {
   const Testbed& bed = testbed();
   Rng rng(9);
   const auto day = bed.world.simulate_day(0, 1.5, rng);
@@ -175,7 +175,7 @@ TEST(ConcurrentServer, MatchesSerialResults) {
   EXPECT_EQ(fusion.all().size(), serial_all.size());
 }
 
-TEST(ConcurrentServer, SnapshotWhileIngesting) {
+TEST(ShardedRobustness, SnapshotWhileIngesting) {
   const Testbed& bed = testbed();
   Rng rng(10);
   const auto day = bed.world.simulate_day(0, 1.0, rng);
@@ -198,7 +198,7 @@ TEST(ConcurrentServer, SnapshotWhileIngesting) {
       server.snapshot(at_clock(0, 20, 0), 24 * kHour).segments().empty());
 }
 
-TEST(ConcurrentServer, AnalyzeIsPure) {
+TEST(ShardedRobustness, AnalyzeIsPure) {
   const Testbed& bed = testbed();
   TrafficServer server(bed.world.city(), bed.database);
   const AnnotatedTrip trip = good_trip(11);
