@@ -51,12 +51,14 @@
 #
 # Optional LOD metropolis stage: BUSSENSE_LOD=ON ./scripts/tier1.sh builds
 # the tiered-fidelity simulation suites (test_lod_world + the metropolis
-# golden band) under ASan+UBSan, byte-diffs two same-seed lod_cityweek
-# trip streams generated at different thread counts, then runs the
-# million-rider city-week determinism + replay bench through the ctest
-# `bench` label in a separate build-lod/ tree (so the fast gate's build/
-# never flips BUSSENSE_BENCH_TESTS). Off by default -- the long run takes
-# ~10 minutes on a single-core host.
+# golden band) and the scan equivalence suite (test_sensing_perf: scan
+# sites, the tower index and the shadow-node memo, which LodWorld's
+# per-stop site table indexes through) under ASan+UBSan, byte-diffs two
+# same-seed lod_cityweek trip streams generated at different thread
+# counts, then runs the million-rider city-week determinism + replay
+# bench through the ctest `bench` label in a separate build-lod/ tree (so
+# the fast gate's build/ never flips BUSSENSE_BENCH_TESTS). Off by default
+# -- the long run takes ~10 minutes on a single-core host.
 #
 # Optional benchmark smoke stage: BUSSENSE_PERFBENCH=ON ./scripts/tier1.sh
 # runs perfbench/smoke_test.py -- a reduced-size run of every BENCHMARK.json
@@ -173,10 +175,11 @@ if [[ "${BUSSENSE_SERVING:-}" == "ON" ]]; then
 fi
 
 if [[ "${BUSSENSE_LOD:-}" == "ON" ]]; then
-  begin_stage "ASan+UBSan LOD suites (test_lod_world, metropolis golden)"
+  begin_stage "ASan+UBSan LOD suites (test_lod_world, test_sensing_perf, metropolis golden)"
   cmake -B build-asan -S . -DBUSSENSE_SANITIZE=address,undefined
-  cmake --build build-asan -j --target test_lod_world test_golden_accuracy
+  cmake --build build-asan -j --target test_lod_world test_sensing_perf test_golden_accuracy
   ./build-asan/tests/test_lod_world
+  ./build-asan/tests/test_sensing_perf
   ./build-asan/tests/test_golden_accuracy --gtest_filter='*Metropolis*'
   end_stage
   begin_stage "deterministic-seed re-run byte diff (lod_cityweek)"

@@ -29,10 +29,18 @@ struct NodeCacheEntry {
 };
 constexpr std::size_t kNodeCacheSize = 8192;  // power of two, ~128 KiB/thread
 
+// Slot i starts with key i + 1, which maps to the next slot, so no hash can
+// hit a cold slot: every lookup is a true hit or a recompute, and the memo
+// never changes a result, whatever the thread computed before.
+std::vector<NodeCacheEntry> cold_node_cache() {
+  std::vector<NodeCacheEntry> cache(kNodeCacheSize);
+  for (std::size_t i = 0; i < kNodeCacheSize; ++i) cache[i].key = i + 1;
+  return cache;
+}
+
 double cached_hashed_normal(std::uint64_t h) {
-  thread_local std::vector<NodeCacheEntry> cache(kNodeCacheSize);
+  thread_local std::vector<NodeCacheEntry> cache = cold_node_cache();
   NodeCacheEntry& e = cache[h & (kNodeCacheSize - 1)];
-  // Key 0 marks an empty slot; h == 0 itself just recomputes every time.
   if (e.key != h) {
     e.key = h;
     e.deviate = hashed_normal(h);
@@ -108,13 +116,6 @@ double RadioEnvironment::temporal_noise_db(CellId tower, std::uint64_t scan_key,
   const double sigma = std::hypot(config_.temporal_sigma_db, extra_noise_db);
   const double c = config_.noise_clamp_sigmas;
   return std::clamp(hashed_normal(h), -c, c) * sigma;
-}
-
-double RadioEnvironment::sample_rss_dbm(const CellTower& tower, Point p,
-                                        std::uint64_t scan_key,
-                                        double extra_noise_db) const {
-  return mean_rss_dbm(tower, p) +
-         temporal_noise_db(tower.id, scan_key, extra_noise_db);
 }
 
 double RadioEnvironment::reach_radius_m(double tx_power_dbm,

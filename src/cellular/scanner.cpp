@@ -41,28 +41,20 @@ void CellScanner::bind_metrics(MetricsRegistry* registry) {
   accepted_ = &registry->counter("scanner.towers_accepted");
 }
 
-std::vector<CellObservation> CellScanner::scan(const RadioEnvironment& env,
-                                               Point p, Rng& rng, bool in_bus,
-                                               ScanStats* stats) const {
-  const double extra = in_bus ? config_.in_bus_noise_db : 0.0;
-  // One engine draw keys every tower's temporal deviate for this scan, so
-  // the caller's rng stream advances identically on both paths.
-  const std::uint64_t scan_key = rng.engine()();
-
-  ScanStats local;
-  const bool counting = stats != nullptr || scans_ != nullptr;
-  local.towers_considered = env.towers().size();
-
-  std::vector<CellObservation> seen;
+void CellScanner::fill_site(const RadioEnvironment& env, Point p, bool in_bus,
+                            ScanSite& out) const {
+  out.in_bus = in_bus;
+  out.candidates.clear();
   if (config_.accel.use_index && index_usable(env)) {
-    thread_local std::vector<std::uint32_t> candidates;
+    const double extra = in_bus ? config_.in_bus_noise_db : 0.0;
+    thread_local std::vector<std::uint32_t> reach;
     env.tower_index().query(
-        p, env.max_reach_radius_m(config_.sensitivity_dbm, extra), candidates);
-    local.reach_candidates = candidates.size();
+        p, env.max_reach_radius_m(config_.sensitivity_dbm, extra), reach);
+    out.reach_candidates = reach.size();
     const double noise_bound =
         env.config().noise_clamp_sigmas *
         std::hypot(env.config().temporal_sigma_db, extra);
-    for (const std::uint32_t i : candidates) {
+    for (const std::uint32_t i : reach) {
       const CellTower& tower = env.towers()[i];
       // The mean already contains the (clamped) shadowing, so mean + the
       // clamped temporal bound is a sound per-tower RSS upper bound; a
@@ -70,23 +62,44 @@ std::vector<CellObservation> CellScanner::scan(const RadioEnvironment& env,
       // is free of side effects because the deviate is counter-based.
       const double mean = env.mean_rss_dbm(tower, p);
       if (mean + noise_bound < config_.sensitivity_dbm) continue;
-      ++local.towers_accepted;
-      const double rss = mean + env.temporal_noise_db(tower.id, scan_key, extra);
-      if (rss >= config_.sensitivity_dbm) {
-        seen.push_back(CellObservation{tower.id, rss});
-      }
+      out.candidates.push_back({tower.id, mean});
     }
   } else {
-    local.reach_candidates = env.towers().size();
+    out.reach_candidates = env.towers().size();
     for (const CellTower& tower : env.towers()) {
-      ++local.towers_accepted;
-      const double rss = env.sample_rss_dbm(tower, p, scan_key, extra);
-      if (rss >= config_.sensitivity_dbm) {
-        seen.push_back(CellObservation{tower.id, rss});
-      }
+      out.candidates.push_back({tower.id, env.mean_rss_dbm(tower, p)});
     }
   }
-  if (counting) {
+}
+
+ScanSite CellScanner::site(const RadioEnvironment& env, Point p,
+                           bool in_bus) const {
+  ScanSite out;
+  fill_site(env, p, in_bus, out);
+  return out;
+}
+
+std::vector<CellObservation> CellScanner::scan(const RadioEnvironment& env,
+                                               const ScanSite& site, Rng& rng,
+                                               ScanStats* stats) const {
+  const double extra = site.in_bus ? config_.in_bus_noise_db : 0.0;
+  // One engine draw keys every tower's temporal deviate for this scan, so
+  // the caller's rng stream advances identically on both paths.
+  const std::uint64_t scan_key = rng.engine()();
+
+  std::vector<CellObservation> seen;
+  for (const ScanSite::Candidate& c : site.candidates) {
+    const double rss =
+        c.mean_rss_dbm + env.temporal_noise_db(c.id, scan_key, extra);
+    if (rss >= config_.sensitivity_dbm) {
+      seen.push_back(CellObservation{c.id, rss});
+    }
+  }
+  if (stats != nullptr || scans_ != nullptr) {
+    ScanStats local;
+    local.towers_considered = env.towers().size();
+    local.reach_candidates = site.reach_candidates;
+    local.towers_accepted = site.candidates.size();
     local.towers_pruned = local.towers_considered - local.towers_accepted;
     if (stats) *stats = local;
     if (scans_) {
@@ -106,10 +119,24 @@ std::vector<CellObservation> CellScanner::scan(const RadioEnvironment& env,
   return seen;
 }
 
+std::vector<CellObservation> CellScanner::scan(const RadioEnvironment& env,
+                                               Point p, Rng& rng, bool in_bus,
+                                               ScanStats* stats) const {
+  thread_local ScanSite site_buffer;
+  fill_site(env, p, in_bus, site_buffer);
+  return scan(env, site_buffer, rng, stats);
+}
+
 Fingerprint CellScanner::scan_fingerprint(const RadioEnvironment& env, Point p,
                                           Rng& rng, bool in_bus,
                                           ScanStats* stats) const {
   return make_fingerprint(scan(env, p, rng, in_bus, stats));
+}
+
+Fingerprint CellScanner::scan_fingerprint(const RadioEnvironment& env,
+                                          const ScanSite& site, Rng& rng,
+                                          ScanStats* stats) const {
+  return make_fingerprint(scan(env, site, rng, stats));
 }
 
 }  // namespace bussense

@@ -11,6 +11,12 @@
 // and is bit-identical to the brute-force loop over every deployed tower —
 // any skipped tower provably cannot clear the sensitivity threshold.
 // `accel.use_index = false` keeps the brute-force scan for the ablations.
+//
+// A scan is two halves. The position-only half (a ScanSite: reach
+// candidates, their long-term mean RSS, the prune) depends only on where
+// the phone is; the per-scan half draws the scan key and adds the temporal
+// deviates. A caller that scans one fixed point many times — a route stop
+// — builds its site once and pays only for the temporal half per scan.
 #pragma once
 
 #include <vector>
@@ -63,15 +69,41 @@ struct ScanStats {
   }
 };
 
+/// The position-only half of a scan at one point: the towers that survive
+/// the reach disk and the RSS upper-bound prune, each with its long-term
+/// mean RSS (path loss + static shadowing). On the brute-force path every
+/// deployed tower is a candidate. A site is only valid with the scanner
+/// configuration and environment that built it.
+struct ScanSite {
+  struct Candidate {
+    CellId id = 0;
+    double mean_rss_dbm = 0.0;
+  };
+  std::vector<Candidate> candidates;  ///< in tower-index order
+  std::size_t reach_candidates = 0;   ///< towers inside the reach disk
+  bool in_bus = false;
+};
+
 class CellScanner {
  public:
   explicit CellScanner(ScannerConfig config = {}) : config_(config) {
     config_.validate();
   }
 
-  /// Scans at `p`. `in_bus` adds the in-bus noise term. Result is sorted by
-  /// descending RSS (ties by ascending cell id). Consumes exactly one draw
-  /// from `rng` (the per-scan noise key) on either path.
+  /// The position-only half of a scan at `p` (`in_bus` widens the reach
+  /// disk and the prune bound by the in-bus noise term). Draws nothing.
+  ScanSite site(const RadioEnvironment& env, Point p, bool in_bus = false) const;
+
+  /// Scans a prebuilt site: draws the per-scan noise key, adds each
+  /// candidate's temporal deviate, keeps those above the sensitivity and
+  /// truncates to max_towers. Result is sorted by descending RSS (ties by
+  /// ascending cell id). Consumes exactly one draw from `rng`.
+  std::vector<CellObservation> scan(const RadioEnvironment& env,
+                                    const ScanSite& site, Rng& rng,
+                                    ScanStats* stats = nullptr) const;
+
+  /// scan(env, site(env, p, in_bus), rng, stats), through a thread-local
+  /// site buffer. Identical on the indexed and the brute-force path.
   std::vector<CellObservation> scan(const RadioEnvironment& env, Point p,
                                     Rng& rng, bool in_bus = false,
                                     ScanStats* stats = nullptr) const;
@@ -79,6 +111,9 @@ class CellScanner {
   /// Convenience: scan and convert to an ordered fingerprint.
   Fingerprint scan_fingerprint(const RadioEnvironment& env, Point p, Rng& rng,
                                bool in_bus = false,
+                               ScanStats* stats = nullptr) const;
+  Fingerprint scan_fingerprint(const RadioEnvironment& env,
+                               const ScanSite& site, Rng& rng,
                                ScanStats* stats = nullptr) const;
 
   /// Accumulates every scan's ScanStats into `registry` (counters
@@ -91,6 +126,9 @@ class CellScanner {
   const ScannerConfig& config() const { return config_; }
 
  private:
+  void fill_site(const RadioEnvironment& env, Point p, bool in_bus,
+                 ScanSite& out) const;
+
   ScannerConfig config_;
   // Cached instrument handles (null when unbound). The registry outlives
   // the scanner by contract.

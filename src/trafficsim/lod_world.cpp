@@ -74,6 +74,15 @@ LodWorld::LodWorld(const World& world, std::int64_t riders, LodConfig config)
   config_.validate();
   assign_tiers();
 
+  for (const BusRoute& route : world_->city().routes()) {
+    route_first_site_.push_back(stop_sites_.size());
+    for (int k = 0; k < static_cast<int>(route.stop_count()); ++k) {
+      stop_sites_.push_back(world_->scanner().site(
+          world_->radio(), route.path().point_at(route.stop_arc(k)),
+          /*in_bus=*/true));
+    }
+  }
+
   // Supremum of the weekly load curve, for departure rejection sampling.
   // One-minute scan over the week; the curve is smooth at that scale.
   double max_load = 0.0;
@@ -360,10 +369,11 @@ AnnotatedTrip LodWorld::onrails_trip(const BusRoute& route, int board,
 
     if (k >= board && k <= alight && event_channel_.delivered(rng)) {
       const SimTime sample_t = t + bus.tap_start_offset_s;
-      const Point pos = route.path().point_at(arc);
+      const ScanSite& site =
+          stop_sites_[route_first_site_[static_cast<std::size_t>(route.id())] +
+                      static_cast<std::size_t>(k)];
       Fingerprint fp = world_->apply_churn(
-          world_->scanner().scan_fingerprint(world_->radio(), pos, rng,
-                                             /*in_bus=*/true),
+          world_->scanner().scan_fingerprint(world_->radio(), site, rng),
           sample_t);
       trip.upload.samples.push_back(CellularSample{sample_t, std::move(fp)});
       trip.truth.sample_stops.push_back(stop);

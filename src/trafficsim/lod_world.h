@@ -206,6 +206,11 @@ class LodWorld {
   LodConfig config_;
   EventChannel event_channel_;
   std::vector<std::uint8_t> tiers_;
+  /// In-bus scan site of every (route, stop index), routes in id order:
+  /// OnRails samples always scan at a stop, so the position-only half of
+  /// their scans is computed once here (DESIGN.md §15).
+  std::vector<ScanSite> stop_sites_;
+  std::vector<std::size_t> route_first_site_;  ///< by route id
   LodCensus census_;
   double max_load_factor_ = 1.0;
   mutable std::atomic<std::uint64_t> planned_{0};

@@ -107,6 +107,17 @@ TEST(LodDeterminism, DayStreamByteIdenticalAtAnyThreadCount) {
   }
 }
 
+// The day stream is the input every LOD benchmark replays, so optimising
+// the generator must not move it: a drifted stream would make before/after
+// benchmark numbers measure different workloads. The digest was taken
+// before the per-stop scan sites existed. Re-pinning it needs a reason
+// stated in CHANGES.md.
+TEST(LodDeterminism, DayStreamDigestPinned) {
+  const std::vector<LodTrip> trips = small_lod().simulate_day(0, nullptr);
+  EXPECT_EQ(trips.size(), 1818u);
+  EXPECT_EQ(LodWorld::stream_digest(trips), 0x56d54bcd3130270fULL);
+}
+
 TEST(LodDeterminism, StreamSortedByArrival) {
   const std::vector<LodTrip> trips = small_lod().simulate_day(0, nullptr);
   for (std::size_t i = 1; i < trips.size(); ++i) {

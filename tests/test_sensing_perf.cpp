@@ -4,9 +4,12 @@
 // the benches claim speedups without changing any downstream number.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <set>
+#include <thread>
 
 #include "cellular/deployment.h"
 #include "cellular/scanner.h"
@@ -66,6 +69,84 @@ TEST_P(ScanEquivalence, IndexedMatchesBruteForceBitForBit) {
   }
 }
 
+// The scan contract written out with no scanner code: every tower's mean
+// plus its temporal deviate under the scan key, filtered by sensitivity,
+// sorted by descending RSS (ties by id) and truncated.
+std::vector<CellObservation> reference_scan(const RadioEnvironment& env,
+                                            const ScannerConfig& cfg, Point p,
+                                            bool in_bus, std::uint64_t key) {
+  const double extra = in_bus ? cfg.in_bus_noise_db : 0.0;
+  std::vector<CellObservation> out;
+  for (const CellTower& tower : env.towers()) {
+    const double rss =
+        env.mean_rss_dbm(tower, p) + env.temporal_noise_db(tower.id, key, extra);
+    if (rss >= cfg.sensitivity_dbm) out.push_back(CellObservation{tower.id, rss});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const CellObservation& a, const CellObservation& b) {
+              return a.rss_dbm != b.rss_dbm ? a.rss_dbm > b.rss_dbm : a.id < b.id;
+            });
+  if (out.size() > cfg.max_towers) out.resize(cfg.max_towers);
+  return out;
+}
+
+// One site, built once, scanned many times (how LodWorld scans its route
+// stops) must report exactly what a brute-force scan at the same point
+// reports, draw the same rng and count the same ScanStats as a point scan.
+TEST_P(ScanEquivalence, SiteScanMatchesBruteForceBitForBit) {
+  Rng meta(GetParam() ^ 0x5173u);
+  Rng deploy_rng(meta.engine()());
+  const auto towers = deploy_towers({{0.0, 0.0}, {6000.0, 4000.0}},
+                                    DeploymentConfig{}, deploy_rng);
+  const RadioEnvironment env(towers, PropagationConfig{}, meta.engine()());
+  ScannerConfig brute_cfg;
+  brute_cfg.accel.use_index = false;
+  const CellScanner indexed;
+  const CellScanner brute(brute_cfg);
+
+  for (int point = 0; point < 12; ++point) {
+    const Point p{meta.uniform(-300.0, 6300.0), meta.uniform(-300.0, 4300.0)};
+    for (const bool in_bus : {false, true}) {
+      const ScanSite site = indexed.site(env, p, in_bus);
+      const ScanSite brute_site = brute.site(env, p, in_bus);
+      EXPECT_EQ(site.in_bus, in_bus);
+      EXPECT_LE(site.candidates.size(), site.reach_candidates);
+      EXPECT_EQ(brute_site.candidates.size(), towers.size());
+
+      const std::uint64_t scan_seed = meta.engine()();
+      Rng rng_site(scan_seed), rng_point(scan_seed), rng_brute(scan_seed),
+          rng_brute_site(scan_seed), rng_key(scan_seed);
+      for (int s = 0; s < 25; ++s) {
+        ScanStats site_stats, point_stats;
+        const auto a = indexed.scan(env, site, rng_site, &site_stats);
+        const auto b = indexed.scan(env, p, rng_point, in_bus, &point_stats);
+        const auto c = brute.scan(env, p, rng_brute, in_bus);
+        const auto d = brute.scan(env, brute_site, rng_brute_site);
+        const auto want =
+            reference_scan(env, indexed.config(), p, in_bus, rng_key.engine()());
+        for (const auto* got : {&a, &b, &c, &d}) {
+          ASSERT_EQ(got->size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ((*got)[i].id, want[i].id);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>((*got)[i].rss_dbm),
+                      std::bit_cast<std::uint64_t>(want[i].rss_dbm));
+          }
+        }
+        EXPECT_EQ(site_stats.towers_considered, point_stats.towers_considered);
+        EXPECT_EQ(site_stats.reach_candidates, point_stats.reach_candidates);
+        EXPECT_EQ(site_stats.towers_pruned, point_stats.towers_pruned);
+        EXPECT_EQ(site_stats.towers_accepted, point_stats.towers_accepted);
+        EXPECT_EQ(site_stats.towers_accepted, site.candidates.size());
+      }
+      // Every path consumes exactly one draw per scan.
+      const std::uint64_t next = rng_brute.engine()();
+      EXPECT_EQ(rng_site.engine()(), next);
+      EXPECT_EQ(rng_point.engine()(), next);
+      EXPECT_EQ(rng_brute_site.engine()(), next);
+    }
+  }
+}
+
 TEST_P(ScanEquivalence, WorldScanStopWithChurnIsIndexInvariant) {
   WorldConfig base;
   base.city.route_names = {"79", "243"};
@@ -95,6 +176,53 @@ TEST_P(ScanEquivalence, WorldScanStopWithChurnIsIndexInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScanEquivalence,
                          ::testing::Values(1u, 7u, 42u, 1337u));
+
+// ------------------------------------------------------ shadow-node memo
+
+// Inverse of mix64 (common/rng.h): undo each xorshift and odd multiply.
+std::uint64_t unxorshift(std::uint64_t y, int shift) {
+  std::uint64_t x = y;
+  for (int i = 0; i < 64 / shift + 1; ++i) x = y ^ (x >> shift);
+  return x;
+}
+std::uint64_t inverse_odd(std::uint64_t c) {
+  std::uint64_t inv = c;  // Newton: each step doubles the correct low bits
+  for (int i = 0; i < 6; ++i) inv *= 2 - c * inv;
+  return inv;
+}
+std::uint64_t unmix64(std::uint64_t y) {
+  std::uint64_t x = unxorshift(y, 31) * inverse_odd(0x94d049bb133111ebULL);
+  x = unxorshift(x, 27) * inverse_odd(0xbf58476d1ce4e5b9ULL);
+  return unxorshift(x, 30) - 0x9e3779b97f4a7c15ULL;
+}
+
+// Terrain seed whose shadow node (tower, 0, 0) hashes to `node_hash`: the
+// node hash is mix64(mix64(mix64(seed ^ tower) ^ 0) ^ 0) at gx = gy = 0.
+std::uint64_t seed_for_node_hash(CellId tower, std::uint64_t node_hash) {
+  return unmix64(unmix64(unmix64(node_hash))) ^ static_cast<std::uint64_t>(tower);
+}
+
+TEST(ShadowMemo, NodeHashZeroReadsTheSameOnColdAndWarmThreads) {
+  ASSERT_EQ(mix64(unmix64(0x0123456789abcdefULL)), 0x0123456789abcdefULL);
+  const CellTower tower{7, {300.0, 200.0}, 43.0};
+  // Node (7, 0, 0) hashes to 0 here; a point inside grid cell (0, 0)
+  // interpolates it with weight ~0.6.
+  const RadioEnvironment env({tower}, PropagationConfig{},
+                             seed_for_node_hash(tower.id, 0));
+  // Here the same node hashes to 2^40, which lands in the memo's slot 0
+  // too (any power-of-two table up to 2^40 slots).
+  const RadioEnvironment other({tower}, PropagationConfig{},
+                               seed_for_node_hash(tower.id, 1ULL << 40));
+  const Point p{10.0, 10.0};
+
+  double cold = 0.0, warm = 0.0;
+  std::thread([&] { cold = env.mean_rss_dbm(tower, p); }).join();
+  std::thread([&] {
+    (void)other.mean_rss_dbm(tower, p);
+    warm = env.mean_rss_dbm(tower, p);
+  }).join();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cold), std::bit_cast<std::uint64_t>(warm));
+}
 
 TEST(TowerIndex, QueryMatchesLinearScan) {
   Rng rng(5);
