@@ -69,9 +69,8 @@ std::vector<SizedWorld>& worlds() {
   return w;
 }
 
-// Replays `trips` through any TrafficIngestor front end and returns
-// trips/second.
-double replay_trips_per_s(TrafficIngestor& server,
+// Replays `trips` through the serial server and returns trips/second.
+double replay_trips_per_s(TrafficServer& server,
                           const std::vector<AnnotatedTrip>& trips) {
   const auto start = std::chrono::steady_clock::now();
   for (const AnnotatedTrip& trip : trips) server.process_trip(trip.upload);

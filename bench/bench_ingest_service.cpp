@@ -12,9 +12,9 @@
 //      layer on vs off (the instruments are relaxed atomics; the contract
 //      is <= 5% overhead);
 //   3. durability cost — the WAL fsync-policy ladder (off / kNever /
-//      kInterval(256) / kEveryRecord) on the serial server; the contract
-//      is <= 10% overhead for kInterval, the recommended deployment
-//      setting;
+//      kInterval(256) / kEveryRecord) on a 1-shard service, the durable
+//      serial path; the contract is <= 10% overhead for kInterval, the
+//      recommended deployment setting;
 //   4. the LOD city-week — determinism of the metropolis generator and
 //      its replay throughput through the sharded service.
 //
@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -113,9 +114,12 @@ double serial_round(bool metrics_on) {
          std::max(seconds_since(start), 1e-9);
 }
 
-// One timed serial replay with the write-ahead trip log enabled under the
-// given fsync policy (fresh log directory per round); returns trips/s.
-double durable_round(FsyncPolicy policy) {
+// One timed replay through a 1-shard service — the durable serial path —
+// with the write-ahead trip log under the given fsync policy (fresh log
+// directory per round), or without it for `policy` == nullopt. The span
+// ends at drain(), once every upload is analysed, logged and folded.
+// Returns trips/s.
+double durable_round(std::optional<FsyncPolicy> policy) {
   const Testbed& bed = testbed();
   const auto& trips = bench_trips();
   static int round_no = 0;
@@ -124,32 +128,37 @@ double durable_round(FsyncPolicy policy) {
       ("bussense_bench_wal_" + std::to_string(++round_no));
   std::filesystem::remove_all(dir);
   ServerConfig cfg;
-  cfg.durability.enabled = true;
-  cfg.durability.directory = dir.string();
-  cfg.durability.fsync = policy;
-  TrafficServer server(bed.world.city(), bed.database, cfg);
-  server.open();
+  if (policy) {
+    cfg.durability.enabled = true;
+    cfg.durability.directory = dir.string();
+    cfg.durability.fsync = *policy;
+  }
+  ShardedIngestConfig one_shard;
+  one_shard.shards = 1;
+  ShardedIngestService service(bed.world.city(), bed.database, cfg, one_shard);
+  service.open();
   const auto start = std::chrono::steady_clock::now();
-  for (const AnnotatedTrip& trip : trips) server.process_trip(trip.upload);
+  for (const AnnotatedTrip& trip : trips) service.process_trip(trip.upload);
+  service.drain();
   const double elapsed = seconds_since(start);
-  server.close();
+  service.close();
   std::filesystem::remove_all(dir);
   return static_cast<double>(trips.size()) / std::max(elapsed, 1e-9);
 }
 
 // The WAL fsync-policy ladder: best of `rounds` per policy, interleaved so
-// noise hits every rung alike. "off" is the plain server (durability
-// disabled) and the baseline the overheads are quoted against.
+// noise hits every rung alike. "off" is the same 1-shard service with
+// durability disabled and the baseline the overheads are quoted against.
 struct WalLadder {
   double off = 0.0, never = 0.0, interval = 0.0, every = 0.0;
 };
 
 WalLadder wal_policy_trips_per_s(int rounds) {
-  (void)serial_round(true);
+  (void)durable_round(std::nullopt);
   (void)durable_round(FsyncPolicy::kNever);
   WalLadder best;
   for (int r = 0; r < rounds; ++r) {
-    best.off = std::max(best.off, serial_round(true));
+    best.off = std::max(best.off, durable_round(std::nullopt));
     best.never = std::max(best.never, durable_round(FsyncPolicy::kNever));
     best.interval =
         std::max(best.interval, durable_round(FsyncPolicy::kInterval));
@@ -358,7 +367,7 @@ void report() {
              ", \"trips_per_s_on\": " + num(on) +
              ", \"overhead_fraction\": " + num(overhead) + "}");
 
-  print_banner(std::cout, "Durability: WAL fsync-policy ladder (serial)");
+  print_banner(std::cout, "Durability: WAL fsync-policy ladder (1-shard service)");
   const WalLadder wal = wal_policy_trips_per_s(5);
   const auto wal_over = [&](double tps) {
     return wal.off > 0.0 ? (wal.off - tps) / wal.off : 0.0;

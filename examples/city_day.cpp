@@ -31,18 +31,15 @@ int main(int argc, char** argv) {
       city, [&](StopId s, int run) { return world.scan_stop(s, survey, run % 2); },
       5);
   // Uploads flow through the asynchronous ingest front end — participant
-  // shards, each drained by its own consumer thread. The rest of the
-  // example only talks to the TrafficIngestor interface, and the maps it
-  // prints are bit-identical to the serial TrafficServer (determinism
-  // contract).
+  // shards, each drained by its own consumer thread. The maps it prints
+  // are bit-identical to the serial TrafficServer (determinism contract).
   ShardedIngestService service(city, std::move(db));
-  TrafficIngestor& server = service;
 
   // The maps below are read through the serving tier: each display hour
   // publishes an immutable epoch and the queries pin it lock-free
   // (DESIGN.md §13) — the same path a dashboard fleet would hit, and
-  // bit-identical to calling server.snapshot() directly.
-  EpochPublisher publisher(server.catalog());
+  // bit-identical to calling service.snapshot() directly.
+  EpochPublisher publisher(service.catalog());
   QueryService queries(publisher);
 
   std::cout << "bus-route coverage of the road network: "
@@ -67,33 +64,33 @@ int main(int argc, char** argv) {
       while (next_snap < snapshot_hours.size() &&
              end > at_clock(day, snapshot_hours[next_snap], 0)) {
         const SimTime now = at_clock(day, snapshot_hours[next_snap], 0);
-        server.advance_time(now);
-        server.publish_epoch(publisher, now, 2.0 * kHour);
+        service.advance_time(now);
+        service.publish_epoch(publisher, now, 2.0 * kHour);
         const EpochPublisher::Pin epoch = queries.pin();
         std::cout << "\n--- " << format_clock(now) << " traffic map (epoch "
                   << epoch->id() << ": " << epoch->live_segments()
                   << " live segments, mean " << epoch->mean_speed_kmh()
                   << " km/h, coverage " << 100.0 * epoch->coverage_ratio()
                   << "%)\n";
-        std::cout << epoch->map().render_ascii(server.catalog(), 100, 24);
+        std::cout << epoch->map().render_ascii(service.catalog(), 100, 24);
         ++next_snap;
       }
-      server.process_trip(trip.upload);
+      service.process_trip(trip.upload);
     }
   }
 
   std::cout << "\nlegend: 1 = <20 km/h ... 5 = >50 km/h, '.' = bus-covered "
                "road without a live estimate\n";
-  std::cout << "trips processed: " << server.trips_processed() << "\n";
+  std::cout << "trips processed: " << service.trips_processed() << "\n";
 
   // Shareable artifact: the final evening map as SVG, rendered from the
   // last published epoch so the file matches what the serving tier saw.
   const SimTime final_time = at_clock(days - 1, 20, 0);
-  server.advance_time(final_time);
-  server.publish_epoch(publisher, final_time, 3.0 * kHour);
+  service.advance_time(final_time);
+  service.publish_epoch(publisher, final_time, 3.0 * kHour);
   const EpochPublisher::Pin evening = queries.pin();
   const std::string svg_path = "traffic_map.svg";
-  write_svg_map(evening->map(), server.catalog(), svg_path);
+  write_svg_map(evening->map(), service.catalog(), svg_path);
   std::cout << "wrote " << svg_path << "\n";
 
   // Region query demo: how does the city-centre quadrant compare to the
@@ -110,7 +107,7 @@ int main(int argc, char** argv) {
             << " segments live, mean " << agg.mean_speed_kmh
             << " km/h, coverage " << 100.0 * agg.coverage_ratio << "%\n";
 
-  const MetricsSnapshot ms = server.metrics().snapshot();
+  const MetricsSnapshot ms = service.metrics().snapshot();
   std::cout << "pipeline p99 trip latency: "
             << 1e6 * ms.histograms.at("pipeline.trip_s").percentile(0.99)
             << " us, samples matched: "

@@ -14,9 +14,9 @@
 //
 // Run:  ./offline_pipeline [workdir]
 //
-// The backend stages run behind the TrafficIngestor interface: swap the
-// ShardedIngestService below for a plain TrafficServer and the estimates
-// are bit-identical (the interface's determinism contract).
+// The backend is a durable ShardedIngestService, the one front end that
+// owns the write-ahead log; its fused map is bit-identical to the serial
+// TrafficServer's for the same uploads (the ingest determinism contract).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -92,14 +92,12 @@ int main(int argc, char** argv) {
   std::string crashed_fingerprint;
   {
     // Async front end: uploads land in per-participant shards, each with
-    // its own consumer thread and WAL segment. Everything below the
-    // construction line only sees the TrafficIngestor interface.
+    // its own consumer thread and WAL segment.
     ShardedIngestConfig sharding;
     sharding.shards = 2;
     ShardedIngestService service(city, load_stop_database(db_path), backend,
                                  sharding);
-    TrafficIngestor& server = service;
-    server.open();  // fresh directory: nothing to recover yet
+    service.open();  // fresh directory: nothing to recover yet
 
     std::ifstream is(trips_path);
     auto uploads = load_trips(is);
@@ -112,23 +110,23 @@ int main(int argc, char** argv) {
                      });
     std::size_t queued = 0;
     for (std::size_t i = 0; i < uploads.size(); ++i) {
-      if (server.process_trip(uploads[i]).accepted()) ++queued;
+      if (service.process_trip(uploads[i]).accepted()) ++queued;
       if (i == uploads.size() / 2) {
         // Mid-day recovery point: everything before it replays from the
         // checkpoint, everything after from the WAL suffix.
-        server.advance_time(uploads[i].samples.front().time);
-        std::cout << "server: checkpoint " << server.checkpoint()
+        service.advance_time(uploads[i].samples.front().time);
+        std::cout << "server: checkpoint " << service.checkpoint()
                   << " written mid-feed\n";
       }
     }
-    server.advance_time(at_clock(0, 23, 0));  // drains the queue first
-    const TrafficMap map = server.snapshot(at_clock(0, 18, 0), 3 * kHour);
+    service.advance_time(at_clock(0, 23, 0));  // drains the queue first
+    const TrafficMap map = service.snapshot(at_clock(0, 18, 0), 3 * kHour);
     crashed_fingerprint = map_fingerprint(map);
-    const MetricsSnapshot ms = server.metrics().snapshot();
+    const MetricsSnapshot ms = service.metrics().snapshot();
     std::cout << "server: accepted " << queued << "/" << uploads.size()
               << " trips, " << ms.counters.at("pipeline.estimates")
               << " segment estimates, evening map covers "
-              << 100.0 * map.coverage_ratio(server.catalog())
+              << 100.0 * map.coverage_ratio(service.catalog())
               << "% of the road network\n";
     std::cout << "server: WAL appends=" << ms.counters.at("durability.appends")
               << " bytes=" << ms.counters.at("durability.bytes_appended")
@@ -136,7 +134,7 @@ int main(int argc, char** argv) {
 
     // The observability layer sees every stage; persist it for operators.
     const std::string metrics_path = (dir / "metrics.json").string();
-    std::ofstream(metrics_path) << server.metrics().to_json() << "\n";
+    std::ofstream(metrics_path) << service.metrics().to_json() << "\n";
     std::cout << "server: metrics (per-stage latency, WAL counters) in "
               << metrics_path << "\n";
 
@@ -152,22 +150,21 @@ int main(int argc, char** argv) {
     sharding.shards = 2;
     ShardedIngestService service(city, load_stop_database(db_path), backend,
                                  sharding);
-    TrafficIngestor& server = service;
-    const RecoveryReport rec = server.open();
+    const RecoveryReport rec = service.open();
     std::cout << "restart: checkpoint "
               << (rec.checkpoint_loaded ? std::to_string(rec.checkpoint_id)
                                         : std::string("none"))
               << " + " << rec.replayed_trips << " WAL trips / "
               << rec.replayed_time_marks << " time marks replayed, "
               << rec.truncated_tail_bytes << " torn bytes truncated\n";
-    server.advance_time(at_clock(0, 23, 0));
-    const TrafficMap map = server.snapshot(at_clock(0, 18, 0), 3 * kHour);
+    service.advance_time(at_clock(0, 23, 0));
+    const TrafficMap map = service.snapshot(at_clock(0, 18, 0), 3 * kHour);
     std::cout << "restart: evening map "
               << (map_fingerprint(map) == crashed_fingerprint
                       ? "byte-identical to the crashed run"
                       : "DIVERGED from the crashed run")
               << "\n";
-    server.close();  // clean shutdown this time
+    service.close();  // clean shutdown this time
   }
   std::cout << "artifacts left in " << dir << "\n";
   return 0;

@@ -19,10 +19,11 @@
 # Optional sharded-ingest stage: BUSSENSE_SHARDED=ON ./scripts/tier1.sh
 # builds the sharded ingest suites under TSan in build-tsan/ and runs the
 # binaries directly: all of test_ingest_service (backpressure, shutdown
-# and bit-identity properties) and the sharded lifecycle tests of
-# test_durability (enqueue guards, close() racing producers, partial
-# batches at every barrier, crash recovery through the shard WAL
-# segments). Off by default for the same reason.
+# and bit-identity properties) and the lifecycle tests of test_durability
+# (enqueue guards, close() racing producers, partial batches at every
+# barrier, and the whole CrashRecovery suite: durability lives only in
+# the sharded service, so every crash case, 1-shard included, runs shard
+# consumer threads against the WAL). Off by default for the same reason.
 #
 # Optional fault/fuzz stage: BUSSENSE_FAULTS=ON ./scripts/tier1.sh builds
 # the adversarial-input suites (fault injection + admission, golden
@@ -118,7 +119,7 @@ if [[ "${BUSSENSE_SHARDED:-}" == "ON" ]]; then
   # and the shard consumers against the WAL; the rest of the suite is
   # single-threaded byte parsing, covered by the ASan durability stage.
   ./build-tsan/tests/test_durability \
-    --gtest_filter='DurableLifecycle.*:ShardBatch.*:CrashRecovery.ByteIdentical*'
+    --gtest_filter='DurableLifecycle.*:ShardBatch.*:CrashRecovery.*'
   end_stage
 fi
 

@@ -10,6 +10,11 @@
 namespace bussense {
 
 void AdmissionConfig::validate() const {
+  // An empty upload has no time span to anchor a skew estimate on: once a
+  // watermark exists it would store a -inf offset for its participant.
+  if (min_samples == 0) {
+    throw std::invalid_argument("AdmissionConfig: min_samples must be > 0");
+  }
   if (min_samples > max_samples) {
     throw std::invalid_argument(
         "AdmissionConfig: min_samples must be <= max_samples");

@@ -3,8 +3,8 @@
 // Uploads come from uncontrolled phones, so a networked deployment must
 // assume hostile input — replayed uploads, absurd counts, shuffled or
 // skewed timestamps (src/faults/ injects exactly these). Before any
-// pipeline work is spent, every TrafficIngestor front end runs the upload
-// through one shared AdmissionController:
+// pipeline work is spent, TrafficServer::process_trip and every
+// ShardedIngestService shard run the upload through an AdmissionController:
 //
 //   1. sanity bounds — sample count, per-fingerprint cell count, finite
 //      timestamps, total duration (kMalformed);
@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "common/sim_time.h"
-#include "core/traffic_ingestor.h"
+#include "core/ingest_report.h"
 #include "obs/metrics.h"
 #include "sensing/trip.h"
 
@@ -46,7 +46,7 @@ namespace bussense {
 
 struct AdmissionConfig {
   /// Off by default: the historical trusting pipeline. ServerConfig embeds
-  /// this struct; all three front ends honour it.
+  /// this struct; TrafficServer and ShardedIngestService both honour it.
   bool enabled = false;
 
   /// Replay window: how many recent upload signatures the LRU remembers.
@@ -55,6 +55,7 @@ struct AdmissionConfig {
 
   /// Sample-count bounds. Uploads below min_samples (e.g. empty) carry no
   /// usable signal; above max_samples they are a memory-exhaustion vector.
+  /// min_samples must be > 0.
   std::size_t min_samples = 1;
   std::size_t max_samples = 100000;
 
@@ -79,7 +80,7 @@ struct AdmissionConfig {
   std::size_t skew_state_capacity = 65536;
 
   /// Throws std::invalid_argument on nonsense (zero/negative bounds,
-  /// min_samples > max_samples).
+  /// min_samples of 0 or above max_samples).
   void validate() const;
 };
 

@@ -347,9 +347,31 @@ DurabilityManager::Recovery DurabilityManager::open() {
   if (opened()) throw std::logic_error("DurabilityManager::open called twice");
   std::filesystem::create_directories(config_.directory);
 
+  // A directory written with another segment count would silently recover
+  // a subset of its trips, or apply covers_seq to the wrong segments.
+  const auto refuse = [&](std::size_t written) {
+    return std::runtime_error(
+        "DurabilityManager: " + config_.directory + " was written with " +
+        std::to_string(written) + " WAL segments, opened with " +
+        std::to_string(segment_count_));
+  };
+  std::size_t written = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(config_.directory)) {
+    unsigned index = 0;
+    char trailing = 0;
+    if (std::sscanf(entry.path().filename().c_str(), "trips-%u.wal%c", &index,
+                    &trailing) == 1) {
+      written = std::max<std::size_t>(written, index + std::size_t{1});
+    }
+  }
+  if (written > segment_count_) throw refuse(written);
+
   Recovery recovery;
   recovery.checkpoint = load_latest_checkpoint(config_.directory);
   if (recovery.checkpoint) {
+    const std::size_t covered = recovery.checkpoint->state.covers_seq.size();
+    if (covered != segment_count_) throw refuse(covered);
     next_checkpoint_id_ = recovery.checkpoint->id + 1;
     last_checkpoint_id_ = recovery.checkpoint->id;
   }
@@ -363,9 +385,7 @@ DurabilityManager::Recovery DurabilityManager::open() {
     recovery.duplicate_records += scan.duplicate_records;
     recovery.recovered_trips[i] = scan.trip_records;
     const std::uint64_t covers =
-        recovery.checkpoint && i < recovery.checkpoint->state.covers_seq.size()
-            ? recovery.checkpoint->state.covers_seq[i]
-            : 0;
+        recovery.checkpoint ? recovery.checkpoint->state.covers_seq[i] : 0;
     for (WalRecord& record : scan.records) {
       if (record.seq > covers) {
         recovery.replay[i].push_back(std::move(record));

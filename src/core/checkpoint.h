@@ -23,10 +23,10 @@
 // admission exports are canonical (core/fusion.h, core/admission.h), so
 // checkpointing the same logical state yields byte-identical files.
 //
-// DurabilityManager bundles N WAL segment writers (one for serial front
-// ends, one per shard for ShardedIngestService) with the checkpoint
-// directory and the durability.* instruments; the TrafficIngestor
-// open()/checkpoint()/close() lifecycle phases are thin wrappers over it.
+// DurabilityManager bundles N WAL segment writers (one per
+// ShardedIngestService shard) with the checkpoint directory and the
+// durability.* instruments; the service's open()/checkpoint()/close()
+// lifecycle phases are thin wrappers over it.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +50,8 @@ struct CheckpointState {
   std::vector<std::uint64_t> covers_seq;
   std::uint64_t trips_processed = 0;
   std::vector<FusionExportEntry> fusion;  ///< sorted by key
-  /// One entry per admission controller: empty when admission is off, one
-  /// for the serial front end, one per shard when sharded.
+  /// One entry per admission controller: empty when admission is off,
+  /// else one per shard.
   std::vector<AdmissionCheckpoint> admission;
 };
 
@@ -100,7 +100,10 @@ class DurabilityManager {
 
   /// Creates the directory, scans + repairs every segment, loads the
   /// newest valid checkpoint and opens the writers for appending. Must be
-  /// called exactly once, before any append.
+  /// called exactly once, before any append. Throws std::runtime_error,
+  /// before touching any file, when the directory was written with another
+  /// segment count: a `trips-<i>.wal` with i >= segments exists, or the
+  /// newest valid checkpoint covers a different number of segments.
   Recovery open();
 
   /// Appends one admitted upload to a segment's WAL (write-ahead: call

@@ -48,8 +48,8 @@ inline const char* to_string(FsyncPolicy p) {
 
 /// Durable-ingest knobs: where the write-ahead trip log and checkpoint
 /// files live and how eagerly appends are synced. Embedded in ServerConfig;
-/// every TrafficIngestor front end honours it through the
-/// open()/checkpoint()/close() lifecycle (core/traffic_ingestor.h).
+/// ShardedIngestService honours it through its open()/checkpoint()/close()
+/// lifecycle (core/ingest_service.h); TrafficServer refuses it.
 struct DurabilityConfig {
   /// Off by default: no files are touched and the lifecycle calls are
   /// no-ops — existing deployments are untouched.

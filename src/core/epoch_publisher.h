@@ -263,7 +263,8 @@ class EpochPublisher {
 
   /// Periodic publishing: calls tick(*this) immediately, then every
   /// `period_s` (wall clock) until stop(). The tick callback typically
-  /// calls some TrafficIngestor::publish_epoch.
+  /// calls TrafficServer::publish_epoch or
+  /// ShardedIngestService::publish_epoch.
   void start(std::function<void(EpochPublisher&)> tick, double period_s);
   /// Stops and joins the ticker; idempotent (also run by the destructor).
   void stop();

@@ -13,7 +13,7 @@ namespace {
 ServerConfig sharded_backend_config(ServerConfig config) {
   // The shards own admission (partition-local dedup/skew state) and the
   // service owns durability (one WAL segment per shard); the backend must
-  // not run a second controller or open a second log on the directory.
+  // not run a second controller, and TrafficServer refuses durability.
   config.admission.enabled = false;
   config.durability = DurabilityConfig{};
   return config;
@@ -39,7 +39,6 @@ ShardedIngestService::ShardedIngestService(const City& city,
       sharding_(sharding) {
   sharding_.validate();
   if (config.durability.enabled) {
-    config.durability.validate();
     durability_ =
         std::make_unique<DurabilityManager>(config.durability, sharding_.shards);
     if (config.obs.enabled) {
@@ -231,11 +230,23 @@ RecoveryReport ShardedIngestService::open() {
     }
   }
   // Shard-by-shard, seq order within each shard. Fusion periods are never
-  // closed during replay, so this sequential order yields the same fused
-  // map as the original interleaving (period sums are order-insensitive).
+  // closed during replay (a time mark only restores the shard's admission
+  // watermark), so this sequential order yields the same fused map as the
+  // original interleaving (period sums are order-insensitive).
   for (std::size_t i = 0; i < shards_.size(); ++i) {
+    AdmissionController* admission = shards_[i]->admission.get();
     for (const WalRecord& record : recovery.replay[i]) {
-      backend_.replay(record, shards_[i]->admission.get(), &report);
+      if (record.type == WalRecordType::kTimeMark) {
+        if (admission) admission->observe_time(record.mark_time);
+        ++report.replayed_time_marks;
+        continue;
+      }
+      if (admission) {
+        admission->note_replayed(record.signature, record.trip.participant_id,
+                                 record.skew_offset_s);
+      }
+      backend_.ingest(backend_.process_admitted(record.trip).estimates);
+      ++report.replayed_trips;
     }
   }
   report.duplicate_records = recovery.duplicate_records;

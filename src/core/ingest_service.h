@@ -1,4 +1,5 @@
-// ShardedIngestService: the asynchronous ingest front end.
+// ShardedIngestService: the asynchronous ingest front end, and the only
+// one that owns durability (write-ahead log, checkpoints, recovery).
 //
 // A deployment receives trip uploads from thousands of phones on whatever
 // schedule the cellular network delivers them; the analysis pipeline runs
@@ -33,8 +34,8 @@
 // depends only on the multiset of accepted uploads — shard count, arrival
 // order, queue capacity and fold timing are all invisible, and the
 // snapshot is bit-identical to feeding the same uploads through the
-// serial TrafficServer (property-tested across shard and producer counts,
-// admission and metrics on and off).
+// serial TrafficServer::process_trip (property-tested across shard and
+// producer counts, admission and metrics on and off).
 //
 // Backpressure: a full inbox either blocks the producer until the
 // consumer swaps it out (kBlock) or rejects with RejectReason::kQueueFull
@@ -58,8 +59,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/checkpoint.h"
+#include "core/ingest_report.h"
 #include "core/server.h"
-#include "core/traffic_ingestor.h"
 
 namespace bussense {
 
@@ -76,7 +78,7 @@ struct ShardedIngestConfig {
   void validate() const;
 };
 
-class ShardedIngestService final : public TrafficIngestor {
+class ShardedIngestService {
  public:
   /// Estimates a shard buffers before it folds them into the fusion store
   /// (it also folds whatever it holds before it goes idle).
@@ -85,7 +87,7 @@ class ShardedIngestService final : public TrafficIngestor {
   ShardedIngestService(const City& city, StopDatabase database,
                        ServerConfig config = {},
                        ShardedIngestConfig sharding = {});
-  ~ShardedIngestService() override;
+  ~ShardedIngestService();
 
   ShardedIngestService(const ShardedIngestService&) = delete;
   ShardedIngestService& operator=(const ShardedIngestService&) = delete;
@@ -93,7 +95,7 @@ class ShardedIngestService final : public TrafficIngestor {
   /// Routes the upload to its participant's shard. Returns kQueued, or
   /// kRejected with kQueueFull (kReject policy) / kShutdown. Safe from any
   /// thread, including after shutdown().
-  TripReport process_trip(const TripUpload& trip) override;
+  TripReport process_trip(const TripUpload& trip);
 
   /// Blocks until every queued upload has been analysed and its estimates
   /// folded into the fusion store. Exact once producers are quiescent.
@@ -101,19 +103,23 @@ class ShardedIngestService final : public TrafficIngestor {
 
   /// drain(), then advances the per-shard admission watermarks and closes
   /// fusion periods up to `now`.
-  void advance_time(SimTime now) override;
+  void advance_time(SimTime now);
 
   /// Closes the service (further uploads rejected with kShutdown), lets
   /// every shard finish its inbox and fold its batch, and joins the
   /// consumers. Idempotent; also run by the destructor.
   void shutdown();
 
-  TrafficMap snapshot(SimTime now, double max_age_s = 3600.0) const override;
+  /// The backend's snapshot() and publish_epoch(). Neither drains first:
+  /// call advance_time() or drain() beforehand for the full-ingest
+  /// contract.
+  TrafficMap snapshot(SimTime now, double max_age_s = 3600.0) const;
   std::uint64_t publish_epoch(EpochPublisher& publisher, SimTime now,
-                              double max_age_s = 3600.0) const override;
-  /// Pipeline-wide registry (analysis-stage instruments); the per-shard
-  /// ingest.shard.* instruments live in the shard registries below.
-  const MetricsRegistry& metrics() const override { return backend_.metrics(); }
+                              double max_age_s = 3600.0) const;
+  /// Pipeline-wide registry (analysis-stage and durability.*
+  /// instruments); the per-shard ingest.shard.* and admission instruments
+  /// live in the shard registries below.
+  const MetricsRegistry& metrics() const { return backend_.metrics(); }
   /// Deterministic merge of every shard's registry, in shard order. Shard
   /// instruments are counters only, so for a fixed accepted workload the
   /// merged snapshot (and its JSON) is byte-identical across runs.
@@ -122,21 +128,33 @@ class ShardedIngestService final : public TrafficIngestor {
     return *shards_[shard]->registry;
   }
 
-  const SegmentCatalog& catalog() const override { return backend_.catalog(); }
-  std::uint64_t trips_processed() const override {
+  const SegmentCatalog& catalog() const { return backend_.catalog(); }
+  std::uint64_t trips_processed() const {
     return backend_.trips_processed();
   }
 
-  /// Durable lifecycle. This front end owns a WAL segment *per shard*
-  /// (trips-<shard>.wal) plus one checkpoint stream; the backend's
-  /// admission and durability are both stripped (shards admit, this class
-  /// logs). open() replays shard by shard in seq order — fusion periods
-  /// are never closed during replay, so the segment replay order cannot
-  /// change the fused map. checkpoint() drains first; close() marks the
-  /// lifecycle closed, drains, then closes the WAL.
-  RecoveryReport open() override;
-  std::uint64_t checkpoint() override;
-  void close() override;
+  /// Durable lifecycle (ServerConfig::durability, DESIGN.md §14). The
+  /// service owns a WAL segment *per shard* (trips-<shard>.wal) plus one
+  /// checkpoint stream; the backend's admission and durability are both
+  /// stripped (shards admit, this class logs). With durability off these
+  /// are no-ops (open() returns an empty report) and uploads are accepted
+  /// from construction on; with it on, uploads before open() or after
+  /// close() are rejected with kShutdown.
+  ///
+  ///   * open() — recovers the newest valid checkpoint, then replays each
+  ///     shard's WAL suffix in seq order — fusion periods are never closed
+  ///     during replay, so the segment replay order cannot change the
+  ///     fused map. Throws std::runtime_error when the directory was
+  ///     written with a different shard count.
+  ///   * checkpoint() — drains, then persists a recovery point covering
+  ///     everything processed so far. Returns its id (0 outside the
+  ///     open()..close() window). Producers must be quiescent.
+  ///   * close() — marks the lifecycle closed, drains, then syncs and
+  ///     closes the WAL. Idempotent. Destruction without close() models a
+  ///     crash: recovery falls back to checkpoint + WAL replay.
+  RecoveryReport open();
+  std::uint64_t checkpoint();
+  void close();
 
   /// Stable partition of a participant id (mix64 hash mod shard count).
   std::size_t shard_of(std::int32_t participant_id) const;

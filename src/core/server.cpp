@@ -48,11 +48,13 @@ TrafficServer::TrafficServer(const City& city, StopDatabase database,
       fusion_(config_.fusion),
       metrics_(std::make_unique<MetricsRegistry>()) {
   config_.validate();
+  if (config_.durability.enabled) {
+    throw std::invalid_argument(
+        "TrafficServer: durability is owned by ShardedIngestService; run a "
+        "1-shard service for a durable serial path");
+  }
   if (config_.admission.enabled) {
     admission_ = std::make_unique<AdmissionController>(config_.admission);
-  }
-  if (config_.durability.enabled) {
-    durability_ = std::make_unique<DurabilityManager>(config_.durability, 1);
   }
   if (config_.obs.enabled) {
     inst_.trips = &metrics_->counter("pipeline.trips");
@@ -69,7 +71,6 @@ TrafficServer::TrafficServer(const City& city, StopDatabase database,
     inst_.trip_s = &metrics_->histogram("pipeline.trip_s");
     matcher_.bind_metrics(metrics_.get());
     if (admission_) admission_->bind_metrics(metrics_.get());
-    if (durability_) durability_->bind_metrics(metrics_.get());
   }
 }
 
@@ -177,17 +178,10 @@ void TrafficServer::ingest(const std::vector<SpeedEstimate>& estimates) {
 }
 
 TripReport TrafficServer::process_trip(const TripUpload& trip) {
-  if (durability_ && (!opened_ || closed_)) {
-    TripReport rejected;
-    rejected.outcome = IngestOutcome::kRejected;
-    rejected.reject_reason = RejectReason::kShutdown;
-    return rejected;
-  }
   const TripUpload* use = &trip;
   TripUpload corrected;
-  AdmitInfo info;
   if (admission_) {
-    const RejectReason why = admission_->admit(trip, corrected, use, &info);
+    const RejectReason why = admission_->admit(trip, corrected, use);
     if (why != RejectReason::kNone) {
       TripReport rejected;
       rejected.outcome = IngestOutcome::kRejected;
@@ -195,83 +189,20 @@ TripReport TrafficServer::process_trip(const TripUpload& trip) {
       return rejected;
     }
   }
-  // Write-ahead: the admitted upload reaches the log before any of its
-  // estimates touch the fusion state.
-  if (durability_) durability_->append_trip(0, *use, info);
   TripReport report = process_admitted(*use);
   ingest(report.estimates);
   return report;
 }
 
 void TrafficServer::advance_time(SimTime now) {
-  if (durability_ && opened_ && !closed_) durability_->append_time_mark(now);
   if (admission_) admission_->observe_time(now);
   fusion_.flush_until(now);
-}
-
-void TrafficServer::replay(const WalRecord& record,
-                           AdmissionController* admission,
-                           RecoveryReport* report) {
-  if (record.type == WalRecordType::kTimeMark) {
-    // Watermark only — fusion periods are never closed during replay, so
-    // shard/segment replay order cannot change what flush_until() sees.
-    if (admission) admission->observe_time(record.mark_time);
-    ++report->replayed_time_marks;
-    return;
-  }
-  if (admission) {
-    admission->note_replayed(record.signature, record.trip.participant_id,
-                             record.skew_offset_s);
-  }
-  ingest(process_admitted(record.trip).estimates);
-  ++report->replayed_trips;
-}
-
-RecoveryReport TrafficServer::open() {
-  RecoveryReport report;
-  if (!durability_) {
-    opened_ = true;
-    return report;
-  }
-  report.durable = true;
-  DurabilityManager::Recovery recovery = durability_->open();
-  if (recovery.checkpoint) {
-    report.checkpoint_loaded = true;
-    report.checkpoint_id = recovery.checkpoint->id;
-    restore(recovery.checkpoint->state.fusion,
-            recovery.checkpoint->state.trips_processed);
-    if (admission_ && !recovery.checkpoint->state.admission.empty()) {
-      admission_->restore_state(recovery.checkpoint->state.admission.front());
-    }
-  }
-  for (const WalRecord& record : recovery.replay.front()) {
-    replay(record, admission_.get(), &report);
-  }
-  report.duplicate_records = recovery.duplicate_records;
-  report.truncated_tail_bytes = recovery.truncated_tail_bytes;
-  report.recovered_trips_per_segment = std::move(recovery.recovered_trips);
-  opened_ = true;
-  return report;
-}
-
-std::uint64_t TrafficServer::checkpoint() {
-  if (!durability_ || !opened_ || closed_) return 0;
-  CheckpointState state;
-  state.trips_processed = trips_processed();
-  state.fusion = fusion_.export_state();
-  if (admission_) state.admission.push_back(admission_->export_state());
-  return durability_->save_checkpoint(std::move(state));
 }
 
 void TrafficServer::restore(const std::vector<FusionExportEntry>& fusion,
                             std::uint64_t trips_processed) {
   fusion_.restore_state(fusion);
   trips_processed_.store(trips_processed, std::memory_order_relaxed);
-}
-
-void TrafficServer::close() {
-  if (durability_ && opened_ && !closed_) durability_->close();
-  closed_ = true;
 }
 
 TrafficMap TrafficServer::snapshot(SimTime now, double max_age_s) const {

@@ -4,15 +4,17 @@
 // per-trip ML mapping under route constraints → travel time extraction →
 // BTT→ATT model → Bayesian fusion → traffic map.
 //
-// TrafficServer is the serial, synchronous front end of the
-// TrafficIngestor interface (core/traffic_ingestor.h) and the reference
-// every identity property compares against. It is also the backend of the
-// one asynchronous front end, ShardedIngestService (core/ingest_service.h):
-// analysis is a pure function of immutable state and the fusion store is
-// internally locked, so shard consumers call process_admitted() and
-// ingest() concurrently. Every pipeline stage reports throughput,
-// rejection counts and latency into the server's MetricsRegistry (disable
-// via ServerConfig::obs — results are bit-identical either way).
+// TrafficServer is the pipeline plus its serial, synchronous reference
+// path: every identity property compares against process_trip(). It is
+// also the backend of the ingest front end, ShardedIngestService
+// (core/ingest_service.h): analysis is a pure function of immutable state
+// and the fusion store is internally locked, so shard consumers call
+// process_admitted() and ingest() concurrently. Durability (write-ahead
+// log, checkpoints, recovery) lives only in ShardedIngestService; a
+// 1-shard service is the durable serial path. Every pipeline stage
+// reports throughput, rejection counts and latency into the server's
+// MetricsRegistry (disable via ServerConfig::obs — results are
+// bit-identical either way).
 #pragma once
 
 #include <atomic>
@@ -21,14 +23,13 @@
 
 #include "citynet/city.h"
 #include "core/admission.h"
-#include "core/checkpoint.h"
 #include "core/clustering.h"
 #include "core/config_common.h"
 #include "core/fusion.h"
+#include "core/ingest_report.h"
 #include "core/route_graph.h"
 #include "core/segment_catalog.h"
 #include "core/stop_matcher.h"
-#include "core/traffic_ingestor.h"
 #include "core/traffic_map.h"
 #include "core/travel_estimator.h"
 #include "core/trip_mapper.h"
@@ -36,6 +37,8 @@
 #include "sensing/trip.h"
 
 namespace bussense {
+
+class EpochPublisher;  // core/epoch_publisher.h (serving tier, DESIGN.md §13)
 
 struct ServerConfig {
   StopMatcherConfig matcher;
@@ -47,9 +50,10 @@ struct ServerConfig {
   ObservabilityConfig obs;
 
   /// Write-ahead trip log + checkpoint/restore (DESIGN.md §14). Off by
-  /// default; when enabled the front end gains the
-  /// open()/checkpoint()/close() lifecycle and every admitted upload is
-  /// logged before its estimates are applied.
+  /// default. Only ShardedIngestService honours it, through its
+  /// open()/checkpoint()/close() lifecycle: every admitted upload is
+  /// logged before its estimates are applied. TrafficServer throws
+  /// std::invalid_argument when it is enabled.
   DurabilityConfig durability;
 
   /// Admission control (core/admission.h): replay dedup, sanity bounds and
@@ -65,23 +69,28 @@ struct ServerConfig {
   void validate() const;
 };
 
-class TrafficServer : public TrafficIngestor {
+class TrafficServer {
  public:
+  /// Throws std::invalid_argument on an invalid config, and when
+  /// config.durability.enabled is set (run a durable ShardedIngestService
+  /// instead).
   TrafficServer(const City& city, StopDatabase database,
                 ServerConfig config = {});
 
-  /// Runs the full pipeline — admission, write-ahead log,
-  /// process_admitted(), ingest() — and folds the estimates into the
-  /// fusion state.
-  TripReport process_trip(const TripUpload& trip) override;
+  /// Runs the full pipeline — admission, process_admitted(), ingest() —
+  /// and folds the estimates into the fusion state. Returns a fully
+  /// populated report with outcome kProcessed, or kRejected plus the
+  /// admission verdict.
+  TripReport process_trip(const TripUpload& trip);
 
   /// The pure analysis part of process_trip: match → cluster → map →
   /// estimate. Feeds no fusion state and counts no trip; thread-safe.
   TripReport analyze_trip(const TripUpload& trip) const;
 
-  /// An upload that already passed admission and the log: analyze_trip(),
-  /// counted as processed, estimates not yet folded — the caller hands
-  /// them to ingest(), alone or batched with other trips'. Thread-safe.
+  /// An upload that already passed admission (and, in a durable service,
+  /// the log): analyze_trip(), counted as processed, estimates not yet
+  /// folded — the caller hands them to ingest(), alone or batched with
+  /// other trips'. Thread-safe.
   TripReport process_admitted(const TripUpload& trip);
 
   /// Folds estimates into the fusion state (the mutable half).
@@ -95,46 +104,44 @@ class TrafficServer : public TrafficIngestor {
       const std::vector<MatchedSample>& matched) const;
   MappedTrip map_trip(const std::vector<SampleCluster>& clusters) const;
 
-  void advance_time(SimTime now) override;
-  TrafficMap snapshot(SimTime now, double max_age_s = 3600.0) const override;
+  /// Advances the admission watermark and closes fusion periods up to
+  /// `now`. Call only once every estimate older than `now`'s period has
+  /// been handed in.
+  void advance_time(SimTime now);
+  /// The fused traffic map.
+  TrafficMap snapshot(SimTime now, double max_age_s = 3600.0) const;
+
+  /// Publishes the current fused state as a serving epoch (DESIGN.md §13):
+  /// the same fused state and strict-`>` staleness boundary as
+  /// snapshot(now, max_age_s) — the published epoch's map is bit-identical
+  /// to that snapshot — built by visitation (no intermediate fused-map
+  /// copy) and swapped in behind the publisher's atomic epoch pointer.
+  /// Returns the new epoch id.
   std::uint64_t publish_epoch(EpochPublisher& publisher, SimTime now,
-                              double max_age_s = 3600.0) const override;
+                              double max_age_s = 3600.0) const;
 
-  /// Durable lifecycle (core/traffic_ingestor.h). With durability disabled
-  /// these are the base-class no-ops; with it enabled, open() recovers
-  /// checkpoint + WAL-suffix state and process_trip() outside the
-  /// open()..close() window is rejected with kShutdown.
-  RecoveryReport open() override;
-  std::uint64_t checkpoint() override;
-  void close() override;
-
-  /// Recovery hooks for the sharded front end, which owns the WAL
-  /// segments and admission but folds into this server: the checkpointed
-  /// state that lives here. Call only while quiescent.
+  /// Recovery hooks for ShardedIngestService, which owns the WAL segments
+  /// and admission but folds into this server: the checkpointed state
+  /// that lives here. Call only while quiescent.
   std::vector<FusionExportEntry> export_fusion() const {
     return fusion_.export_state();
   }
   void restore(const std::vector<FusionExportEntry>& fusion,
                std::uint64_t trips_processed);
-  /// Applies one recovered WAL record: a time mark advances `admission`'s
-  /// watermark; a trip is re-noted in `admission` (dedup + skew state),
-  /// processed and folded. `admission` is the controller that admitted
-  /// the record — this server's own, or a shard's (null when admission is
-  /// off). Counts the record in `report`.
-  void replay(const WalRecord& record, AdmissionController* admission,
-              RecoveryReport* report);
 
-  const MetricsRegistry& metrics() const override { return *metrics_; }
+  /// Pipeline-wide registry (throughput, rejection counts, per-stage
+  /// latency). Always present; empty when observability is disabled.
+  const MetricsRegistry& metrics() const { return *metrics_; }
   /// Mutable registry access (front ends layered on top register their own
   /// instruments here so one export covers the whole pipeline).
   MetricsRegistry& metrics_registry() { return *metrics_; }
 
   const City& city() const { return *city_; }
   const StopDatabase& database() const { return database_; }
-  const SegmentCatalog& catalog() const override { return catalog_; }
+  const SegmentCatalog& catalog() const { return catalog_; }
   const SpeedFusion& fusion() const { return fusion_; }
   const RouteGraph& route_graph() const { return route_graph_; }
-  std::uint64_t trips_processed() const override {
+  std::uint64_t trips_processed() const {
     return trips_processed_.load(std::memory_order_relaxed);
   }
 
@@ -150,12 +157,6 @@ class TrafficServer : public TrafficIngestor {
   SpeedFusion fusion_;
   std::unique_ptr<AdmissionController> admission_;
   std::atomic<std::uint64_t> trips_processed_{0};
-
-  // Durability (null when disabled). Destruction without close() models a
-  // crash: the WAL keeps only what reached the fd per the fsync policy.
-  std::unique_ptr<DurabilityManager> durability_;
-  bool opened_ = false;
-  bool closed_ = false;
 
   // Observability: instruments cached at construction; all null-checked so
   // the disabled path costs one branch. Owned registry exists either way

@@ -7,7 +7,7 @@
 
 namespace bussense {
 
-ReplayStats replay_workload(TrafficIngestor& ingestor,
+ReplayStats replay_workload(ShardedIngestService& service,
                             const std::vector<TimedUpload>& workload,
                             const ReplayOptions& options) {
   if (options.publish_every > 0 && options.publisher == nullptr) {
@@ -33,16 +33,16 @@ ReplayStats replay_workload(TrafficIngestor& ingestor,
     }
     prev = item.arrival;
     while (options.advance_every_s > 0.0 && item.arrival >= boundary) {
-      ingestor.advance_time(boundary);
+      service.advance_time(boundary);
       ++stats.advances;
       if (options.publish_every > 0 &&
           stats.advances % options.publish_every == 0) {
-        ingestor.publish_epoch(*options.publisher, boundary);
+        service.publish_epoch(*options.publisher, boundary);
         ++stats.epochs_published;
       }
       boundary += options.advance_every_s;
     }
-    const TripReport report = ingestor.process_trip(item.upload);
+    const TripReport report = service.process_trip(item.upload);
     ++stats.submitted;
     if (report.accepted()) {
       ++stats.accepted;
@@ -52,10 +52,10 @@ ReplayStats replay_workload(TrafficIngestor& ingestor,
   }
   stats.last_arrival = prev;
   if (options.final_advance) {
-    ingestor.advance_time(prev + options.final_lag_s);
+    service.advance_time(prev + options.final_lag_s);
     ++stats.advances;
     if (options.publish_every > 0 && options.publisher != nullptr) {
-      ingestor.publish_epoch(*options.publisher, prev + options.final_lag_s);
+      service.publish_epoch(*options.publisher, prev + options.final_lag_s);
       ++stats.epochs_published;
     }
   }

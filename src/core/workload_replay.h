@@ -1,23 +1,24 @@
-// Deterministic workload replay against any TrafficIngestor front end.
+// Deterministic workload replay through ShardedIngestService.
 //
 // A generated workload (e.g. a LOD city-week from trafficsim) is a list of
 // uploads with arrival times. replay_workload() drives them through a
-// front end in arrival order, advancing fusion time on a fixed cadence and
+// service in arrival order, advancing fusion time on a fixed cadence and
 // optionally publishing serving epochs — the one replay loop the benches,
 // the metropolis golden test and the examples all share, so every caller
 // exercises the identical advance/process/publish interleaving.
 //
 // The driver is single-threaded and deterministic: the same TimedUpload
-// sequence against the same front-end configuration produces the same
-// accepted multiset, the same fused map and the same counters, whichever
-// front end (serial server or sharded service) sits behind the interface.
+// sequence against the same service configuration produces the same
+// accepted multiset, the same fused map and the same counters; the fused
+// map equals the serial TrafficServer::process_trip's (the ingest
+// identity suite).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/sim_time.h"
-#include "core/traffic_ingestor.h"
+#include "core/ingest_service.h"
 #include "sensing/trip.h"
 
 namespace bussense {
@@ -44,7 +45,7 @@ struct ReplayOptions {
 
 struct ReplayStats {
   std::uint64_t submitted = 0;
-  std::uint64_t accepted = 0;   ///< kProcessed or kQueued
+  std::uint64_t accepted = 0;   ///< kQueued
   std::uint64_t rejected = 0;
   std::uint64_t advances = 0;
   std::uint64_t epochs_published = 0;
@@ -53,8 +54,8 @@ struct ReplayStats {
 };
 
 /// Replays `workload` (must be sorted by arrival; throws otherwise)
-/// through `ingestor`.
-ReplayStats replay_workload(TrafficIngestor& ingestor,
+/// through `service`.
+ReplayStats replay_workload(ShardedIngestService& service,
                             const std::vector<TimedUpload>& workload,
                             const ReplayOptions& options = {});
 

@@ -1,9 +1,10 @@
 // Durable ingest: write-ahead trip log + checkpoint/restore (DESIGN.md §14).
 //
-// The tentpole property: kill an ingestor mid-period at a randomized point,
-// recover from the latest checkpoint + WAL suffix, resume the feed — the
-// final fused TrafficMap must be byte-identical to an uninterrupted run,
-// across both front ends with admission on and off. The fault half of
+// The tentpole property: kill a durable ShardedIngestService mid-period at
+// a randomized point, recover from the latest checkpoint + WAL suffix,
+// resume the feed — the final fused TrafficMap must be byte-identical to
+// an uninterrupted serial TrafficServer run, at 1 and 3 shards with
+// admission on and off. A 1-shard service is the durable serial path. The fault half of
 // the suite attacks the log bytes directly: torn tails are truncated, CRC
 // failures end the scan, duplicated blocks are skipped, and a corrupt or
 // half-written checkpoint falls back to an older valid one — corruption is
@@ -20,7 +21,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -155,6 +155,13 @@ ServerConfig durable_config(const std::string& dir, bool admission_on,
   return cfg;
 }
 
+ShardedIngestConfig sharding(std::size_t shards) {
+  ShardedIngestConfig svc;
+  svc.shards = shards;
+  svc.queue_capacity = 64;
+  return svc;
+}
+
 WalRecord trip_record(const TripUpload& upload) {
   WalRecord r;
   r.type = WalRecordType::kTrip;
@@ -168,25 +175,32 @@ TEST(DurabilityConfigValidation, ThrowsOnNonsense) {
   const Testbed& bed = testbed();
   ServerConfig no_dir;
   no_dir.durability.enabled = true;
-  EXPECT_THROW(TrafficServer(bed.world.city(), bed.database, no_dir),
+  EXPECT_THROW(ShardedIngestService(bed.world.city(), bed.database, no_dir),
                std::invalid_argument);
 
   TempDir dir;
   ServerConfig zero_interval = durable_config(dir.str(), false);
   zero_interval.durability.fsync = FsyncPolicy::kInterval;
   zero_interval.durability.fsync_interval_records = 0;
-  EXPECT_THROW(TrafficServer(bed.world.city(), bed.database, zero_interval),
-               std::invalid_argument);
+  EXPECT_THROW(
+      ShardedIngestService(bed.world.city(), bed.database, zero_interval),
+      std::invalid_argument);
 
   ServerConfig no_keep = durable_config(dir.str(), false);
   no_keep.durability.checkpoints_kept = 0;
-  EXPECT_THROW(TrafficServer(bed.world.city(), bed.database, no_keep),
+  EXPECT_THROW(ShardedIngestService(bed.world.city(), bed.database, no_keep),
+               std::invalid_argument);
+
+  // Durability belongs to the service: the serial server refuses even a
+  // valid durable config.
+  EXPECT_THROW(TrafficServer(bed.world.city(), bed.database,
+                             durable_config(dir.str(), false)),
                std::invalid_argument);
 
   // Disabled durability ignores the other knobs entirely.
   ServerConfig off;
   off.durability.fsync_interval_records = 0;
-  TrafficServer ok(bed.world.city(), bed.database, off);
+  ShardedIngestService ok(bed.world.city(), bed.database, off);
   EXPECT_FALSE(ok.open().durable);
 }
 
@@ -417,21 +431,21 @@ TEST(Checkpoint, RoundTripsAndPicksNewestValid) {
   const auto& uploads = sorted_uploads();
   TempDir dir;
 
-  // Real state: a durable serial server part-way through the day.
-  TrafficServer server(bed.world.city(), bed.database,
-                       durable_config(dir.str(), true));
-  server.open();
+  // Real state: a durable 1-shard service part-way through the day.
+  ShardedIngestService service(bed.world.city(), bed.database,
+                               durable_config(dir.str(), true), sharding(1));
+  service.open();
   for (std::size_t i = 0; i < std::min<std::size_t>(uploads.size(), 40); ++i) {
-    server.process_trip(uploads[i]);
+    service.process_trip(uploads[i]);
   }
-  const std::uint64_t id1 = server.checkpoint();
+  const std::uint64_t id1 = service.checkpoint();
   EXPECT_EQ(id1, 1u);
   for (std::size_t i = 40; i < std::min<std::size_t>(uploads.size(), 60); ++i) {
-    server.process_trip(uploads[i]);
+    service.process_trip(uploads[i]);
   }
-  const std::uint64_t id2 = server.checkpoint();
+  const std::uint64_t id2 = service.checkpoint();
   EXPECT_EQ(id2, 2u);
-  server.close();
+  service.close();
 
   const auto loaded = load_latest_checkpoint(dir.str());
   ASSERT_TRUE(loaded.has_value());
@@ -501,31 +515,31 @@ TEST(DurableLifecycle, GuardsProcessTripOutsideOpenClose) {
   const Testbed& bed = testbed();
   const auto& uploads = sorted_uploads();
   TempDir dir;
-  TrafficServer server(bed.world.city(), bed.database,
-                       durable_config(dir.str(), false));
+  ShardedIngestService service(bed.world.city(), bed.database,
+                               durable_config(dir.str(), false), sharding(1));
 
   // Before open(): rejected, not silently dropped.
-  const TripReport early = server.process_trip(uploads[0]);
+  const TripReport early = service.process_trip(uploads[0]);
   EXPECT_EQ(early.outcome, IngestOutcome::kRejected);
   EXPECT_EQ(early.reject_reason, RejectReason::kShutdown);
 
-  const RecoveryReport report = server.open();
+  const RecoveryReport report = service.open();
   EXPECT_TRUE(report.durable);
   EXPECT_FALSE(report.checkpoint_loaded);
   EXPECT_EQ(report.replayed_trips, 0u);
 
-  EXPECT_TRUE(server.process_trip(uploads[0]).accepted());
-  EXPECT_GT(server.checkpoint(), 0u);
+  EXPECT_TRUE(service.process_trip(uploads[0]).accepted());
+  EXPECT_GT(service.checkpoint(), 0u);
 
-  server.close();
-  const TripReport late = server.process_trip(uploads[1]);
+  service.close();
+  const TripReport late = service.process_trip(uploads[1]);
   EXPECT_EQ(late.outcome, IngestOutcome::kRejected);
   EXPECT_EQ(late.reject_reason, RejectReason::kShutdown);
-  EXPECT_EQ(server.checkpoint(), 0u);  // no checkpoints after close
-  server.close();                      // idempotent
+  EXPECT_EQ(service.checkpoint(), 0u);  // no checkpoints after close
+  service.close();                      // idempotent
 
   // The durability instruments recorded the run.
-  const MetricsSnapshot ms = server.metrics().snapshot();
+  const MetricsSnapshot ms = service.metrics().snapshot();
   EXPECT_EQ(ms.counters.at("durability.appends"), 1u);
   EXPECT_EQ(ms.counters.at("durability.checkpoints"), 1u);
   EXPECT_GT(ms.counters.at("durability.bytes_appended"), 0u);
@@ -608,6 +622,81 @@ TEST(DurableLifecycle, CloseUnderProducerLoadLogsEveryQueuedUpload) {
     EXPECT_EQ(recovered, queued.load()) << "round " << round;
     reopened.close();
   }
+}
+
+// A WAL directory recovers only at the shard count that wrote it. At any
+// other count open() must refuse it, naming both counts, before touching a
+// file: scanning fewer segments would silently drop the trips of the rest,
+// and a checkpoint's per-segment seqs would land on the wrong segments.
+TEST(DurableLifecycle, ReopenAtAnotherShardCountThrows) {
+  const Testbed& bed = testbed();
+  const auto& uploads = sorted_uploads();
+  const auto open_error = [](ShardedIngestService& service) {
+    try {
+      service.open();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+
+  TempDir dir;
+  const ServerConfig cfg = durable_config(dir.str(), true);
+  {
+    ShardedIngestService service(bed.world.city(), bed.database, cfg,
+                                 sharding(3));
+    service.open();
+    for (std::size_t i = 0; i < 12; ++i) {
+      ASSERT_TRUE(service.process_trip(uploads[i]).accepted());
+    }
+    service.close();
+  }
+  const auto segment_bytes = [&] {
+    std::vector<std::vector<std::uint8_t>> out;
+    for (const char* name : {"trips-0000.wal", "trips-0001.wal",
+                             "trips-0002.wal"}) {
+      out.push_back(read_bytes(dir.path / name));
+    }
+    return out;
+  };
+  const auto written = segment_bytes();
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    ShardedIngestService wrong(bed.world.city(), bed.database, cfg,
+                               sharding(shards));
+    EXPECT_NE(open_error(wrong).find("written with 3 WAL segments, opened "
+                                     "with " + std::to_string(shards)),
+              std::string::npos)
+        << shards << " shards";
+  }
+  EXPECT_EQ(segment_bytes(), written);
+
+  ShardedIngestService same(bed.world.city(), bed.database, cfg, sharding(3));
+  const RecoveryReport report = same.open();
+  std::uint64_t recovered = 0;
+  for (const std::uint64_t r : report.recovered_trips_per_segment) {
+    recovered += r;
+  }
+  EXPECT_EQ(recovered, 12u);
+  same.close();
+
+  // Fewer WAL files than shards is fine on its own; a checkpoint stamped
+  // for one segment still refuses a 3-shard reopen.
+  TempDir single;
+  const ServerConfig single_cfg = durable_config(single.str(), true);
+  {
+    ShardedIngestService service(bed.world.city(), bed.database, single_cfg,
+                                 sharding(1));
+    service.open();
+    for (std::size_t i = 0; i < 12; ++i) {
+      ASSERT_TRUE(service.process_trip(uploads[i]).accepted());
+    }
+    EXPECT_GT(service.checkpoint(), 0u);
+  }
+  ShardedIngestService wider(bed.world.city(), bed.database, single_cfg,
+                             sharding(3));
+  EXPECT_NE(open_error(wider).find("written with 1 WAL segments, opened "
+                                   "with 3"),
+            std::string::npos);
 }
 
 // Bit-identity of two fusion exports: same keys, fused posteriors and
@@ -763,60 +852,34 @@ TEST(AdmissionReplay, NoteReplayedRebuildsSkewAndDedupState) {
 
 // ---------------------------------------------------- crash-recovery suite
 
-enum class FrontEnd { kSerial, kSharded };
-
-constexpr std::size_t kShards = 3;
-
-const char* name_of(FrontEnd fe) {
-  switch (fe) {
-    case FrontEnd::kSerial: return "serial";
-    case FrontEnd::kSharded: return "sharded";
-  }
-  return "?";
-}
-
-std::unique_ptr<TrafficIngestor> make_front_end(FrontEnd fe,
-                                                const ServerConfig& cfg) {
+// The uninterrupted reference: the serial TrafficServer, one advance_time
+// at the mid-feed barrier and one at the end.
+std::string reference_map_bytes(bool admission_on, std::size_t adv_index,
+                                SimTime end) {
   const Testbed& bed = testbed();
-  switch (fe) {
-    case FrontEnd::kSerial:
-      return std::make_unique<TrafficServer>(bed.world.city(), bed.database,
-                                             cfg);
-    case FrontEnd::kSharded: {
-      ShardedIngestConfig svc;
-      svc.shards = kShards;
-      svc.queue_capacity = 64;
-      return std::make_unique<ShardedIngestService>(bed.world.city(),
-                                                    bed.database, cfg, svc);
-    }
-  }
-  return nullptr;
-}
-
-// The uninterrupted reference: same front end, durability off, one
-// advance_time at the mid-feed barrier and one at the end.
-std::string reference_map_bytes(FrontEnd fe, bool admission_on,
-                                std::size_t adv_index, SimTime end) {
   const auto& uploads = sorted_uploads();
-  auto ingestor = make_front_end(fe, base_config(admission_on));
+  TrafficServer server(bed.world.city(), bed.database,
+                       base_config(admission_on));
   for (std::size_t i = 0; i < uploads.size(); ++i) {
     if (i == adv_index) {
-      ingestor->advance_time(uploads[adv_index].samples.front().time);
+      server.advance_time(uploads[adv_index].samples.front().time);
     }
-    EXPECT_TRUE(ingestor->process_trip(uploads[i]).accepted());
+    EXPECT_TRUE(server.process_trip(uploads[i]).accepted());
   }
-  ingestor->advance_time(end);
-  return map_bytes(ingestor->snapshot(end, kDay));
+  server.advance_time(end);
+  return map_bytes(server.snapshot(end, kDay));
 }
 
 // One crash-recovery run: feed to a randomized kill point (advancing time
 // at a barrier on the way, optionally checkpointing, optionally tearing
 // the log tail after the kill), destroy without close() — a crash — then
-// recover into a fresh instance and resume the feed. The final map must be
-// byte-identical to the uninterrupted serial reference (both front ends
-// fuse bit-identically to it — the ingest identity suite).
-void run_crash_recovery_case(FrontEnd fe, bool admission_on, int variant,
-                             std::uint64_t seed, const std::string& expected) {
+// recover into a fresh service and resume the feed. The final map must be
+// byte-identical to the uninterrupted serial reference (the service fuses
+// bit-identically to it at any shard count — the ingest identity suite).
+void run_crash_recovery_case(std::size_t shards, bool admission_on,
+                             int variant, std::uint64_t seed,
+                             const std::string& expected) {
+  const Testbed& bed = testbed();
   const auto& uploads = sorted_uploads();
   ASSERT_GT(uploads.size(), 40u);
   const SimTime end = at_clock(1, 0, 0);
@@ -834,7 +897,7 @@ void run_crash_recovery_case(FrontEnd fe, bool admission_on, int variant,
       static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(cut - adv_index) - 3));
 
-  const std::string label = std::string(name_of(fe)) + ", admission " +
+  const std::string label = std::to_string(shards) + " shard(s), admission " +
                             (admission_on ? "on" : "off") + ", variant " +
                             std::to_string(variant) + ", cut " +
                             std::to_string(cut);
@@ -844,18 +907,19 @@ void run_crash_recovery_case(FrontEnd fe, bool admission_on, int variant,
   const ServerConfig cfg = durable_config(dir.str(), admission_on);
 
   {  // The doomed run: destroyed without close() — a crash.
-    auto crashed = make_front_end(fe, cfg);
-    const RecoveryReport fresh = crashed->open();
+    ShardedIngestService crashed(bed.world.city(), bed.database, cfg,
+                                 sharding(shards));
+    const RecoveryReport fresh = crashed.open();
     EXPECT_TRUE(fresh.durable) << label;
     EXPECT_FALSE(fresh.checkpoint_loaded) << label;
     for (std::size_t i = 0; i < cut; ++i) {
       if (i == adv_index) {
-        crashed->advance_time(uploads[adv_index].samples.front().time);
+        crashed.advance_time(uploads[adv_index].samples.front().time);
       }
       if (with_checkpoint && i == checkpoint_at) {
-        EXPECT_GT(crashed->checkpoint(), 0u) << label;
+        EXPECT_GT(crashed.checkpoint(), 0u) << label;
       }
-      ASSERT_TRUE(crashed->process_trip(uploads[i]).accepted()) << label;
+      ASSERT_TRUE(crashed.process_trip(uploads[i]).accepted()) << label;
     }
   }
 
@@ -883,8 +947,9 @@ void run_crash_recovery_case(FrontEnd fe, bool admission_on, int variant,
     write_bytes(dir.path / "checkpoint-00000000000000000003.tmp", {1, 2});
   }
 
-  auto recovered = make_front_end(fe, cfg);
-  const RecoveryReport report = recovered->open();
+  ShardedIngestService recovered(bed.world.city(), bed.database, cfg,
+                                 sharding(shards));
+  const RecoveryReport report = recovered.open();
   EXPECT_TRUE(report.durable) << label;
   EXPECT_EQ(report.checkpoint_loaded, with_checkpoint) << label;
   if (!with_checkpoint) {
@@ -892,8 +957,7 @@ void run_crash_recovery_case(FrontEnd fe, bool admission_on, int variant,
     // are replayed to restore the admission watermark.
     EXPECT_GT(report.replayed_time_marks, 0u) << label;
   }
-  const std::size_t segments = fe == FrontEnd::kSharded ? kShards : 1;
-  ASSERT_EQ(report.recovered_trips_per_segment.size(), segments) << label;
+  ASSERT_EQ(report.recovered_trips_per_segment.size(), shards) << label;
   std::uint64_t recovered_total = 0;
   for (const std::uint64_t r : report.recovered_trips_per_segment) {
     recovered_total += r;
@@ -908,34 +972,30 @@ void run_crash_recovery_case(FrontEnd fe, bool admission_on, int variant,
   // Resume: skip the first recovered_trips_per_segment[s] uploads of each
   // segment's feed subsequence (they are already durable), re-feed the
   // rest — including any torn-tail losses.
-  auto* sharded = dynamic_cast<ShardedIngestService*>(recovered.get());
-  std::vector<std::uint64_t> seen(segments, 0);
+  std::vector<std::uint64_t> seen(shards, 0);
   for (std::size_t i = 0; i < uploads.size(); ++i) {
-    const std::size_t seg =
-        sharded ? sharded->shard_of(uploads[i].participant_id) : 0;
+    const std::size_t seg = recovered.shard_of(uploads[i].participant_id);
     if (seen[seg]++ < report.recovered_trips_per_segment[seg]) continue;
-    ASSERT_TRUE(recovered->process_trip(uploads[i]).accepted()) << label;
+    ASSERT_TRUE(recovered.process_trip(uploads[i]).accepted()) << label;
   }
-  recovered->advance_time(end);
-  EXPECT_EQ(map_bytes(recovered->snapshot(end, kDay)), expected) << label;
-  recovered->close();
+  recovered.advance_time(end);
+  EXPECT_EQ(map_bytes(recovered.snapshot(end, kDay)), expected) << label;
+  recovered.close();
 }
 
 TEST(CrashRecovery, ByteIdenticalAcrossFrontEndsAdmissionAndKillPoints) {
   const SimTime end = at_clock(1, 0, 0);
   const std::size_t adv_index = sorted_uploads().size() / 3;
-  const std::string expected_off =
-      reference_map_bytes(FrontEnd::kSerial, false, adv_index, end);
-  const std::string expected_on =
-      reference_map_bytes(FrontEnd::kSerial, true, adv_index, end);
+  const std::string expected_off = reference_map_bytes(false, adv_index, end);
+  const std::string expected_on = reference_map_bytes(true, adv_index, end);
 
-  // Every front end runs every kill variant (checkpoint + WAL suffix, torn
+  // 1 and 3 shards run every kill variant (checkpoint + WAL suffix, torn
   // tail, fake mid-checkpoint crash) with admission off and on.
   std::uint64_t seed = 5150;
-  for (const FrontEnd fe : {FrontEnd::kSerial, FrontEnd::kSharded}) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
     for (const bool admission_on : {false, true}) {
       for (int variant = 0; variant < 3; ++variant) {
-        run_crash_recovery_case(fe, admission_on, variant, seed,
+        run_crash_recovery_case(shards, admission_on, variant, seed,
                                 admission_on ? expected_on : expected_off);
         ++seed;
       }
@@ -945,56 +1005,62 @@ TEST(CrashRecovery, ByteIdenticalAcrossFrontEndsAdmissionAndKillPoints) {
 
 // Crash at the extremes: before any upload and after the whole feed.
 TEST(CrashRecovery, EmptyAndCompleteLogsRecover) {
+  const Testbed& bed = testbed();
   const auto& uploads = sorted_uploads();
   const SimTime end = at_clock(1, 0, 0);
   const std::string expected =
-      reference_map_bytes(FrontEnd::kSerial, true, uploads.size() / 3, end);
+      reference_map_bytes(true, uploads.size() / 3, end);
 
   TempDir dir;
   const ServerConfig cfg = durable_config(dir.str(), true);
   {  // Crash before processing anything.
-    auto crashed = make_front_end(FrontEnd::kSerial, cfg);
-    crashed->open();
+    ShardedIngestService crashed(bed.world.city(), bed.database, cfg,
+                                 sharding(1));
+    crashed.open();
   }
   {  // Recover the empty log, run the full feed, crash at the very end.
-    auto full = make_front_end(FrontEnd::kSerial, cfg);
-    const RecoveryReport empty = full->open();
+    ShardedIngestService full(bed.world.city(), bed.database, cfg,
+                              sharding(1));
+    const RecoveryReport empty = full.open();
     EXPECT_EQ(empty.replayed_trips, 0u);
     for (std::size_t i = 0; i < uploads.size(); ++i) {
       if (i == uploads.size() / 3) {
-        full->advance_time(uploads[uploads.size() / 3].samples.front().time);
+        full.advance_time(uploads[uploads.size() / 3].samples.front().time);
       }
-      ASSERT_TRUE(full->process_trip(uploads[i]).accepted());
+      ASSERT_TRUE(full.process_trip(uploads[i]).accepted());
     }
   }
-  auto recovered = make_front_end(FrontEnd::kSerial, cfg);
-  const RecoveryReport report = recovered->open();
+  ShardedIngestService recovered(bed.world.city(), bed.database, cfg,
+                                 sharding(1));
+  const RecoveryReport report = recovered.open();
   EXPECT_EQ(report.replayed_trips, uploads.size());
-  recovered->advance_time(end);
-  EXPECT_EQ(map_bytes(recovered->snapshot(end, kDay)), expected);
-  recovered->close();
+  recovered.advance_time(end);
+  EXPECT_EQ(map_bytes(recovered.snapshot(end, kDay)), expected);
+  recovered.close();
 }
 
 // The write-ahead property itself: a record that reached the log but whose
 // effects never reached fusion (crash between append and apply) is
 // recovered. Emulated by appending one extra record directly.
 TEST(CrashRecovery, AppendedButUnappliedTripIsRecovered) {
+  const Testbed& bed = testbed();
   const auto& uploads = sorted_uploads();
   const SimTime end = at_clock(1, 0, 0);
   const std::size_t cut = uploads.size() / 2;
   const std::string expected =
-      reference_map_bytes(FrontEnd::kSerial, false, uploads.size() / 3, end);
+      reference_map_bytes(false, uploads.size() / 3, end);
 
   TempDir dir;
   const ServerConfig cfg = durable_config(dir.str(), false);
   {
-    auto crashed = make_front_end(FrontEnd::kSerial, cfg);
-    crashed->open();
+    ShardedIngestService crashed(bed.world.city(), bed.database, cfg,
+                                 sharding(1));
+    crashed.open();
     for (std::size_t i = 0; i < cut; ++i) {
       if (i == uploads.size() / 3) {
-        crashed->advance_time(uploads[uploads.size() / 3].samples.front().time);
+        crashed.advance_time(uploads[uploads.size() / 3].samples.front().time);
       }
-      ASSERT_TRUE(crashed->process_trip(uploads[i]).accepted());
+      ASSERT_TRUE(crashed.process_trip(uploads[i]).accepted());
     }
   }
   {  // The upload at `cut` made the log but never touched fusion.
@@ -1004,25 +1070,27 @@ TEST(CrashRecovery, AppendedButUnappliedTripIsRecovered) {
     writer.append(trip_record(uploads[cut]));
     writer.close();
   }
-  auto recovered = make_front_end(FrontEnd::kSerial, cfg);
-  const RecoveryReport report = recovered->open();
+  ShardedIngestService recovered(bed.world.city(), bed.database, cfg,
+                                 sharding(1));
+  const RecoveryReport report = recovered.open();
   EXPECT_EQ(report.recovered_trips_per_segment.at(0), cut + 1);
   for (std::size_t i = cut + 1; i < uploads.size(); ++i) {
-    ASSERT_TRUE(recovered->process_trip(uploads[i]).accepted());
+    ASSERT_TRUE(recovered.process_trip(uploads[i]).accepted());
   }
-  recovered->advance_time(end);
-  EXPECT_EQ(map_bytes(recovered->snapshot(end, kDay)), expected);
-  recovered->close();
+  recovered.advance_time(end);
+  EXPECT_EQ(map_bytes(recovered.snapshot(end, kDay)), expected);
+  recovered.close();
 }
 
 // Recovery of the fsync'd policies goes through the same code path; one
 // smoke arm each to pin the policies' append metadata.
 TEST(CrashRecovery, FsyncPoliciesRecoverIdentically) {
+  const Testbed& bed = testbed();
   const auto& uploads = sorted_uploads();
   const SimTime end = at_clock(1, 0, 0);
   const std::size_t cut = uploads.size() / 4;
   const std::string expected =
-      reference_map_bytes(FrontEnd::kSerial, false, uploads.size() / 3, end);
+      reference_map_bytes(false, uploads.size() / 3, end);
 
   for (const FsyncPolicy policy :
        {FsyncPolicy::kInterval, FsyncPolicy::kEveryRecord}) {
@@ -1030,30 +1098,33 @@ TEST(CrashRecovery, FsyncPoliciesRecoverIdentically) {
     ServerConfig cfg = durable_config(dir.str(), false, policy);
     cfg.durability.fsync_interval_records = 8;
     {
-      auto crashed = make_front_end(FrontEnd::kSerial, cfg);
-      crashed->open();
+      ShardedIngestService crashed(bed.world.city(), bed.database, cfg,
+                                   sharding(1));
+      crashed.open();
       for (std::size_t i = 0; i < cut; ++i) {
-        ASSERT_TRUE(crashed->process_trip(uploads[i]).accepted());
+        ASSERT_TRUE(crashed.process_trip(uploads[i]).accepted());
       }
       if (policy == FsyncPolicy::kEveryRecord) {
-        const MetricsSnapshot ms = crashed->metrics().snapshot();
+        crashed.drain();  // every queued upload appended
+        const MetricsSnapshot ms = crashed.metrics().snapshot();
         EXPECT_GE(ms.counters.at("durability.fsyncs"), cut);
       }
     }
-    auto recovered = make_front_end(FrontEnd::kSerial, cfg);
-    const RecoveryReport report = recovered->open();
+    ShardedIngestService recovered(bed.world.city(), bed.database, cfg,
+                                   sharding(1));
+    const RecoveryReport report = recovered.open();
     EXPECT_EQ(report.replayed_trips, cut) << to_string(policy);
     for (std::size_t i = cut; i < uploads.size(); ++i) {
       if (i == uploads.size() / 3) {
-        recovered->advance_time(
+        recovered.advance_time(
             uploads[uploads.size() / 3].samples.front().time);
       }
-      ASSERT_TRUE(recovered->process_trip(uploads[i]).accepted());
+      ASSERT_TRUE(recovered.process_trip(uploads[i]).accepted());
     }
-    recovered->advance_time(end);
-    EXPECT_EQ(map_bytes(recovered->snapshot(end, kDay)), expected)
+    recovered.advance_time(end);
+    EXPECT_EQ(map_bytes(recovered.snapshot(end, kDay)), expected)
         << to_string(policy);
-    recovered->close();
+    recovered.close();
   }
 }
 

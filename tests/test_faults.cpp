@@ -5,8 +5,8 @@
 //     and independent of the rest of the batch;
 //   * a zeroed plan is the identity;
 //   * on a clean workload the pipeline is bit-identical with admission
-//     checks on or off, and across both TrafficIngestor front ends
-//     (the sharded service runs admission partition-locally — dedup and
+//     checks on or off, and across the serial TrafficServer and the
+//     sharded service (which runs admission partition-locally — dedup and
 //     skew state live inside the participant's shard);
 //   * the admission stage rejects replays/malformed/disordered uploads
 //     with typed reasons instead of throwing, re-anchors skewed clocks,
@@ -548,6 +548,12 @@ TEST(AdmissionConfigValidation, ThrowsOnNonsense) {
                std::invalid_argument);
   bad = admission_on();
   bad.admission.max_clock_skew_s = -1.0;
+  EXPECT_THROW(TrafficServer(bed.world.city(), bed.database, bad),
+               std::invalid_argument);
+  // An empty upload would be admitted and, once a watermark exists, store
+  // a -inf skew offset that turns its participant's next trip into NaNs.
+  bad = admission_on();
+  bad.admission.min_samples = 0;
   EXPECT_THROW(TrafficServer(bed.world.city(), bed.database, bad),
                std::invalid_argument);
 }

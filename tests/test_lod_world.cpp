@@ -23,10 +23,11 @@
 #include <sstream>
 #include <vector>
 
+#include "core/epoch_publisher.h"
+#include "core/ingest_service.h"
 #include "core/server.h"
 #include "core/stop_database.h"
 #include "core/workload_replay.h"
-#include "core/epoch_publisher.h"
 #include "trafficsim/lod_world.h"
 
 namespace bussense {
@@ -506,10 +507,11 @@ TEST(WorkloadReplay, DrivesIngestWithAdvanceCadenceAndAccounting) {
 
   ServerConfig server_config;
   server_config.admission.enabled = true;
-  TrafficServer server(test_world().city(), test_database(), server_config);
+  ShardedIngestService service(test_world().city(), test_database(),
+                               server_config);
   ReplayOptions options;
   options.advance_every_s = 600.0;
-  const ReplayStats stats = replay_workload(server, workload, options);
+  const ReplayStats stats = replay_workload(service, workload, options);
 
   EXPECT_EQ(stats.submitted, workload.size());
   EXPECT_EQ(stats.submitted, stats.accepted + stats.rejected);
@@ -522,9 +524,10 @@ TEST(WorkloadReplay, DrivesIngestWithAdvanceCadenceAndAccounting) {
       std::floor(workload.front().arrival / 600.0));
   EXPECT_EQ(stats.advances, boundaries + 1);
 
-  const MetricsSnapshot snap = server.metrics().snapshot();
+  // The final advance drained every shard, so the counts are exact.
+  const MetricsSnapshot snap = service.shard_metrics();
   EXPECT_EQ(snap.counters.at("ingest.admitted"), stats.accepted);
-  EXPECT_EQ(server.trips_processed(), stats.accepted);
+  EXPECT_EQ(service.trips_processed(), stats.accepted);
 }
 
 TEST(WorkloadReplay, PublishesEpochsOnCadence) {
@@ -534,13 +537,13 @@ TEST(WorkloadReplay, PublishesEpochsOnCadence) {
       to_workload(lod.simulate_day(0, nullptr));
   ASSERT_GT(workload.size(), 10u);
 
-  TrafficServer server(test_world().city(), test_database());
-  EpochPublisher publisher(server.catalog());
+  ShardedIngestService service(test_world().city(), test_database());
+  EpochPublisher publisher(service.catalog());
   ReplayOptions options;
   options.advance_every_s = 900.0;
   options.publish_every = 2;
   options.publisher = &publisher;
-  const ReplayStats stats = replay_workload(server, workload, options);
+  const ReplayStats stats = replay_workload(service, workload, options);
   EXPECT_GE(stats.epochs_published, 1u);
   // Mid-replay publishes fire every second advance; the final advance
   // always publishes.
@@ -552,15 +555,15 @@ TEST(WorkloadReplay, RejectsUnsortedWorkloadsAndBadOptions) {
   const LodWorld lod(test_world(), 120, config);
   std::vector<TimedUpload> workload = to_workload(lod.simulate_day(0, nullptr));
   ASSERT_GT(workload.size(), 2u);
-  TrafficServer server(test_world().city(), test_database());
+  ShardedIngestService service(test_world().city(), test_database());
 
   std::swap(workload.front().arrival, workload.back().arrival);
-  EXPECT_THROW(replay_workload(server, workload), std::invalid_argument);
+  EXPECT_THROW(replay_workload(service, workload), std::invalid_argument);
 
   ReplayOptions bad;
   bad.publish_every = 2;  // no publisher
-  EXPECT_THROW(replay_workload(server, {}, bad), std::invalid_argument);
-  EXPECT_EQ(replay_workload(server, {}).submitted, 0u);
+  EXPECT_THROW(replay_workload(service, {}, bad), std::invalid_argument);
+  EXPECT_EQ(replay_workload(service, {}).submitted, 0u);
 }
 
 }  // namespace

@@ -230,7 +230,7 @@ TEST(EpochServing, AllFrontEndsPublishIdenticalEpochs) {
   }
   const SimTime now = latest + kHour;
 
-  auto epoch_bytes = [&](TrafficIngestor& ingestor) {
+  auto epoch_bytes = [&](auto& ingestor) {
     EpochPublisher pub(ingestor.catalog());
     ingestor.publish_epoch(pub, now);
     const EpochPublisher::Pin p = pub.pin();
