@@ -356,6 +356,29 @@ void BM_BeepDetectorSecondOfAudio(benchmark::State& state) {
 }
 BENCHMARK(BM_BeepDetectorSecondOfAudio)->Unit(benchmark::kMicrosecond);
 
+// Synthesis next to detection: one second (8,000 samples) of default cabin
+// audio with one beep, rendered in a single call. Divide by 8,000 for the
+// per-sample cost.
+void BM_SynthesizeSecondOfAudio(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        synthesize_bus_audio(AudioEnvironmentConfig{}, 1.0, {0.5}, rng));
+  }
+}
+BENCHMARK(BM_SynthesizeSecondOfAudio)->Unit(benchmark::kMicrosecond);
+
+// The per-rider cost of LodWorld's substreams: derive one Rng::stream and
+// draw two uniforms from it.
+void BM_RngStreamTwoUniforms(benchmark::State& state) {
+  std::uint64_t index = 0;
+  for (auto _ : state) {
+    Rng rng = Rng::stream(2026, index++);
+    benchmark::DoNotOptimize(rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0));
+  }
+}
+BENCHMARK(BM_RngStreamTwoUniforms);
+
 void BM_GoertzelBankWindow(benchmark::State& state) {
   const auto w = test_window(static_cast<std::size_t>(state.range(0)));
   GoertzelBank bank(8000.0, std::vector<double>{1000.0, 3000.0});

@@ -52,9 +52,12 @@
 #
 # Optional LOD metropolis stage: BUSSENSE_LOD=ON ./scripts/tier1.sh builds
 # the tiered-fidelity simulation suites (test_lod_world + the metropolis
-# golden band) and the scan equivalence suite (test_sensing_perf: scan
+# golden band), the scan equivalence suite (test_sensing_perf: scan
 # sites, the tower index and the shadow-node memo, which LodWorld's
-# per-stop site table indexes through) under ASan+UBSan, byte-diffs two
+# per-stop site table indexes through) and the generator's building blocks
+# (test_common: the lazy mt19937_64 engine, which indexes its 312-word
+# state by hand; test_dsp: the block audio renderer, which slices spans
+# into the detector) under ASan+UBSan, byte-diffs two
 # same-seed lod_cityweek trip streams generated at different thread
 # counts, then runs the million-rider city-week determinism + replay
 # bench through the ctest `bench` label in a separate build-lod/ tree (so
@@ -176,11 +179,14 @@ if [[ "${BUSSENSE_SERVING:-}" == "ON" ]]; then
 fi
 
 if [[ "${BUSSENSE_LOD:-}" == "ON" ]]; then
-  begin_stage "ASan+UBSan LOD suites (test_lod_world, test_sensing_perf, metropolis golden)"
+  begin_stage "ASan+UBSan LOD suites (test_lod_world, test_sensing_perf, test_common, test_dsp, metropolis golden)"
   cmake -B build-asan -S . -DBUSSENSE_SANITIZE=address,undefined
-  cmake --build build-asan -j --target test_lod_world test_sensing_perf test_golden_accuracy
+  cmake --build build-asan -j --target test_lod_world test_sensing_perf \
+    test_common test_dsp test_golden_accuracy
   ./build-asan/tests/test_lod_world
   ./build-asan/tests/test_sensing_perf
+  ./build-asan/tests/test_common
+  ./build-asan/tests/test_dsp
   ./build-asan/tests/test_golden_accuracy --gtest_filter='*Metropolis*'
   end_stage
   begin_stage "deterministic-seed re-run byte diff (lod_cityweek)"

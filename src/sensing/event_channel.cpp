@@ -45,9 +45,9 @@ EventChannelCalibration calibrate_event_channel(
     }
     std::sort(taps.begin(), taps.end());
 
-    std::vector<float> samples = synthesize_bus_audio(audio, clip_s, taps, rng);
+    BusAudioSynth synth(audio, clip_s, taps, rng);
     BeepDetector det(detector);
-    std::vector<BeepEvent> events = det.process(samples);
+    const std::vector<BeepEvent> events = synth.render_into(det);
 
     // Greedy one-to-one matching: each event claims the nearest unclaimed tap
     // within tolerance; leftover events are spurious.

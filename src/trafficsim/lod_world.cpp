@@ -63,6 +63,7 @@ void LodConfig::validate() const {
     throw std::invalid_argument("LodConfig: negative upload_lag_s");
   }
   event.validate();
+  audio.validate();
 }
 
 LodWorld::LodWorld(const World& world, std::int64_t riders, LodConfig config)
@@ -257,11 +258,10 @@ AnnotatedTrip LodWorld::focus_trip(const BusRoute& route, const BusRun& run,
     for (const TapEvent& tap : visit.taps) {
       tap_offsets.push_back(tap.time - clip_start);
     }
-    const std::vector<float> audio =
-        synthesize_bus_audio(config_.audio, clip_s, tap_offsets, rng);
+    BusAudioSynth synth(config_.audio, clip_s, tap_offsets, rng);
     BeepDetector detector(config_.detector);
     detector.set_origin(clip_start);
-    for (const BeepEvent& event : detector.process(audio)) {
+    for (const BeepEvent& event : synth.render_into(detector)) {
       bool matched = false;
       for (const TapEvent& tap : visit.taps) {
         if (std::abs(event.time - tap.time) <= kFocusMatchTolerance) {

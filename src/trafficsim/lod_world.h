@@ -81,7 +81,8 @@ struct LodConfig {
   std::uint64_t seed = 2026;
 
   /// Throws std::invalid_argument on nonsense (fractions outside [0, 1],
-  /// non-positive rates).
+  /// non-positive rates, an audio config AudioEnvironmentConfig::validate
+  /// rejects).
   void validate() const;
 };
 

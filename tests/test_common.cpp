@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "common/geo.h"
 #include "common/rng.h"
@@ -372,6 +375,89 @@ TEST(Rng, BernoulliExtremes) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
+  }
+}
+
+// Rng's engine must be std::mt19937_64 draw for draw: the seeded streams
+// (and every digest pinned on them) predate the lazy engine. 1,400 draws
+// cross the lazy seeding frontier (word 156), the first twist boundary
+// (312) and two full tables (624).
+TEST(Rng, EngineEqualsStdMt19937_64) {
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, ~std::uint64_t{0},
+                                      std::uint64_t{1} << 63};
+  for (std::uint64_t s = 0; seeds.size() < 1005; ++s) seeds.push_back(mix64(s));
+  for (std::uint64_t seed : seeds) {
+    Mt19937_64 lazy(seed);
+    std::mt19937_64 reference(seed);
+    for (int draw = 0; draw <= 1400; ++draw) {
+      ASSERT_EQ(lazy(), reference()) << "seed " << seed << " draw " << draw;
+    }
+  }
+}
+
+TEST(Rng, EngineCopiesMidSeedingContinueTheStream) {
+  for (int at : {0, 1, 155, 156, 157, 311, 312, 313, 623, 624}) {
+    Mt19937_64 lazy(42);
+    std::mt19937_64 reference(42);
+    for (int d = 0; d < at; ++d) ASSERT_EQ(lazy(), reference());
+    Mt19937_64 copy = lazy;
+    std::mt19937_64 reference_copy = reference;
+    for (int d = 0; d < 700; ++d) {
+      ASSERT_EQ(lazy(), reference()) << "copied after " << at;
+      ASSERT_EQ(copy(), reference_copy()) << "copied after " << at;
+    }
+  }
+}
+
+TEST(Rng, EngineMatchesStandardCheckValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a default-
+  // constructed mt19937_64 (seed 5489) produces 9981545732273789042.
+  Mt19937_64 engine(std::mt19937_64::default_seed);
+  std::uint64_t value = 0;
+  for (int i = 0; i < 10000; ++i) value = engine();
+  EXPECT_EQ(value, 9981545732273789042ULL);
+}
+
+TEST(Rng, DistributionsMatchStdMt19937_64Reference) {
+  for (std::uint64_t seed : {3ULL, 77ULL, 0x5eedULL}) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(rng.uniform(-2.0, 5.0),
+                std::uniform_real_distribution<double>(-2.0, 5.0)(ref));
+      ASSERT_EQ(rng.uniform_int(0, 1000),
+                std::uniform_int_distribution<int>(0, 1000)(ref));
+      ASSERT_EQ(rng.normal(1.0, 0.5),
+                std::normal_distribution<double>(1.0, 0.5)(ref));
+      ASSERT_EQ(rng.lognormal_median(40.0, 0.5),
+                std::lognormal_distribution<double>(std::log(40.0), 0.5)(ref));
+      ASSERT_EQ(rng.exponential(3.0),
+                std::exponential_distribution<double>(1.0 / 3.0)(ref));
+      ASSERT_EQ(rng.poisson(4.5), std::poisson_distribution<int>(4.5)(ref));
+      // Large means: Rng shaves Pois(8) draws until the mean is below 12.
+      int reference_poisson = 0;
+      double mean = 29.5;
+      for (; mean >= 12.0; mean -= 8.0) {
+        reference_poisson += std::poisson_distribution<int>(8.0)(ref);
+      }
+      reference_poisson += std::poisson_distribution<int>(mean)(ref);
+      ASSERT_EQ(rng.poisson(29.5), reference_poisson);
+      ASSERT_EQ(rng.bernoulli(0.3), std::bernoulli_distribution(0.3)(ref));
+    }
+    Rng child = rng.fork();
+    std::mt19937_64 ref_child(ref());
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(child.uniform(0.0, 1.0),
+                std::uniform_real_distribution<double>(0.0, 1.0)(ref_child));
+    }
+  }
+  for (std::uint64_t index = 0; index < 1000; ++index) {
+    Rng stream = Rng::stream(2026, index);
+    std::mt19937_64 ref(mix64(2026 ^ mix64(index + 0x632be59bd9b4e019ULL)));
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_EQ(stream.uniform(0.0, 1.0),
+                std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+    }
   }
 }
 

@@ -2,7 +2,11 @@
 // detection on synthesised bus audio.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -359,6 +363,181 @@ TEST(AudioSynth, DeterministicGivenSeed) {
   const auto a = synthesize_bus_audio(quiet_bus(), 1.0, {0.5}, rng1);
   const auto b = synthesize_bus_audio(quiet_bus(), 1.0, {0.5}, rng2);
   EXPECT_EQ(a, b);
+}
+
+// Beeps overlapping each other, straddling block edges and the clip end.
+const std::vector<SimTime> kBlockBeeps{0.0, 1.0, 1.05, 3.99, 6.2, 11.95, 12.5};
+
+std::vector<float> render_in_blocks(std::size_t block, Rng& rng) {
+  BusAudioSynth synth(quiet_bus(), 12.0, kBlockBeeps, rng);
+  std::vector<float> audio;
+  std::vector<float> buffer(block);
+  while (const std::size_t got = synth.render(buffer)) {
+    audio.insert(audio.end(), buffer.begin(), buffer.begin() + got);
+  }
+  return audio;
+}
+
+TEST(AudioSynth, BlockRenderingMatchesWholeClip) {
+  Rng whole_rng(36);
+  const auto whole = synthesize_bus_audio(quiet_bus(), 12.0, kBlockBeeps,
+                                          whole_rng);
+  const std::uint64_t whole_next = whole_rng.engine()();
+  for (std::size_t block : {1u, 80u, 256u, 4097u}) {
+    Rng rng(36);
+    const auto blocks = render_in_blocks(block, rng);
+    ASSERT_EQ(blocks.size(), whole.size()) << "block " << block;
+    for (std::size_t i = 0; i < whole.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(blocks[i]),
+                std::bit_cast<std::uint32_t>(whole[i]))
+          << "block " << block << " sample " << i;
+    }
+    EXPECT_EQ(rng.engine()(), whole_next) << "block " << block;
+  }
+}
+
+TEST(AudioSynth, DetectorFedBlockByBlockMatchesWholeClip) {
+  const std::vector<SimTime> beeps{2.0, 3.2, 4.4, 8.0, 9.1};
+  Rng whole_rng(37), block_rng(37);
+  const auto audio = synthesize_bus_audio(quiet_bus(), 12.0, beeps, whole_rng);
+  BeepDetector whole;
+  const auto expected = whole.process(audio);
+  ASSERT_EQ(expected.size(), beeps.size());
+
+  BusAudioSynth synth(quiet_bus(), 12.0, beeps, block_rng);
+  BeepDetector streamed;
+  const auto events = synth.render_into(streamed);
+  ASSERT_EQ(events.size(), expected.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].time, expected[i].time);
+    EXPECT_EQ(events[i].strength, expected[i].strength);
+  }
+  EXPECT_EQ(block_rng.engine()(), whole_rng.engine()());
+}
+
+// Distance in representable floats (0 for equal values, 1 for neighbours).
+std::int64_t float_ulps(float a, float b) {
+  const auto ordered = [](float f) {
+    const auto bits = static_cast<std::int64_t>(std::bit_cast<std::int32_t>(f));
+    return bits < 0 ? std::numeric_limits<std::int32_t>::min() - bits : bits;
+  };
+  return std::abs(ordered(a) - ordered(b));
+}
+
+// The pre-phasor synthesiser: 16 std::sin calls per sample. The phasor
+// renderer must stay within one float ulp of it over a long clip, so its
+// rounding cannot drift with clip length.
+std::vector<float> direct_sin_audio(const AudioEnvironmentConfig& config,
+                                    double duration_s,
+                                    const std::vector<SimTime>& beep_times,
+                                    Rng& rng) {
+  const double fs = config.sample_rate_hz;
+  const auto n = static_cast<std::size_t>(duration_s * fs);
+  std::vector<float> audio(n, 0.0f);
+  struct Tone {
+    double freq, phase, amp;
+  };
+  std::vector<Tone> rumble, babble;
+  for (int i = 0; i < 4; ++i) {
+    rumble.push_back(Tone{rng.uniform(40.0, 180.0), rng.uniform(0.0, 6.28),
+                          config.engine_rumble_amplitude * rng.uniform(0.4, 1.0)});
+  }
+  for (int i = 0; i < 6; ++i) {
+    babble.push_back(Tone{rng.uniform(300.0, 2200.0), rng.uniform(0.0, 6.28),
+                          config.babble_amplitude * rng.uniform(0.2, 1.0)});
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i) / fs;
+    double x = rng.normal(0.0, config.white_noise_rms);
+    for (const Tone& tone : rumble) {
+      x += tone.amp * std::sin(2.0 * std::numbers::pi * tone.freq * t + tone.phase);
+    }
+    for (const Tone& tone : babble) {
+      const double am = 0.5 * (1.0 + std::sin(2.0 * std::numbers::pi * 0.7 * t +
+                                              tone.phase * 1.7));
+      x += am * tone.amp *
+           std::sin(2.0 * std::numbers::pi * tone.freq * t + tone.phase);
+    }
+    audio[i] = static_cast<float>(x);
+  }
+  const auto beep_len = static_cast<std::size_t>(config.beep_duration_s * fs);
+  const std::size_t ramp = std::max<std::size_t>(1, beep_len / 10);
+  for (SimTime bt : beep_times) {
+    if (bt < 0.0 || bt >= duration_s) continue;
+    const auto start = static_cast<std::size_t>(bt * fs);
+    for (std::size_t k = 0; k < beep_len && start + k < n; ++k) {
+      const double t = static_cast<double>(k) / fs;
+      double envelope = 1.0;
+      if (k < ramp) envelope = static_cast<double>(k) / static_cast<double>(ramp);
+      const std::size_t from_end = beep_len - 1 - k;
+      if (from_end < ramp) {
+        envelope = std::min(envelope,
+                            static_cast<double>(from_end) / static_cast<double>(ramp));
+      }
+      double tone = 0.0;
+      for (double f : config.tone_frequencies_hz) {
+        tone += std::sin(2.0 * std::numbers::pi * f * t);
+      }
+      tone *= config.beep_amplitude / static_cast<double>(
+                                          config.tone_frequencies_hz.size());
+      audio[start + k] += static_cast<float>(envelope * tone);
+    }
+  }
+  return audio;
+}
+
+TEST(AudioSynth, PhasorsStayWithinOneUlpOfDirectSinOverLongClip) {
+  std::vector<SimTime> beeps;
+  for (double t = 1.0; t < 119.0; t += 2.3) beeps.push_back(t);
+  Rng direct_rng(38), phasor_rng(38);
+  const auto direct = direct_sin_audio(quiet_bus(), 120.0, beeps, direct_rng);
+  const auto phasor = synthesize_bus_audio(quiet_bus(), 120.0, beeps, phasor_rng);
+  ASSERT_EQ(phasor.size(), direct.size());
+  std::int64_t worst = 0;
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    worst = std::max(worst, float_ulps(phasor[i], direct[i]));
+  }
+  EXPECT_LE(worst, 1);
+  EXPECT_EQ(phasor_rng.engine()(), direct_rng.engine()());
+}
+
+TEST(AudioSynth, RejectsBadConfig) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<AudioEnvironmentConfig> bad;
+  auto with = [&](auto mutate) {
+    AudioEnvironmentConfig cfg = quiet_bus();
+    mutate(cfg);
+    bad.push_back(cfg);
+  };
+  with([](auto& c) { c.tone_frequencies_hz.clear(); });
+  with([](auto& c) { c.tone_frequencies_hz = {0.0}; });
+  with([](auto& c) { c.tone_frequencies_hz = {1000.0, 4000.0}; });
+  with([](auto& c) { c.tone_frequencies_hz = {-1000.0}; });
+  with([&](auto& c) { c.tone_frequencies_hz = {nan}; });
+  for (double v : {0.0, -8000.0, nan, inf}) {
+    with([&](auto& c) { c.sample_rate_hz = v; });
+  }
+  for (double v : {0.0, -0.1, nan, inf}) {
+    with([&](auto& c) { c.beep_duration_s = v; });
+  }
+  for (double v : {-0.1, nan, inf}) {
+    with([&](auto& c) { c.beep_amplitude = v; });
+    with([&](auto& c) { c.white_noise_rms = v; });
+    with([&](auto& c) { c.engine_rumble_amplitude = v; });
+    with([&](auto& c) { c.babble_amplitude = v; });
+  }
+  for (const AudioEnvironmentConfig& cfg : bad) {
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    Rng rng(39);
+    EXPECT_THROW(synthesize_bus_audio(cfg, 1.0, {0.5}, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(BusAudioSynth(cfg, 1.0, {0.5}, rng), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(quiet_bus().validate());
+  Rng rng(39);
+  EXPECT_THROW(synthesize_bus_audio(quiet_bus(), nan, {}, rng),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -265,6 +265,20 @@ TEST(LodCalibration, ChannelConfigValidation) {
   EXPECT_NO_THROW(EventChannelConfig{}.validate());
 }
 
+TEST(LodCalibration, BadFocusAudioFailsAtConstruction) {
+  // A broken cabin config must fail when the LodWorld is built, not inside
+  // a pool worker rendering a Focus trip mid-day.
+  std::vector<LodConfig> bad(3, small_lod_config());
+  bad[0].audio.tone_frequencies_hz.clear();
+  bad[1].audio.sample_rate_hz = -8000.0;
+  bad[2].audio.beep_duration_s = std::nan("");
+  for (const LodConfig& config : bad) {
+    EXPECT_THROW(config.validate(), std::invalid_argument);
+    EXPECT_THROW(LodWorld(test_world(), 100, config), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(small_lod_config().validate());
+}
+
 /// Fraction of clusters whose mapped stop equals the majority ground truth
 /// of its member samples (same definition as test_golden_accuracy).
 double stop_accuracy(const World& world, const TrafficServer& server,
