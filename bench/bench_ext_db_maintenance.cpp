@@ -63,8 +63,8 @@ void report() {
             *route, 1, static_cast<int>(route->stop_count()) - 2,
             at_clock(day, 8 + 3 * k, 0), day_rng);
         const auto report = server.process_trip(trip.upload);
-        updater.observe(report.mapped, updated_db);
-        updater.recover_holes(trip.upload, report.mapped, graph, updated_db);
+        updater.observe(trip.upload, report, updated_db);
+        updater.recover_holes(trip.upload, report, graph, updated_db);
       }
     }
     if (day % 5 == 0) {
@@ -89,7 +89,7 @@ void BM_UpdaterObserve(benchmark::State& state) {
   for (auto _ : state) {
     DatabaseUpdater updater;
     StopDatabase db = bed.database;
-    benchmark::DoNotOptimize(updater.observe(report.mapped, db));
+    benchmark::DoNotOptimize(updater.observe(trip.upload, report, db));
   }
 }
 BENCHMARK(BM_UpdaterObserve)->Unit(benchmark::kMicrosecond)->Iterations(20);

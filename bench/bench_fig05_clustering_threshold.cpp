@@ -14,7 +14,8 @@ namespace {
 
 // A sample is correctly clustered when its cluster contains exactly the
 // samples that share its ground-truth stop (pure and complete).
-double clustering_accuracy(const std::vector<std::vector<SampleCluster>>& trips,
+double clustering_accuracy(const std::vector<std::vector<MatchedSample>>& matched,
+                           const std::vector<std::vector<SampleCluster>>& trips,
                            const std::vector<std::map<double, StopId>>& truths) {
   int total = 0, correct = 0;
   for (std::size_t t = 0; t < trips.size(); ++t) {
@@ -22,11 +23,11 @@ double clustering_accuracy(const std::vector<std::vector<SampleCluster>>& trips,
     for (const SampleCluster& cluster : trips[t]) {
       // Count samples of each true stop in this cluster.
       std::map<StopId, int> inside;
-      for (const MatchedSample& m : cluster.members) {
-        ++inside[truth.at(m.sample.time)];
+      for (const MatchedSample& m : cluster.members(matched[t])) {
+        ++inside[truth.at(m.time)];
       }
-      for (const MatchedSample& m : cluster.members) {
-        const StopId ts = truth.at(m.sample.time);
+      for (const MatchedSample& m : cluster.members(matched[t])) {
+        const StopId ts = truth.at(m.time);
         // Total samples of that true stop in the whole trip.
         int overall = 0;
         for (const auto& [time, stop] : truth) {
@@ -81,7 +82,7 @@ void report() {
     for (const auto& samples : matched_trips) {
       clustered.push_back(cluster_samples(samples, cfg));
     }
-    t.add_row(fmt(eps, 1), {clustering_accuracy(clustered, truths)}, 2);
+    t.add_row(fmt(eps, 1), {clustering_accuracy(matched_trips, clustered, truths)}, 2);
   }
   t.print(std::cout);
   std::cout << "(paper: accuracy plateaus over a wide range; system uses "

@@ -66,9 +66,9 @@ int main(int argc, char** argv) {
             << report.rejected_samples << " below gamma), clustered into "
             << report.mapped.stops.size() << " stop visits:\n";
   for (const MappedCluster& mc : report.mapped.stops) {
-    std::cout << "  " << format_clock(mc.cluster.arrival_time()) << "  "
+    std::cout << "  " << format_clock(mc.arrival) << "  "
               << city.stop(mc.stop).name << "  ("
-              << mc.cluster.members.size() << " taps)\n";
+              << report.clusters[mc.cluster].count << " taps)\n";
   }
 
   std::cout << "\nper-segment automobile speed estimates (Eq. 3):\n";

@@ -27,9 +27,12 @@
 #
 # Optional fault/fuzz stage: BUSSENSE_FAULTS=ON ./scripts/tier1.sh builds
 # the adversarial-input suites (fault injection + admission, golden
-# accuracy, serialization fuzz) under ASan+UBSan in build-asan/ and runs
-# the binaries directly, so the fuzzer's "no crash, no UB" contract is
-# checked by the sanitizers rather than by luck. Off by default.
+# accuracy, serialization fuzz) and the trip-path suites (test_pipeline,
+# test_robustness: the stage types index into the upload and into each
+# other, which is where an out-of-bounds read would hide) under ASan+UBSan
+# in build-asan/ and runs the binaries directly, so the fuzzer's "no
+# crash, no UB" contract is checked by the sanitizers rather than by luck.
+# Off by default.
 #
 # Optional SIMD stage: BUSSENSE_SIMD=ON ./scripts/tier1.sh builds the
 # matching suites under ASan+UBSan with the vector kernels compiled in
@@ -127,12 +130,15 @@ if [[ "${BUSSENSE_SHARDED:-}" == "ON" ]]; then
 fi
 
 if [[ "${BUSSENSE_FAULTS:-}" == "ON" ]]; then
-  begin_stage "ASan+UBSan faults (test_faults, test_golden_accuracy, test_fuzz_serialization)"
+  begin_stage "ASan+UBSan faults (test_faults, test_golden_accuracy, test_fuzz_serialization, test_pipeline, test_robustness)"
   cmake -B build-asan -S . -DBUSSENSE_SANITIZE=address,undefined
-  cmake --build build-asan -j --target test_faults test_golden_accuracy test_fuzz_serialization
+  cmake --build build-asan -j --target test_faults test_golden_accuracy \
+    test_fuzz_serialization test_pipeline test_robustness
   ./build-asan/tests/test_faults
   ./build-asan/tests/test_golden_accuracy
   ./build-asan/tests/test_fuzz_serialization
+  ./build-asan/tests/test_pipeline
+  ./build-asan/tests/test_robustness
   end_stage
 fi
 

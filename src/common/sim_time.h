@@ -17,6 +17,14 @@ constexpr SimTime kMinute = 60.0;
 constexpr SimTime kHour = 3600.0;
 constexpr SimTime kDay = 86400.0;
 
+/// Largest |SimTime| the analysis pipeline accepts from an upload (about
+/// 31,700 years). Beyond it a fusion period or day index no longer fits
+/// its integer type, so casting one would be undefined.
+constexpr SimTime kMaxSimTime = 1e12;
+
+/// True for a finite time within ±kMaxSimTime (false for NaN).
+inline bool in_sim_range(SimTime t) { return std::abs(t) <= kMaxSimTime; }
+
 /// Seconds since midnight of the day containing `t`.
 inline SimTime time_of_day(SimTime t) {
   const double d = std::fmod(t, kDay);

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace bussense {
 
 double cluster_affinity(const MatchedSample& a, const MatchedSample& b,
                         const ClusteringConfig& config) {
-  const double dt = std::abs(b.sample.time - a.sample.time);
+  const double dt = std::abs(b.time - a.time);
   const double time_term = (config.max_gap_s - dt) / config.max_gap_s;
   double l = 0.0;
   if (a.stop == b.stop && a.stop != kInvalidStop) {
@@ -20,22 +19,29 @@ double cluster_affinity(const MatchedSample& a, const MatchedSample& b,
 
 namespace {
 
-void finalize(SampleCluster& cluster) {
-  struct Acc {
-    int count = 0;
-    double score_sum = 0.0;
-  };
-  std::map<StopId, Acc> by_stop;
-  for (const MatchedSample& m : cluster.members) {
-    Acc& acc = by_stop[m.stop];
-    ++acc.count;
-    acc.score_sum += m.score;
+// Candidate pool of one cluster: per matched stop, ascending, the share of
+// members and their mean score (summed in member order), then sorted by
+// descending probability and similarity.
+void finalize(SampleCluster& cluster, std::span<const MatchedSample> matched,
+              ClusteringScratch& scratch) {
+  auto& votes = scratch.votes;
+  votes.clear();
+  for (std::uint32_t i = cluster.first; i < cluster.first + cluster.count; ++i) {
+    votes.emplace_back(matched[i].stop, i);
   }
-  const double total = static_cast<double>(cluster.members.size());
-  for (const auto& [stop, acc] : by_stop) {
-    cluster.candidates.push_back(StopCandidate{
-        stop, static_cast<double>(acc.count) / total,
-        acc.score_sum / static_cast<double>(acc.count)});
+  std::sort(votes.begin(), votes.end());
+  const double total = static_cast<double>(cluster.count);
+  for (std::size_t run = 0; run < votes.size();) {
+    const StopId stop = votes[run].first;
+    std::size_t end = run;
+    double score_sum = 0.0;
+    for (; end < votes.size() && votes[end].first == stop; ++end) {
+      score_sum += matched[votes[end].second].score;
+    }
+    const double count = static_cast<double>(end - run);
+    cluster.candidates.push_back(
+        StopCandidate{stop, count / total, score_sum / count});
+    run = end;
   }
   std::sort(cluster.candidates.begin(), cluster.candidates.end(),
             [](const StopCandidate& a, const StopCandidate& b) {
@@ -47,29 +53,53 @@ void finalize(SampleCluster& cluster) {
 
 }  // namespace
 
-std::vector<SampleCluster> cluster_samples(
-    const std::vector<MatchedSample>& samples, const ClusteringConfig& config) {
+void cluster_samples(std::span<const MatchedSample> samples,
+                     const ClusteringConfig& config,
+                     std::vector<SampleCluster>& out,
+                     ClusteringScratch& scratch) {
   for (std::size_t i = 1; i < samples.size(); ++i) {
-    if (samples[i].sample.time < samples[i - 1].sample.time) {
+    if (samples[i].time < samples[i - 1].time) {
       throw std::invalid_argument("cluster_samples: samples must be time-ordered");
     }
   }
-  std::vector<SampleCluster> clusters;
-  for (const MatchedSample& s : samples) {
+  for (SampleCluster& c : out) scratch.spare.push_back(std::move(c.candidates));
+  out.clear();
+  for (std::uint32_t i = 0; i < samples.size(); ++i) {
     bool joined = false;
-    if (!clusters.empty()) {
-      for (const MatchedSample& member : clusters.back().members) {
-        if (cluster_affinity(member, s, config) > config.epsilon) {
+    if (!out.empty()) {
+      for (const MatchedSample& member : out.back().members(samples)) {
+        if (cluster_affinity(member, samples[i], config) > config.epsilon) {
           joined = true;
           break;
         }
       }
     }
-    if (!joined) clusters.emplace_back();
-    clusters.back().members.push_back(s);
+    if (!joined) {
+      SampleCluster& opened = out.emplace_back();
+      opened.first = i;
+      opened.arrival = samples[i].time;
+      if (scratch.spare.empty()) {
+        // Room for the few stops a cluster's members ever vote for, so a
+        // recycled pool fits whichever cluster takes it next.
+        opened.candidates.reserve(4);
+      } else {
+        opened.candidates = std::move(scratch.spare.back());
+        opened.candidates.clear();
+        scratch.spare.pop_back();
+      }
+    }
+    ++out.back().count;
+    out.back().departure = samples[i].time;
   }
-  for (SampleCluster& c : clusters) finalize(c);
-  return clusters;
+  for (SampleCluster& c : out) finalize(c, samples, scratch);
+}
+
+std::vector<SampleCluster> cluster_samples(
+    std::span<const MatchedSample> samples, const ClusteringConfig& config) {
+  std::vector<SampleCluster> out;
+  ClusteringScratch scratch;
+  cluster_samples(samples, config, out, scratch);
+  return out;
 }
 
 }  // namespace bussense

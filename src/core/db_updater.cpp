@@ -28,16 +28,17 @@ bool is_single_gap(const RouteGraph& graph, StopId before, StopId after,
 DatabaseUpdater::DatabaseUpdater(DbUpdaterConfig config)
     : config_(std::move(config)) {}
 
-bool DatabaseUpdater::learn(StopId stop,
-                            const std::vector<Fingerprint>& fingerprints,
-                            StopDatabase& database, bool bypass_guards) {
+void DatabaseUpdater::remember(StopId stop, const Fingerprint& fingerprint) {
+  if (fingerprint.empty()) return;
   auto& window = recent_[stop];
-  for (const Fingerprint& fp : fingerprints) {
-    if (fp.empty()) continue;
-    window.push_back(fp);
-    ++observations_;
-    if (window.size() > config_.window) window.pop_front();
-  }
+  window.push_back(fingerprint);
+  ++observations_;
+  if (window.size() > config_.window) window.pop_front();
+}
+
+bool DatabaseUpdater::refresh(StopId stop, StopDatabase& database,
+                              bool bypass_guards) {
+  const auto& window = recent_[stop];
   if (window.size() < config_.refresh_after) return false;
 
   const Fingerprint* current = database.fingerprint_of(stop);
@@ -65,49 +66,52 @@ bool DatabaseUpdater::learn(StopId stop,
   return true;
 }
 
-int DatabaseUpdater::observe(const MappedTrip& trip, StopDatabase& database) {
+int DatabaseUpdater::observe(const TripUpload& upload, const TripReport& report,
+                             StopDatabase& database) {
   int refreshed = 0;
-  for (const MappedCluster& mc : trip.stops) {
-    const StopCandidate& best = mc.cluster.best_candidate();
+  for (const MappedCluster& mc : report.mapped.stops) {
+    const SampleCluster& cluster = report.clusters[mc.cluster];
+    const StopCandidate& best = cluster.best_candidate();
     if (best.stop != mc.stop) continue;  // mapping overrode the local match
-    if (mc.cluster.members.size() < config_.min_cluster_size ||
+    if (cluster.count < config_.min_cluster_size ||
         best.probability < config_.min_probability ||
         best.mean_similarity < config_.min_mean_similarity) {
       continue;
     }
-    std::vector<Fingerprint> fresh;
-    fresh.reserve(mc.cluster.members.size());
-    for (const MatchedSample& m : mc.cluster.members) {
-      fresh.push_back(m.sample.fingerprint);
+    for (const MatchedSample& m : cluster.members(report.matched)) {
+      remember(mc.stop, upload.samples[m.index].fingerprint);
     }
-    if (learn(mc.stop, fresh, database, /*bypass_guards=*/false)) ++refreshed;
+    if (refresh(mc.stop, database, /*bypass_guards=*/false)) ++refreshed;
   }
   return refreshed;
 }
 
 int DatabaseUpdater::recover_holes(const TripUpload& upload,
-                                   const MappedTrip& mapped,
+                                   const TripReport& report,
                                    const RouteGraph& graph,
                                    StopDatabase& database) {
-  if (mapped.stops.size() < 2) return 0;
+  const std::vector<MappedCluster>& stops = report.mapped.stops;
+  if (stops.size() < 2) return 0;
   // Times consumed by matched clusters; everything else is an orphan.
   std::set<double> matched_times;
-  for (const MappedCluster& mc : mapped.stops) {
-    for (const MatchedSample& m : mc.cluster.members) {
-      matched_times.insert(m.sample.time);
+  for (const MappedCluster& mc : stops) {
+    for (const MatchedSample& m :
+         report.clusters[mc.cluster].members(report.matched)) {
+      matched_times.insert(m.time);
     }
   }
+  // Both anchors must be confidently mapped.
+  const auto confident = [&](const MappedCluster& mc) {
+    const SampleCluster& cluster = report.clusters[mc.cluster];
+    const StopCandidate& best = cluster.best_candidate();
+    return best.stop == mc.stop && cluster.count >= 2 &&
+           best.probability >= config_.min_probability &&
+           best.mean_similarity >= config_.min_mean_similarity;
+  };
   int refreshed = 0;
-  for (std::size_t k = 0; k + 1 < mapped.stops.size(); ++k) {
-    const MappedCluster& before = mapped.stops[k];
-    const MappedCluster& after = mapped.stops[k + 1];
-    // Both anchors must be confidently mapped.
-    const auto confident = [&](const MappedCluster& mc) {
-      const StopCandidate& best = mc.cluster.best_candidate();
-      return best.stop == mc.stop && mc.cluster.members.size() >= 2 &&
-             best.probability >= config_.min_probability &&
-             best.mean_similarity >= config_.min_mean_similarity;
-    };
+  for (std::size_t k = 0; k + 1 < stops.size(); ++k) {
+    const MappedCluster& before = stops[k];
+    const MappedCluster& after = stops[k + 1];
     if (!confident(before) || !confident(after)) continue;
     StopId middle = kInvalidStop;
     if (!is_single_gap(graph, before.stop, after.stop, &middle,
@@ -115,16 +119,16 @@ int DatabaseUpdater::recover_holes(const TripUpload& upload,
       continue;
     }
     // Orphan samples strictly between the anchors.
-    std::vector<Fingerprint> orphans;
+    std::vector<const Fingerprint*> orphans;
     for (const CellularSample& s : upload.samples) {
       if (matched_times.contains(s.time)) continue;
-      if (s.time > before.cluster.departure_time() &&
-          s.time < after.cluster.arrival_time()) {
-        orphans.push_back(s.fingerprint);
+      if (s.time > before.departure && s.time < after.arrival) {
+        orphans.push_back(&s.fingerprint);
       }
     }
     if (orphans.size() < 2) continue;  // a lone false beep proves nothing
-    if (learn(middle, orphans, database, /*bypass_guards=*/true)) ++refreshed;
+    for (const Fingerprint* fp : orphans) remember(middle, *fp);
+    if (refresh(middle, database, /*bypass_guards=*/true)) ++refreshed;
   }
   return refreshed;
 }

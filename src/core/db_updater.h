@@ -13,6 +13,7 @@
 #include <deque>
 #include <unordered_map>
 
+#include "core/ingest_report.h"
 #include "core/matching.h"
 #include "core/route_graph.h"
 #include "core/stop_database.h"
@@ -53,10 +54,12 @@ class DatabaseUpdater {
  public:
   explicit DatabaseUpdater(DbUpdaterConfig config = {});
 
-  /// Harvests confident clusters of a mapped trip into the per-stop windows
+  /// Harvests confident clusters of an analysed trip (`report`, from
+  /// analyze_trip or process_trip on `upload`) into the per-stop windows
   /// and refreshes `database` entries whose window is ripe. Returns the
   /// number of stops refreshed.
-  int observe(const MappedTrip& trip, StopDatabase& database);
+  int observe(const TripUpload& upload, const TripReport& report,
+              StopDatabase& database);
 
   /// Hole recovery: once a stop's database entry has decayed so far that
   /// its samples fall below the server's γ, no cluster ever forms there and
@@ -66,18 +69,19 @@ class DatabaseUpdater {
   /// common route must belong to the stop in the middle. Those orphans are
   /// credited to that stop and can resurrect its entry. Returns the number
   /// of stops refreshed this way.
-  int recover_holes(const TripUpload& upload, const MappedTrip& mapped,
+  int recover_holes(const TripUpload& upload, const TripReport& report,
                     const RouteGraph& graph, StopDatabase& database);
 
   std::uint64_t observations() const { return observations_; }
   std::uint64_t refreshes() const { return refreshes_; }
 
  private:
-  /// Adds fingerprints to the stop's window; refreshes the database entry
-  /// if the window is ripe and the entry has decayed. Returns true on
-  /// refresh. `bypass_guards` skips the continuity check (hole recovery).
-  bool learn(StopId stop, const std::vector<Fingerprint>& fingerprints,
-             StopDatabase& database, bool bypass_guards);
+  /// Adds a fingerprint to the stop's window.
+  void remember(StopId stop, const Fingerprint& fingerprint);
+  /// Refreshes the stop's database entry if its window is ripe and the
+  /// entry has decayed. Returns true on refresh. `bypass_guards` skips the
+  /// continuity check (hole recovery).
+  bool refresh(StopId stop, StopDatabase& database, bool bypass_guards);
 
   DbUpdaterConfig config_;
   std::unordered_map<StopId, std::deque<Fingerprint>> recent_;

@@ -53,12 +53,15 @@ inline const char* to_string(RejectReason r) {
 }
 
 /// Everything the pipeline derived from one trip (kept for evaluation).
-/// ShardedIngestService returns only the outcome fields.
+/// The stage outputs index into each other and into the upload: a matched
+/// sample names its upload sample, a cluster a run of `matched`, a mapped
+/// stop its cluster. ShardedIngestService returns only the outcome fields.
 struct TripReport {
   IngestOutcome outcome = IngestOutcome::kProcessed;
   RejectReason reject_reason = RejectReason::kNone;
-  std::vector<MatchedSample> matched;    ///< samples that passed γ
-  std::size_t rejected_samples = 0;      ///< below-γ samples discarded
+  std::vector<MatchedSample> matched;    ///< samples that passed γ, by time
+  std::size_t rejected_samples = 0;      ///< samples discarded before γ or by it
+  std::vector<SampleCluster> clusters;   ///< per-stop runs of `matched`
   MappedTrip mapped;                     ///< stop per cluster
   std::vector<SpeedEstimate> estimates;  ///< per adjacent segment
 

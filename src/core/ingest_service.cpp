@@ -149,9 +149,7 @@ void ShardedIngestService::process_one(Shard& shard, const TripUpload& trip) {
     // Write-ahead into the shard's own segment; only this consumer thread
     // appends to it, so segment order == the shard's processing order.
     if (durability_) durability_->append_trip(shard.index, *use, info);
-    const TripReport report = backend_.process_admitted(*use);
-    shard.batch.insert(shard.batch.end(), report.estimates.begin(),
-                       report.estimates.end());
+    backend_.process_admitted(*use, shard.scratch, shard.batch);
     if (shard.batch.size() >= kFoldBatch) fold_batch(shard);
     if (shard.inst.processed) shard.inst.processed->inc();
   } catch (...) {
@@ -233,6 +231,8 @@ RecoveryReport ShardedIngestService::open() {
   // closed during replay (a time mark only restores the shard's admission
   // watermark), so this sequential order yields the same fused map as the
   // original interleaving (period sums are order-insensitive).
+  TripScratch scratch;
+  std::vector<SpeedEstimate> estimates;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     AdmissionController* admission = shards_[i]->admission.get();
     for (const WalRecord& record : recovery.replay[i]) {
@@ -245,7 +245,9 @@ RecoveryReport ShardedIngestService::open() {
         admission->note_replayed(record.signature, record.trip.participant_id,
                                  record.skew_offset_s);
       }
-      backend_.ingest(backend_.process_admitted(record.trip).estimates);
+      estimates.clear();
+      backend_.process_admitted(record.trip, scratch, estimates);
+      backend_.ingest(estimates);
       ++report.replayed_trips;
     }
   }

@@ -18,8 +18,9 @@
 //     skew history live where its uploads are processed, so the checks
 //     are race-free without a shared controller;
 //   * each shard runs the pipeline through one shared TrafficServer
-//     backend (TrafficServer::process_admitted), buffers the estimates in
-//     its own batch and folds that batch into the backend's internally
+//     backend (TrafficServer::process_admitted) over its own TripScratch,
+//     reused from trip to trip, appends the estimates to its own batch
+//     and folds that batch into the backend's internally
 //     locked fusion store — when it fills, and always before the shard
 //     reports idle, so once drain() returns every accepted estimate is in
 //     the fusion;
@@ -182,8 +183,9 @@ class ShardedIngestService {
     std::condition_variable work;  ///< consumer: inbox non-empty or closed
     std::condition_variable room;  ///< kBlock producers: inbox below capacity
     std::condition_variable idle;  ///< drain(): inbox empty and not busy
-    /// Estimates analysed but not yet folded; touched only by the
-    /// consumer thread.
+    /// The analysis buffers and the estimates analysed but not yet
+    /// folded; touched only by the consumer thread.
+    TripScratch scratch;
     std::vector<SpeedEstimate> batch;
     /// Partition-local admission state (null when admission is disabled).
     std::unique_ptr<AdmissionController> admission;

@@ -73,17 +73,13 @@ std::optional<SpanInfo> SegmentCatalog::span(const SegmentKey& key) const {
                    route.stop_arc(loc->second.second));
 }
 
-std::vector<SegmentKey> SegmentCatalog::adjacent_chain(
-    const SegmentKey& key) const {
+std::span<const StopId> SegmentCatalog::stop_run(const SegmentKey& key) const {
   const auto loc = locate(key);
   if (!loc) return {};
   const auto& seq = sequences_[static_cast<std::size_t>(loc->first)];
-  std::vector<SegmentKey> chain;
-  for (int i = loc->second.first; i < loc->second.second; ++i) {
-    chain.push_back(SegmentKey{seq[static_cast<std::size_t>(i)],
-                               seq[static_cast<std::size_t>(i) + 1]});
-  }
-  return chain;
+  return std::span<const StopId>(seq).subspan(
+      static_cast<std::size_t>(loc->second.first),
+      static_cast<std::size_t>(loc->second.second - loc->second.first) + 1);
 }
 
 }  // namespace bussense

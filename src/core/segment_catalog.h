@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -53,8 +54,10 @@ class SegmentCatalog {
   /// spanning skipped stops; nullopt if no route serves the pair in order.
   std::optional<SpanInfo> span(const SegmentKey& key) const;
 
-  /// Decomposes a valid span into its chain of adjacent segment keys.
-  std::vector<SegmentKey> adjacent_chain(const SegmentKey& key) const;
+  /// Decomposes a span: the stops of the first route serving the ordered
+  /// pair, `from` through `to`, so consecutive entries are its chain of
+  /// adjacent segments. Empty if no route serves the pair in order.
+  std::span<const StopId> stop_run(const SegmentKey& key) const;
 
   /// All adjacent segments, each listed once.
   const std::vector<SegmentKey>& adjacent_keys() const { return adjacent_keys_; }

@@ -74,101 +74,157 @@ TrafficServer::TrafficServer(const City& city, StopDatabase database,
   }
 }
 
-std::vector<MatchedSample> TrafficServer::match_samples(
-    const TripUpload& trip, std::size_t* rejected) const {
+namespace {
+
+// A report carrying the scratch's stage outputs (moved out).
+TripReport report_of(TripScratch& scratch,
+                     std::vector<SpeedEstimate> estimates) {
+  TripReport report;
+  report.matched = std::move(scratch.matched);
+  report.rejected_samples = scratch.rejected_samples;
+  report.clusters = std::move(scratch.clusters);
+  report.mapped = std::move(scratch.mapped);
+  report.estimates = std::move(estimates);
+  return report;
+}
+
+}  // namespace
+
+void TrafficServer::match_into(const TripUpload& trip,
+                               std::vector<MatchedSample>& out,
+                               std::size_t& rejected) const {
   const double start = inst_.match_s ? monotonic_time_s() : 0.0;
-  std::vector<MatchedSample> matched;
-  std::size_t dropped = 0;
-  for (const CellularSample& sample : trip.samples) {
-    if (sample.fingerprint.empty()) {  // malformed or censored sample
-      ++dropped;
+  out.clear();
+  rejected = 0;
+  MatchStats stats;
+  for (std::size_t i = 0; i < trip.samples.size(); ++i) {
+    const CellularSample& sample = trip.samples[i];
+    // Malformed or censored samples, and times no fusion period can hold.
+    if (sample.fingerprint.empty() || !in_sim_range(sample.time)) {
+      ++rejected;
       continue;
     }
-    if (const auto result = matcher_.match(sample.fingerprint)) {
-      matched.push_back(MatchedSample{sample, result->stop, result->score});
+    if (const auto result = matcher_.match_deferred(sample.fingerprint, stats)) {
+      out.push_back(MatchedSample{static_cast<std::uint32_t>(i), sample.time,
+                                  result->stop, result->score});
     } else {
-      ++dropped;
+      ++rejected;
     }
   }
+  matcher_.record(stats);
   // Uploads come from unsynchronised phones over lossy links: never trust
-  // their sample ordering (the clustering stage requires time order).
-  std::stable_sort(matched.begin(), matched.end(),
-                   [](const MatchedSample& a, const MatchedSample& b) {
-                     return a.sample.time < b.sample.time;
-                   });
-  if (rejected) *rejected = dropped;
+  // their sample ordering (the clustering stage requires time order). Ties
+  // keep upload order, as a stable sort would.
+  const auto earlier = [](const MatchedSample& a, const MatchedSample& b) {
+    return a.time < b.time || (a.time == b.time && a.index < b.index);
+  };
+  if (!std::is_sorted(out.begin(), out.end(), earlier)) {
+    std::sort(out.begin(), out.end(), earlier);
+  }
   if (inst_.match_s) {
     inst_.match_s->record(monotonic_time_s() - start);
     inst_.samples_considered->add(trip.samples.size());
-    inst_.samples_rejected->add(dropped);
-    inst_.samples_matched->add(matched.size());
+    inst_.samples_rejected->add(rejected);
+    inst_.samples_matched->add(out.size());
   }
-  return matched;
 }
 
-std::vector<SampleCluster> TrafficServer::cluster_samples(
-    const std::vector<MatchedSample>& matched) const {
+void TrafficServer::cluster_into(std::span<const MatchedSample> matched,
+                                 std::vector<SampleCluster>& out,
+                                 ClusteringScratch& scratch) const {
   const double start = inst_.cluster_s ? monotonic_time_s() : 0.0;
-  std::vector<SampleCluster> clusters;
   if (config_.stages.clustering) {
-    clusters = bussense::cluster_samples(matched, config_.clustering);
+    bussense::cluster_samples(matched, config_.clustering, out, scratch);
   } else {
     // Ablation: each sample becomes its own singleton cluster.
-    clusters.reserve(matched.size());
-    for (const MatchedSample& m : matched) {
-      SampleCluster c;
-      c.members.push_back(m);
-      c.candidates.push_back(StopCandidate{m.stop, 1.0, m.score});
-      clusters.push_back(std::move(c));
+    out.clear();
+    for (std::uint32_t i = 0; i < matched.size(); ++i) {
+      const MatchedSample& m = matched[i];
+      out.push_back(SampleCluster{i, 1, m.time, m.time,
+                                  {StopCandidate{m.stop, 1.0, m.score}}});
     }
   }
   if (inst_.cluster_s) {
     inst_.cluster_s->record(monotonic_time_s() - start);
-    inst_.clusters->add(clusters.size());
+    inst_.clusters->add(out.size());
   }
+}
+
+void TrafficServer::map_into(std::span<const SampleCluster> clusters,
+                             MappedTrip& out, MapperScratch& scratch) const {
+  const double start = inst_.map_s ? monotonic_time_s() : 0.0;
+  if (config_.stages.trip_mapping) {
+    mapper_.map_trip(clusters, out, scratch);
+  } else {
+    // Ablation: take each cluster's best candidate with no sequence
+    // reasoning.
+    out.stops.clear();
+    out.likelihood = 0.0;
+    for (std::uint32_t k = 0; k < clusters.size(); ++k) {
+      const SampleCluster& c = clusters[k];
+      out.stops.push_back(MappedCluster{k, c.best_candidate().stop, c.arrival,
+                                        c.departure});
+    }
+  }
+  if (inst_.map_s) inst_.map_s->record(monotonic_time_s() - start);
+}
+
+void TrafficServer::analyze(const TripUpload& trip, TripScratch& scratch,
+                            std::vector<SpeedEstimate>& out) const {
+  match_into(trip, scratch.matched, scratch.rejected_samples);
+  cluster_into(scratch.matched, scratch.clusters, scratch.clustering);
+  map_into(scratch.clusters, scratch.mapped, scratch.mapping);
+  const double start = inst_.estimate_s ? monotonic_time_s() : 0.0;
+  const std::size_t before = out.size();
+  estimator_.estimate(scratch.mapped, out);
+  if (inst_.estimate_s) {
+    inst_.estimate_s->record(monotonic_time_s() - start);
+    inst_.estimates->add(out.size() - before);
+  }
+}
+
+std::vector<MatchedSample> TrafficServer::match_samples(
+    const TripUpload& trip, std::size_t* rejected) const {
+  std::vector<MatchedSample> matched;
+  std::size_t dropped = 0;
+  match_into(trip, matched, dropped);
+  if (rejected) *rejected = dropped;
+  return matched;
+}
+
+std::vector<SampleCluster> TrafficServer::cluster_samples(
+    std::span<const MatchedSample> matched) const {
+  std::vector<SampleCluster> clusters;
+  ClusteringScratch scratch;
+  cluster_into(matched, clusters, scratch);
   return clusters;
 }
 
 MappedTrip TrafficServer::map_trip(
-    const std::vector<SampleCluster>& clusters) const {
-  const double start = inst_.map_s ? monotonic_time_s() : 0.0;
+    std::span<const SampleCluster> clusters) const {
   MappedTrip trip;
-  if (config_.stages.trip_mapping) {
-    trip = mapper_.map_trip(clusters);
-  } else {
-    // Ablation: take each cluster's best candidate with no sequence
-    // reasoning.
-    for (const SampleCluster& c : clusters) {
-      trip.stops.push_back(MappedCluster{c, c.best_candidate().stop});
-    }
-  }
-  if (inst_.map_s) inst_.map_s->record(monotonic_time_s() - start);
+  MapperScratch scratch;
+  map_into(clusters, trip, scratch);
   return trip;
 }
 
 TripReport TrafficServer::analyze_trip(const TripUpload& trip) const {
-  TripReport report;
-  report.matched = match_samples(trip, &report.rejected_samples);
-  const auto clusters = cluster_samples(report.matched);
-  report.mapped = map_trip(clusters);
-  const double start = inst_.estimate_s ? monotonic_time_s() : 0.0;
-  report.estimates = estimator_.estimate(report.mapped);
-  if (inst_.estimate_s) {
-    inst_.estimate_s->record(monotonic_time_s() - start);
-    inst_.estimates->add(report.estimates.size());
-  }
-  return report;
+  TripScratch scratch;
+  std::vector<SpeedEstimate> estimates;
+  analyze(trip, scratch, estimates);
+  return report_of(scratch, std::move(estimates));
 }
 
-TripReport TrafficServer::process_admitted(const TripUpload& trip) {
+void TrafficServer::process_admitted(const TripUpload& trip,
+                                     TripScratch& scratch,
+                                     std::vector<SpeedEstimate>& out) {
   const double start = inst_.trip_s ? monotonic_time_s() : 0.0;
-  TripReport report = analyze_trip(trip);
+  analyze(trip, scratch, out);
   trips_processed_.fetch_add(1, std::memory_order_relaxed);
   if (inst_.trip_s) {
     inst_.trip_s->record(monotonic_time_s() - start);
     inst_.trips->inc();
   }
-  return report;
 }
 
 void TrafficServer::ingest(const std::vector<SpeedEstimate>& estimates) {
@@ -189,9 +245,11 @@ TripReport TrafficServer::process_trip(const TripUpload& trip) {
       return rejected;
     }
   }
-  TripReport report = process_admitted(*use);
-  ingest(report.estimates);
-  return report;
+  TripScratch scratch;
+  std::vector<SpeedEstimate> estimates;
+  process_admitted(*use, scratch, estimates);
+  ingest(estimates);
+  return report_of(scratch, std::move(estimates));
 }
 
 void TrafficServer::advance_time(SimTime now) {

@@ -9,7 +9,15 @@
 // also the backend of the ingest front end, ShardedIngestService
 // (core/ingest_service.h): analysis is a pure function of immutable state
 // and the fusion store is internally locked, so shard consumers call
-// process_admitted() and ingest() concurrently. Durability (write-ahead
+// process_admitted() and ingest() concurrently.
+//
+// There is one analysis path. process_admitted() runs match → cluster →
+// map → estimate over a caller-owned TripScratch, whose stage outputs are
+// index views (a matched sample names its upload sample, a cluster a run
+// of matched samples, a mapped stop its cluster) and whose buffers are
+// reused from trip to trip; each shard consumer owns one. analyze_trip()
+// and process_trip() run the same code over a local scratch and hand its
+// stage outputs to the caller in a TripReport. Durability (write-ahead
 // log, checkpoints, recovery) lives only in ShardedIngestService; a
 // 1-shard service is the durable serial path. Every pipeline stage
 // reports throughput, rejection counts and latency into the server's
@@ -20,6 +28,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "citynet/city.h"
 #include "core/admission.h"
@@ -39,6 +49,18 @@
 namespace bussense {
 
 class EpochPublisher;  // core/epoch_publisher.h (serving tier, DESIGN.md §13)
+
+/// Working memory of one analysing thread: the stage outputs of the trip it
+/// analysed last and the stages' reusable buffers. Reusing one across trips
+/// keeps a steady-state trip nearly allocation-free.
+struct TripScratch {
+  std::vector<MatchedSample> matched;  ///< by time; see TripReport
+  std::size_t rejected_samples = 0;
+  std::vector<SampleCluster> clusters;
+  MappedTrip mapped;
+  ClusteringScratch clustering;
+  MapperScratch mapping;
+};
 
 struct ServerConfig {
   StopMatcherConfig matcher;
@@ -87,22 +109,27 @@ class TrafficServer {
   /// estimate. Feeds no fusion state and counts no trip; thread-safe.
   TripReport analyze_trip(const TripUpload& trip) const;
 
-  /// An upload that already passed admission (and, in a durable service,
-  /// the log): analyze_trip(), counted as processed, estimates not yet
-  /// folded — the caller hands them to ingest(), alone or batched with
-  /// other trips'. Thread-safe.
-  TripReport process_admitted(const TripUpload& trip);
+  /// The trip path: analyses an upload that already passed admission (and,
+  /// in a durable service, the log) over `scratch`, counts it as processed
+  /// and appends its estimates to `out`, not yet folded — the caller hands
+  /// them to ingest(), alone or batched with other trips'. Thread-safe
+  /// with one scratch per thread.
+  void process_admitted(const TripUpload& trip, TripScratch& scratch,
+                        std::vector<SpeedEstimate>& out);
 
   /// Folds estimates into the fusion state (the mutable half).
   /// Thread-safe: the fusion store locks per stripe.
   void ingest(const std::vector<SpeedEstimate>& estimates);
 
-  /// Pipeline stages exposed individually (benches and ablations).
+  /// Pipeline stages exposed individually (benches and ablations), each
+  /// the trip path's own stage over fresh buffers. The match stage drops
+  /// samples with an empty fingerprint or a time outside ±kMaxSimTime and
+  /// samples below γ, counting them in `rejected`.
   std::vector<MatchedSample> match_samples(const TripUpload& trip,
                                            std::size_t* rejected = nullptr) const;
   std::vector<SampleCluster> cluster_samples(
-      const std::vector<MatchedSample>& matched) const;
-  MappedTrip map_trip(const std::vector<SampleCluster>& clusters) const;
+      std::span<const MatchedSample> matched) const;
+  MappedTrip map_trip(std::span<const SampleCluster> clusters) const;
 
   /// Advances the admission watermark and closes fusion periods up to
   /// `now`. Call only once every estimate older than `now`'s period has
@@ -146,6 +173,18 @@ class TrafficServer {
   }
 
  private:
+  /// The stages over caller buffers, each timed and counted.
+  void match_into(const TripUpload& trip, std::vector<MatchedSample>& out,
+                  std::size_t& rejected) const;
+  void cluster_into(std::span<const MatchedSample> matched,
+                    std::vector<SampleCluster>& out,
+                    ClusteringScratch& scratch) const;
+  void map_into(std::span<const SampleCluster> clusters, MappedTrip& out,
+                MapperScratch& scratch) const;
+  /// match → cluster → map → estimate into `scratch` and `out`.
+  void analyze(const TripUpload& trip, TripScratch& scratch,
+               std::vector<SpeedEstimate>& out) const;
+
   const City* city_;
   StopDatabase database_;
   ServerConfig config_;

@@ -202,10 +202,9 @@ void StopMatcher::bind_metrics(MetricsRegistry* registry) {
   bound_skipped_ = &registry->counter("matcher.records_bound_skipped");
 }
 
-void StopMatcher::flush(const MatchStats& local, MatchStats* stats) const {
-  if (stats) *stats = local;
-  if (calls_) {
-    calls_->inc();
+void StopMatcher::record(const MatchStats& local) const {
+  if (calls_ && local.calls > 0) {
+    calls_->add(local.calls);
     considered_->add(local.records_considered);
     candidates_->add(local.gamma_candidates);
     pruned_->add(local.records_pruned);
@@ -435,19 +434,30 @@ void StopMatcher::scan(const Fingerprint& sample, bool prune_incumbent,
   local.records_pruned = local.records_considered - local.records_accepted;
 }
 
-std::optional<MatchResult> StopMatcher::match(const Fingerprint& sample,
-                                              MatchStats* stats) const {
+std::optional<MatchResult> StopMatcher::match_deferred(
+    const Fingerprint& sample, MatchStats& pending) const {
   MatchStats local;
+  local.calls = 1;
   Winner winner(sample, *database_);
   scan(sample, /*prune_incumbent=*/true, local,
        [&](std::uint32_t rec, double score) { winner.offer(rec, score); });
-  flush(local, stats);
+  pending.merge(local);
   return winner.result();
+}
+
+std::optional<MatchResult> StopMatcher::match(const Fingerprint& sample,
+                                              MatchStats* stats) const {
+  MatchStats local;
+  const auto result = match_deferred(sample, local);
+  if (stats) *stats = local;
+  record(local);
+  return result;
 }
 
 std::vector<MatchResult> StopMatcher::match_all(const Fingerprint& sample,
                                                 MatchStats* stats) const {
   MatchStats local;
+  local.calls = 1;
   std::vector<MatchResult> out;
   scan(sample, /*prune_incumbent=*/false, local,
        [&](std::uint32_t rec, double score) {
@@ -455,7 +465,8 @@ std::vector<MatchResult> StopMatcher::match_all(const Fingerprint& sample,
          out.push_back(MatchResult{r.stop, score,
                                    common_cell_count(sample, r.fingerprint)});
        });
-  flush(local, stats);
+  if (stats) *stats = local;
+  record(local);
   std::sort(out.begin(), out.end(), [](const MatchResult& a, const MatchResult& b) {
     return a.score > b.score ||
            (a.score == b.score && a.common_cells > b.common_cells);

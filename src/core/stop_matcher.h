@@ -77,6 +77,7 @@ struct MatchResult {
 /// (work the fast path provably skipped), `*_accepted` (work actually
 /// done), with reset()/merge() for aggregation — see ScanStats.
 struct MatchStats {
+  std::size_t calls = 0;               ///< match()/match_all() calls covered
   std::size_t records_considered = 0;  ///< database size
   std::size_t gamma_candidates = 0;    ///< records surviving the γ bound
   std::size_t records_pruned = 0;      ///< records never run through the DP
@@ -88,6 +89,7 @@ struct MatchStats {
 
   void reset() { *this = MatchStats{}; }
   void merge(const MatchStats& other) {
+    calls += other.calls;
     records_considered += other.records_considered;
     gamma_candidates += other.gamma_candidates;
     records_pruned += other.records_pruned;
@@ -104,9 +106,18 @@ class StopMatcher {
   std::optional<MatchResult> match(const Fingerprint& sample,
                                    MatchStats* stats = nullptr) const;
 
+  /// match() that merges the call's counters into `pending` instead of
+  /// recording them: a caller matching a batch of samples (one trip's)
+  /// records the whole batch once with record(pending).
+  std::optional<MatchResult> match_deferred(const Fingerprint& sample,
+                                            MatchStats& pending) const;
+
   /// Every stop scoring >= γ, best first (diagnostics / ablations).
   std::vector<MatchResult> match_all(const Fingerprint& sample,
                                      MatchStats* stats = nullptr) const;
+
+  /// Adds `stats` to the bound registry's counters (no-op when unbound).
+  void record(const MatchStats& stats) const;
 
   /// Accumulates every call's MatchStats into `registry` (counters
   /// `matcher.calls`, `matcher.records_considered/pruned/accepted`,
@@ -147,7 +158,6 @@ class StopMatcher {
   template <typename Accept>
   void scan(const Fingerprint& sample, bool prune_incumbent, MatchStats& local,
             Accept&& accept) const;
-  void flush(const MatchStats& local, MatchStats* stats) const;
 
   const StopDatabase* database_;
   StopMatcherConfig config_;

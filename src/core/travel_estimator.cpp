@@ -1,6 +1,8 @@
 #include "core/travel_estimator.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 
 namespace bussense {
 
@@ -22,34 +24,43 @@ double TravelEstimator::att_seconds(double btt_s, double length_m,
   return a + config_.b * excess;
 }
 
-std::vector<SpeedEstimate> TravelEstimator::estimate(const MappedTrip& trip) const {
-  std::vector<SpeedEstimate> out;
+void TravelEstimator::estimate(const MappedTrip& trip,
+                               std::vector<SpeedEstimate>& out) const {
   for (std::size_t k = 0; k + 1 < trip.stops.size(); ++k) {
     const MappedCluster& from = trip.stops[k];
     const MappedCluster& to = trip.stops[k + 1];
     if (from.stop == to.stop) continue;  // split cluster at one stop
-    const SimTime depart = from.cluster.departure_time();
-    const SimTime arrive = to.cluster.arrival_time();
-    const double btt = arrive - depart;
+    const double btt = to.arrival - from.departure;
     if (btt <= 0.0) continue;
-    const auto span = catalog_->span(SegmentKey{from.stop, to.stop});
-    if (!span) continue;  // residual mapping error: no route serves the pair
+    const SegmentKey key{from.stop, to.stop};
+    // Adjacent pairs (nearly all) read the catalog in place; a span over
+    // skipped stops is built on demand.
+    std::optional<SpanInfo> built;
+    const SpanInfo* span = catalog_->adjacent(key);
+    if (span == nullptr) {
+      built = catalog_->span(key);
+      if (!built) continue;  // residual mapping error: no route serves the pair
+      span = &*built;
+    }
     const double att = att_seconds(btt, span->length_m, span->free_speed_kmh);
     if (att <= 0.0) continue;
-    const double speed_kmh = (span->length_m / 1000.0) / (att / 3600.0);
-    SpeedEstimate base;
-    base.route = span->route;
-    base.time = 0.5 * (depart + arrive);
-    base.att_speed_kmh = speed_kmh;
-    base.btt_s = btt;
-    base.span_length_m = span->length_m;
-    for (const SegmentKey& adj :
-         catalog_->adjacent_chain(SegmentKey{from.stop, to.stop})) {
-      SpeedEstimate e = base;
-      e.segment = adj;
-      out.push_back(std::move(e));
+    SpeedEstimate e;
+    e.route = span->route;
+    e.time = 0.5 * (from.departure + to.arrival);
+    e.att_speed_kmh = (span->length_m / 1000.0) / (att / 3600.0);
+    e.btt_s = btt;
+    e.span_length_m = span->length_m;
+    const std::span<const StopId> run = catalog_->stop_run(key);
+    for (std::size_t i = 0; i + 1 < run.size(); ++i) {
+      e.segment = SegmentKey{run[i], run[i + 1]};
+      out.push_back(e);
     }
   }
+}
+
+std::vector<SpeedEstimate> TravelEstimator::estimate(const MappedTrip& trip) const {
+  std::vector<SpeedEstimate> out;
+  estimate(trip, out);
   return out;
 }
 

@@ -53,8 +53,11 @@ class TravelEstimator {
   /// Eq. 3: estimated automobile travel time for the span.
   double att_seconds(double btt_s, double length_m, double free_speed_kmh) const;
 
-  /// Extracts one estimate per adjacent segment covered by the trip. A span
-  /// over skipped stops contributes its speed to each covered segment.
+  /// Extracts one estimate per adjacent segment covered by the trip,
+  /// appending them to `out`. A span over skipped stops contributes its
+  /// speed to each covered segment.
+  void estimate(const MappedTrip& trip, std::vector<SpeedEstimate>& out) const;
+  /// The same into a fresh vector.
   std::vector<SpeedEstimate> estimate(const MappedTrip& trip) const;
 
   const AttModelConfig& config() const { return config_; }

@@ -5,7 +5,19 @@
 
 namespace bussense {
 
-double TripMapper::sequence_score(const std::vector<SampleCluster>& clusters,
+namespace {
+
+MappedCluster mapped(std::span<const SampleCluster> clusters, std::size_t k,
+                     int choice) {
+  const SampleCluster& c = clusters[k];
+  return MappedCluster{static_cast<std::uint32_t>(k),
+                       c.candidates[static_cast<std::size_t>(choice)].stop,
+                       c.arrival, c.departure};
+}
+
+}  // namespace
+
+double TripMapper::sequence_score(std::span<const SampleCluster> clusters,
                                   const std::vector<int>& choice) const {
   if (choice.size() != clusters.size()) {
     throw std::invalid_argument("sequence_score: choice size mismatch");
@@ -26,65 +38,72 @@ double TripMapper::sequence_score(const std::vector<SampleCluster>& clusters,
   return score;
 }
 
-MappedTrip TripMapper::map_trip(const std::vector<SampleCluster>& clusters) const {
-  MappedTrip out;
-  if (clusters.empty()) return out;
+void TripMapper::map_trip(std::span<const SampleCluster> clusters,
+                          MappedTrip& out, MapperScratch& scratch) const {
+  out.stops.clear();
+  out.likelihood = 0.0;
+  if (clusters.empty()) return;
   const double neg_inf = -std::numeric_limits<double>::infinity();
 
-  // value[k][c]: best objective of a prefix ending with candidate c of
-  // cluster k; parent[k][c]: argmax predecessor.
-  std::vector<std::vector<double>> value(clusters.size());
-  std::vector<std::vector<int>> parent(clusters.size());
+  // value[offset[k] + c]: best objective of a prefix ending with candidate c
+  // of cluster k; parent[offset[k] + c]: its argmax predecessor.
+  std::vector<std::size_t>& offset = scratch.offset;
+  offset.resize(clusters.size() + 1);
+  offset[0] = 0;
   for (std::size_t k = 0; k < clusters.size(); ++k) {
     if (clusters[k].candidates.empty()) {
       throw std::invalid_argument("map_trip: cluster without candidates");
     }
-    value[k].assign(clusters[k].candidates.size(), neg_inf);
-    parent[k].assign(clusters[k].candidates.size(), -1);
+    offset[k + 1] = offset[k] + clusters[k].candidates.size();
   }
+  std::vector<double>& value = scratch.value;
+  std::vector<int>& parent = scratch.parent;
+  value.assign(offset.back(), neg_inf);
+  parent.assign(offset.back(), -1);
   for (std::size_t c = 0; c < clusters[0].candidates.size(); ++c) {
     const StopCandidate& cand = clusters[0].candidates[c];
-    value[0][c] = cand.probability * cand.mean_similarity;
+    value[c] = cand.probability * cand.mean_similarity;
   }
   for (std::size_t k = 1; k < clusters.size(); ++k) {
+    const std::vector<StopCandidate>& prevs = clusters[k - 1].candidates;
     for (std::size_t c = 0; c < clusters[k].candidates.size(); ++c) {
       const StopCandidate& cand = clusters[k].candidates[c];
       const double term = cand.probability * cand.mean_similarity;
-      for (std::size_t p = 0; p < clusters[k - 1].candidates.size(); ++p) {
-        const StopCandidate& prev = clusters[k - 1].candidates[p];
-        const double v =
-            value[k - 1][p] + term * graph_->relation(prev.stop, cand.stop);
-        if (v > value[k][c]) {
-          value[k][c] = v;
-          parent[k][c] = static_cast<int>(p);
+      double& best = value[offset[k] + c];
+      for (std::size_t p = 0; p < prevs.size(); ++p) {
+        const double v = value[offset[k - 1] + p] +
+                         term * graph_->relation(prevs[p].stop, cand.stop);
+        if (v > best) {
+          best = v;
+          parent[offset[k] + c] = static_cast<int>(p);
         }
       }
     }
   }
   // Select the best terminal candidate and trace back.
-  std::size_t best_c = 0;
   const std::size_t last = clusters.size() - 1;
+  std::size_t best_c = 0;
   for (std::size_t c = 1; c < clusters[last].candidates.size(); ++c) {
-    if (value[last][c] > value[last][best_c]) best_c = c;
+    if (value[offset[last] + c] > value[offset[last] + best_c]) best_c = c;
   }
-  out.likelihood = value[last][best_c];
-  std::vector<int> choice(clusters.size());
+  out.likelihood = value[offset[last] + best_c];
+  out.stops.resize(clusters.size());
   int c = static_cast<int>(best_c);
   for (std::size_t k = clusters.size(); k-- > 0;) {
-    choice[k] = c;
-    c = parent[k][static_cast<std::size_t>(c)];
+    out.stops[k] = mapped(clusters, k, c);
+    c = parent[offset[k] + static_cast<std::size_t>(c)];
   }
-  out.stops.reserve(clusters.size());
-  for (std::size_t k = 0; k < clusters.size(); ++k) {
-    out.stops.push_back(MappedCluster{
-        clusters[k],
-        clusters[k].candidates[static_cast<std::size_t>(choice[k])].stop});
-  }
+}
+
+MappedTrip TripMapper::map_trip(std::span<const SampleCluster> clusters) const {
+  MappedTrip out;
+  MapperScratch scratch;
+  map_trip(clusters, out, scratch);
   return out;
 }
 
 MappedTrip TripMapper::map_trip_exhaustive(
-    const std::vector<SampleCluster>& clusters) const {
+    std::span<const SampleCluster> clusters) const {
   MappedTrip out;
   if (clusters.empty()) return out;
   std::vector<int> choice(clusters.size(), 0);
@@ -106,9 +125,7 @@ MappedTrip TripMapper::map_trip_exhaustive(
   }
   out.likelihood = best;
   for (std::size_t k = 0; k < clusters.size(); ++k) {
-    out.stops.push_back(MappedCluster{
-        clusters[k],
-        clusters[k].candidates[static_cast<std::size_t>(best_choice[k])].stop});
+    out.stops.push_back(mapped(clusters, k, best_choice[k]));
   }
   return out;
 }

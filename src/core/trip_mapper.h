@@ -12,6 +12,8 @@
 // DP's optimality on small instances.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/clustering.h"
@@ -20,8 +22,10 @@
 namespace bussense {
 
 struct MappedCluster {
-  SampleCluster cluster;
+  std::uint32_t cluster = 0;   ///< position in the trip's cluster sequence
   StopId stop = kInvalidStop;  ///< chosen effective stop
+  SimTime arrival = 0.0;       ///< the cluster's arrival time
+  SimTime departure = 0.0;     ///< and its departure time
 };
 
 struct MappedTrip {
@@ -29,18 +33,29 @@ struct MappedTrip {
   double likelihood = 0.0;           ///< value of the Eq. 2 objective
 };
 
+/// The dynamic programme's tables, one slot per (cluster, candidate), reused
+/// by map_trip() from one trip to the next.
+struct MapperScratch {
+  std::vector<std::size_t> offset;  ///< first slot of each cluster
+  std::vector<double> value;   ///< best objective of a prefix ending there
+  std::vector<int> parent;     ///< its argmax predecessor candidate
+};
+
 class TripMapper {
  public:
   explicit TripMapper(const RouteGraph& graph) : graph_(&graph) {}
 
-  /// Exact argmax of Eq. 2 by dynamic programming.
-  MappedTrip map_trip(const std::vector<SampleCluster>& clusters) const;
+  /// Exact argmax of Eq. 2 by dynamic programming, into `out`.
+  void map_trip(std::span<const SampleCluster> clusters, MappedTrip& out,
+                MapperScratch& scratch) const;
+  /// The same with fresh buffers.
+  MappedTrip map_trip(std::span<const SampleCluster> clusters) const;
 
   /// Brute-force argmax (exponential; property tests only).
-  MappedTrip map_trip_exhaustive(const std::vector<SampleCluster>& clusters) const;
+  MappedTrip map_trip_exhaustive(std::span<const SampleCluster> clusters) const;
 
   /// Objective value of a concrete stop assignment (shared by both solvers).
-  double sequence_score(const std::vector<SampleCluster>& clusters,
+  double sequence_score(std::span<const SampleCluster> clusters,
                         const std::vector<int>& choice) const;
 
  private:

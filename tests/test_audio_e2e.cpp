@@ -103,8 +103,9 @@ TEST(AudioEndToEnd, FullRideThroughRawAudio) {
   int correct = 0, total = 0;
   for (const MappedCluster& mc : report.mapped.stops) {
     std::map<StopId, int> votes;
-    for (const MatchedSample& m : mc.cluster.members) {
-      ++votes[truth_by_time.at(m.sample.time)];
+    for (const MatchedSample& m :
+         report.clusters[mc.cluster].members(report.matched)) {
+      ++votes[truth_by_time.at(m.time)];
     }
     StopId majority = kInvalidStop;
     int best = 0;

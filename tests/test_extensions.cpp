@@ -100,7 +100,7 @@ TEST(TransferTrips, ServerMapsConcatenatedRoutes) {
   }
   int correct = 0, total = 0;
   for (const MappedCluster& mc : report.mapped.stops) {
-    const StopId t = truth.at(mc.cluster.members.front().sample.time);
+    const StopId t = truth.at(mc.arrival);
     if (t == kInvalidStop) continue;
     ++total;
     if (mc.stop == city.effective_stop(t)) ++correct;
@@ -313,17 +313,42 @@ TEST(ArrivalPredictor, RejectsBadIndex) {
 
 // ------------------------------------------------------------- db updater
 
-MappedTrip confident_trip(StopId stop, const Fingerprint& fp, int taps,
-                          double score = 5.0) {
-  MappedTrip trip;
-  SampleCluster cluster;
+// An upload and the analysis the updater reads of it.
+struct ObservedTrip {
+  TripUpload upload;
+  TripReport report;
+};
+
+// Appends a cluster of `taps` samples one second apart from `t0`, all
+// matched to `stop` with `score`, mapped to `stop`.
+void add_cluster(ObservedTrip& trip, StopId stop, const Fingerprint& fp,
+                 int taps, double t0, double score) {
+  TripReport& r = trip.report;
+  SampleCluster c{static_cast<std::uint32_t>(r.matched.size()),
+                  static_cast<std::uint32_t>(taps), t0, t0 + taps - 1,
+                  {StopCandidate{stop, 1.0, score}}};
   for (int i = 0; i < taps; ++i) {
-    cluster.members.push_back(
-        MatchedSample{CellularSample{static_cast<double>(i), fp}, stop, score});
+    r.matched.push_back(
+        MatchedSample{static_cast<std::uint32_t>(trip.upload.samples.size()),
+                      t0 + i, stop, score});
+    trip.upload.samples.push_back(CellularSample{t0 + i, fp});
   }
-  cluster.candidates.push_back(StopCandidate{stop, 1.0, score});
-  trip.stops.push_back(MappedCluster{cluster, stop});
+  r.mapped.stops.push_back(MappedCluster{
+      static_cast<std::uint32_t>(r.clusters.size()), stop, c.arrival,
+      c.departure});
+  r.clusters.push_back(std::move(c));
+}
+
+ObservedTrip confident_trip(StopId stop, const Fingerprint& fp, int taps,
+                            double score = 5.0) {
+  ObservedTrip trip;
+  add_cluster(trip, stop, fp, taps, 0.0, score);
   return trip;
+}
+
+int observe(DatabaseUpdater& updater, const ObservedTrip& trip,
+            StopDatabase& db) {
+  return updater.observe(trip.upload, trip.report, db);
 }
 
 TEST(DbUpdater, RefreshesDecayedEntryWithContinuity) {
@@ -333,8 +358,7 @@ TEST(DbUpdater, RefreshesDecayedEntryWithContinuity) {
   // renumbered): decayed below the refresh trigger but continuous.
   db.add(7, Fingerprint{{1, 2, 3, 9}});
   const Fingerprint fresh{{1, 2, 3, 4}};
-  const int refreshed =
-      updater.observe(confident_trip(7, fresh, 12), db);
+  const int refreshed = observe(updater, confident_trip(7, fresh, 12), db);
   EXPECT_EQ(refreshed, 1);
   EXPECT_EQ(*db.fingerprint_of(7), fresh);
   EXPECT_GT(updater.observations(), 10u);
@@ -346,7 +370,7 @@ TEST(DbUpdater, HealthyEntryIsLeftAlone) {
   const Fingerprint entry{{1, 2, 3, 4, 5}};
   db.add(7, entry);
   // Fresh samples still align well (score 5 on a 5-ID entry).
-  EXPECT_EQ(updater.observe(confident_trip(7, entry, 12), db), 0);
+  EXPECT_EQ(observe(updater, confident_trip(7, entry, 12), db), 0);
   EXPECT_EQ(*db.fingerprint_of(7), entry);
 }
 
@@ -356,7 +380,7 @@ TEST(DbUpdater, ContinuityGuardBlocksForeignFingerprints) {
   db.add(7, Fingerprint{{1, 2, 3, 9}});
   // Confidently mis-mapped cluster from a different radio neighbourhood:
   // decayed (sim 0) but not continuous either -> no refresh.
-  EXPECT_EQ(updater.observe(confident_trip(7, Fingerprint{{50, 51, 52, 53}}, 12), db),
+  EXPECT_EQ(observe(updater, confident_trip(7, Fingerprint{{50, 51, 52, 53}}, 12), db),
             0);
   EXPECT_EQ(*db.fingerprint_of(7), (Fingerprint{{1, 2, 3, 9}}));
 }
@@ -365,12 +389,13 @@ TEST(DbUpdater, IgnoresLowConfidenceClusters) {
   DatabaseUpdater updater;
   StopDatabase db;
   db.add(7, Fingerprint{{1, 2, 3, 9}});
-  MappedTrip trip = confident_trip(7, Fingerprint{{1, 2, 3, 4}}, 12);
-  trip.stops[0].cluster.candidates[0].probability = 0.6;  // mixed votes
-  EXPECT_EQ(updater.observe(trip, db), 0);
-  trip.stops[0].cluster.candidates[0].probability = 1.0;
-  trip.stops[0].cluster.candidates[0].mean_similarity = 2.0;  // weak match
-  EXPECT_EQ(updater.observe(trip, db), 0);
+  ObservedTrip trip = confident_trip(7, Fingerprint{{1, 2, 3, 4}}, 12);
+  StopCandidate& best = trip.report.clusters[0].candidates[0];
+  best.probability = 0.6;  // mixed votes
+  EXPECT_EQ(observe(updater, trip, db), 0);
+  best.probability = 1.0;
+  best.mean_similarity = 2.0;  // weak match
+  EXPECT_EQ(observe(updater, trip, db), 0);
   EXPECT_EQ(*db.fingerprint_of(7), (Fingerprint{{1, 2, 3, 9}}));
 }
 
@@ -378,10 +403,10 @@ TEST(DbUpdater, IgnoresClustersOverriddenByMapping) {
   DatabaseUpdater updater;
   StopDatabase db;
   db.add(7, Fingerprint{{1, 2, 3, 9}});
-  MappedTrip trip = confident_trip(9, Fingerprint{{1, 2, 3, 4}}, 12);
+  ObservedTrip trip = confident_trip(9, Fingerprint{{1, 2, 3, 4}}, 12);
   // The trip mapper chose 7 even though the local match said 9: too risky.
-  trip.stops[0].stop = 7;
-  EXPECT_EQ(updater.observe(trip, db), 0);
+  trip.report.mapped.stops[0].stop = 7;
+  EXPECT_EQ(observe(updater, trip, db), 0);
 }
 
 TEST(DbUpdater, HoleRecoveryResurrectsDeadStop) {
@@ -398,27 +423,17 @@ TEST(DbUpdater, HoleRecoveryResurrectsDeadStop) {
 
   // Upload: confident clusters at stops 2 and 4, orphans in between whose
   // fingerprints never matched the dead entry.
-  TripUpload upload;
-  MappedTrip mapped;
-  auto add_cluster = [&](StopId stop, const Fingerprint& fp, double t0) {
-    SampleCluster c;
-    for (int i = 0; i < 4; ++i) {
-      const CellularSample s{t0 + i, fp};
-      upload.samples.push_back(s);
-      c.members.push_back(MatchedSample{s, stop, 4.0});
-    }
-    c.candidates.push_back(StopCandidate{stop, 1.0, 4.0});
-    mapped.stops.push_back(MappedCluster{c, stop});
-  };
-  add_cluster(eff(2), Fingerprint{{11, 12, 13, 14}}, 0.0);
+  ObservedTrip trip;
+  add_cluster(trip, eff(2), Fingerprint{{11, 12, 13, 14}}, 4, 0.0, 4.0);
   const Fingerprint orphan_fp{{21, 22, 23, 24}};
   for (int rep = 0; rep < 12; ++rep) {
-    upload.samples.push_back(CellularSample{60.0 + rep, orphan_fp});
+    trip.upload.samples.push_back(CellularSample{60.0 + rep, orphan_fp});
   }
-  add_cluster(eff(4), Fingerprint{{31, 32, 33, 34}}, 120.0);
+  add_cluster(trip, eff(4), Fingerprint{{31, 32, 33, 34}}, 4, 120.0, 4.0);
 
   DatabaseUpdater updater;
-  const int recovered = updater.recover_holes(upload, mapped, graph, db);
+  const int recovered =
+      updater.recover_holes(trip.upload, trip.report, graph, db);
   EXPECT_EQ(recovered, 1);
   EXPECT_EQ(*db.fingerprint_of(eff(3)), orphan_fp);
 }
@@ -429,9 +444,8 @@ TEST(DbUpdater, HoleRecoveryNeedsBothAnchors) {
   const RouteGraph graph(city);
   StopDatabase db;
   DatabaseUpdater updater;
-  TripUpload upload;
-  MappedTrip mapped;  // fewer than two clusters: nothing to anchor on
-  EXPECT_EQ(updater.recover_holes(upload, mapped, graph, db), 0);
+  const ObservedTrip trip;  // fewer than two clusters: nothing to anchor on
+  EXPECT_EQ(updater.recover_holes(trip.upload, trip.report, graph, db), 0);
 }
 
 TEST(DbUpdater, KeepsDatabaseHealthyUnderTowerChurn) {
@@ -466,8 +480,8 @@ TEST(DbUpdater, KeepsDatabaseHealthyUnderTowerChurn) {
             *route, 1, static_cast<int>(route->stop_count()) - 2,
             at_clock(day, 8 + 3 * k, 0), day_rng);
         const auto report = server.process_trip(trip.upload);
-        updater.observe(report.mapped, updated_db);
-        updater.recover_holes(trip.upload, report.mapped, graph, updated_db);
+        updater.observe(trip.upload, report, updated_db);
+        updater.recover_holes(trip.upload, report, graph, updated_db);
       }
     }
   }

@@ -531,6 +531,54 @@ TEST(TripSignature, DistinguishesContentAndOrder) {
   EXPECT_NE(trip_signature(x), trip_signature(y));
 }
 
+// Admission is off by default, in TrafficServer and ShardedIngestService
+// alike, so the match stage is the last guard between an upload's sample
+// times and the fusion's integer period index.
+TEST(SampleTimeBounds, OutOfRangeTimesNeverReachTheFusion) {
+  const Testbed& bed = testbed();
+  const AnnotatedTrip clean = single_trip(2);
+  const std::size_t mid = clean.upload.samples.size() / 2;
+  for (const double bad :
+       {1e300, -1e300, std::numeric_limits<double>::infinity()}) {
+    TripUpload upload = clean.upload;
+    upload.samples[mid].time = bad;
+
+    TrafficServer server(bed.world.city(), bed.database);
+    const TripReport reference = server.analyze_trip(clean.upload);
+    const bool mid_matched =
+        std::any_of(reference.matched.begin(), reference.matched.end(),
+                    [&](const MatchedSample& m) { return m.index == mid; });
+    ASSERT_TRUE(mid_matched);
+    const TripReport report = server.process_trip(upload);
+    EXPECT_EQ(report.matched.size(), reference.matched.size() - 1);
+    EXPECT_EQ(report.rejected_samples, reference.rejected_samples + 1);
+    EXPECT_EQ(server.metrics().snapshot().counters.at(
+                  "pipeline.samples_rejected"),
+              reference.rejected_samples * 2 + 1);
+    ASSERT_FALSE(report.estimates.empty());
+    for (const SpeedEstimate& e : report.estimates) {
+      EXPECT_TRUE(in_sim_range(e.time)) << e.time;
+    }
+
+    ShardedIngestService service(bed.world.city(), bed.database);
+    EXPECT_TRUE(service.process_trip(upload).accepted());
+    const SimTime end_of_day = at_clock(1, 0, 0);
+    server.advance_time(end_of_day);
+    service.advance_time(end_of_day);
+    const TrafficServer* backends[] = {&server, &service.backend()};
+    for (const TrafficServer* backend : backends) {
+      const auto fused = backend->export_fusion();
+      ASSERT_FALSE(fused.empty());
+      for (const FusionExportEntry& entry : fused) {
+        ASSERT_TRUE(entry.fused.has_value());
+        EXPECT_GE(entry.fused->updated_at, 0.0);
+        EXPECT_LE(entry.fused->updated_at, end_of_day);
+        EXPECT_TRUE(entry.pending.empty());
+      }
+    }
+  }
+}
+
 TEST(AdmissionConfigValidation, ThrowsOnNonsense) {
   const Testbed& bed = testbed();
   ServerConfig bad = admission_on();

@@ -90,11 +90,12 @@ double stop_accuracy(const World& world, const TrafficServer& server,
     for (std::size_t i = 0; i < trip.upload.samples.size(); ++i) {
       truth_by_time[trip.upload.samples[i].time] = trip.truth.sample_stops[i];
     }
-    const MappedTrip mapped = server.map_trip(server.cluster_samples(matched));
+    const auto clusters = server.cluster_samples(matched);
+    const MappedTrip mapped = server.map_trip(clusters);
     for (const MappedCluster& mc : mapped.stops) {
       std::map<StopId, int> votes;
-      for (const MatchedSample& m : mc.cluster.members) {
-        ++votes[truth_by_time.at(m.sample.time)];
+      for (const MatchedSample& m : clusters[mc.cluster].members(matched)) {
+        ++votes[truth_by_time.at(m.time)];
       }
       StopId majority = kInvalidStop;
       int best = 0;

@@ -51,8 +51,8 @@ double mapping_accuracy(const World& world, const TrafficServer& server,
     const MappedTrip mapped = server.map_trip(clusters);
     for (const MappedCluster& mc : mapped.stops) {
       std::map<StopId, int> votes;
-      for (const MatchedSample& m : mc.cluster.members) {
-        ++votes[truth_by_time.at(m.sample.time)];
+      for (const MatchedSample& m : clusters[mc.cluster].members(matched)) {
+        ++votes[truth_by_time.at(m.time)];
       }
       StopId majority = kInvalidStop;
       int best = 0;

@@ -146,7 +146,7 @@ TEST(StopMatcher, MatchAllSortedByScore) {
 // -------------------------------------------------------------- clustering
 
 MatchedSample ms(double t, StopId stop, double score) {
-  return MatchedSample{CellularSample{t, Fingerprint{}}, stop, score};
+  return MatchedSample{0, t, stop, score};
 }
 
 TEST(Clustering, AffinityFormulaMatchesEq1) {
@@ -164,11 +164,11 @@ TEST(Clustering, GroupsTapsAtOneStop) {
   for (int i = 0; i < 6; ++i) samples.push_back(ms(100.0 + i * 1.1, 4, 5.0));
   const auto clusters = cluster_samples(samples);
   ASSERT_EQ(clusters.size(), 1u);
-  EXPECT_EQ(clusters[0].members.size(), 6u);
+  EXPECT_EQ(clusters[0].members(samples).size(), 6u);
   EXPECT_EQ(clusters[0].best_candidate().stop, 4);
   EXPECT_DOUBLE_EQ(clusters[0].best_candidate().probability, 1.0);
-  EXPECT_DOUBLE_EQ(clusters[0].arrival_time(), 100.0);
-  EXPECT_NEAR(clusters[0].departure_time(), 105.5, 1e-9);
+  EXPECT_DOUBLE_EQ(clusters[0].arrival, 100.0);
+  EXPECT_NEAR(clusters[0].departure, 105.5, 1e-9);
 }
 
 TEST(Clustering, SplitsDistantStops) {
@@ -191,6 +191,29 @@ TEST(Clustering, MisMatchedSampleStaysInTimeCluster) {
   EXPECT_NEAR(clusters[0].best_candidate().probability, 2.0 / 3.0, 1e-9);
   EXPECT_NEAR(clusters[0].candidates[1].probability, 1.0 / 3.0, 1e-9);
   EXPECT_DOUBLE_EQ(clusters[0].candidates[1].mean_similarity, 4.0);
+}
+
+TEST(Clustering, TiedCandidatesKeepTheirPinnedOrder) {
+  // 30 taps in one dwell, each voting for a different stop with the same
+  // score: every candidate ties on probability and mean similarity. The
+  // pool reaches the (unstable) sort in ascending stop order, whatever the
+  // member order; the order below was recorded from the per-cluster
+  // std::map implementation and must not move.
+  const StopId votes[] = {17, 4,  23, 9,  30, 1,  12, 26, 6,  19,
+                          2,  28, 14, 8,  21, 11, 3,  25, 16, 7,
+                          29, 13, 5,  22, 10, 27, 15, 18, 24, 20};
+  std::vector<MatchedSample> samples;
+  for (std::size_t i = 0; i < std::size(votes); ++i) {
+    samples.push_back(ms(0.5 * static_cast<double>(i), votes[i], 5.0));
+  }
+  const auto clusters = cluster_samples(samples);
+  ASSERT_EQ(clusters.size(), 1u);
+  std::vector<StopId> order;
+  for (const StopCandidate& c : clusters[0].candidates) order.push_back(c.stop);
+  const std::vector<StopId> pinned{16, 30, 29, 28, 27, 26, 25, 24, 23, 22,
+                                   21, 20, 19, 18, 17, 1,  15, 14, 13, 12,
+                                   11, 10, 9,  8,  7,  6,  5,  4,  3,  2};
+  EXPECT_EQ(order, pinned);
 }
 
 TEST(Clustering, RequiresTimeOrder) {
@@ -276,10 +299,7 @@ TEST(RouteGraph, UnrelatedStopsScoreMinusOne) {
 // ------------------------------------------------------------- trip mapper
 
 SampleCluster cluster_of(std::vector<StopCandidate> candidates, double t0) {
-  SampleCluster c;
-  c.members.push_back(ms(t0, candidates.front().stop, 5.0));
-  c.candidates = std::move(candidates);
-  return c;
+  return SampleCluster{0, 1, t0, t0, std::move(candidates)};
 }
 
 TEST(TripMapper, RouteConstraintOverridesLocalBest) {
@@ -388,10 +408,12 @@ TEST(SegmentCatalog, SpanResolvesSkippedStops) {
   const auto span = catalog.span(span_key);
   ASSERT_TRUE(span.has_value());
   EXPECT_NEAR(span->length_m, route.stop_arc(4) - route.stop_arc(1), 1e-6);
-  const auto chain = catalog.adjacent_chain(span_key);
-  ASSERT_EQ(chain.size(), 3u);
+  const auto run = catalog.stop_run(span_key);
+  ASSERT_EQ(run.size(), 4u);
   double chain_len = 0.0;
-  for (const SegmentKey& k : chain) chain_len += catalog.adjacent(k)->length_m;
+  for (std::size_t i = 0; i + 1 < run.size(); ++i) {
+    chain_len += catalog.adjacent(SegmentKey{run[i], run[i + 1]})->length_m;
+  }
   EXPECT_NEAR(chain_len, span->length_m, 1e-6);
 }
 
@@ -399,7 +421,7 @@ TEST(SegmentCatalog, UnknownPairReturnsEmpty) {
   const City& city = test_city();
   const SegmentCatalog catalog(city);
   EXPECT_FALSE(catalog.span(SegmentKey{0, 0}).has_value());
-  EXPECT_TRUE(catalog.adjacent_chain(SegmentKey{0, 0}).empty());
+  EXPECT_TRUE(catalog.stop_run(SegmentKey{0, 0}).empty());
 }
 
 TEST(SegmentCatalog, LinkDecompositionSumsToLength) {
@@ -446,11 +468,9 @@ TEST(TravelEstimator, EstimateFromHandBuiltTrip) {
   // Clusters at stops 2, 3 and 5 (stop 4 skipped by the bus).
   MappedTrip trip;
   auto add = [&](int stop_idx, double t_arr, double t_dep) {
-    SampleCluster c;
-    c.members.push_back(ms(t_arr, eff(stop_idx), 5.0));
-    c.members.push_back(ms(t_dep, eff(stop_idx), 5.0));
-    c.candidates.push_back(StopCandidate{eff(stop_idx), 1.0, 5.0});
-    trip.stops.push_back(MappedCluster{c, eff(stop_idx)});
+    trip.stops.push_back(MappedCluster{
+        static_cast<std::uint32_t>(trip.stops.size()), eff(stop_idx), t_arr,
+        t_dep});
   };
   add(2, 0.0, 10.0);
   add(3, 70.0, 80.0);
@@ -477,11 +497,8 @@ TEST(TravelEstimator, SkipsDegeneratePairs) {
   const BusRoute& route = city.routes()[0];
   const StopId s = city.effective_stop(route.stops()[2].stop);
   MappedTrip trip;
-  SampleCluster c;
-  c.members.push_back(ms(0.0, s, 5.0));
-  c.candidates.push_back(StopCandidate{s, 1.0, 5.0});
-  trip.stops.push_back(MappedCluster{c, s});
-  trip.stops.push_back(MappedCluster{c, s});  // same stop twice
+  trip.stops.push_back(MappedCluster{0, s, 0.0, 0.0});
+  trip.stops.push_back(MappedCluster{1, s, 0.0, 0.0});  // same stop twice
   EXPECT_TRUE(est.estimate(trip).empty());
 }
 

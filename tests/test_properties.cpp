@@ -14,6 +14,7 @@
 #include "cellular/deployment.h"
 #include "cellular/scanner.h"
 #include "core/stop_matcher.h"
+#include "core/ingest_service.h"
 #include "core/server.h"
 #include "core/travel_estimator.h"
 #include "core/traffic_map.h"
@@ -231,6 +232,125 @@ TEST(IndexedMatcher, FullPipelineReportsIdenticalToBruteForce) {
       EXPECT_EQ(a.estimates[i].segment, b.estimates[i].segment);
       EXPECT_EQ(a.estimates[i].att_speed_kmh, b.estimates[i].att_speed_kmh);
       EXPECT_EQ(a.estimates[i].time, b.estimates[i].time);
+    }
+  }
+}
+
+// One simulated day on the default world, shared by the trip-path
+// properties below.
+struct DayBed {
+  World world;
+  StopDatabase database;
+  std::vector<TripUpload> uploads;
+
+  DayBed() {
+    Rng survey(2024);
+    database = build_stop_database(
+        world.city(),
+        [&](StopId stop, int run) {
+          return world.scan_stop(stop, survey, run % 2 == 1);
+        },
+        3);
+    Rng rng(31);
+    for (AnnotatedTrip& trip : world.simulate_day(0, 1.0, rng).trips) {
+      uploads.push_back(std::move(trip.upload));
+    }
+  }
+};
+
+const DayBed& day_bed() {
+  static const DayBed bed;
+  return bed;
+}
+
+TEST(MatcherMetrics, PerTripFlushKeepsPerSampleTotals) {
+  // The trip path records a trip's matcher counters in one flush; the
+  // totals must equal what one match() per sample records.
+  const DayBed& bed = day_bed();
+  const TrafficServer server(bed.world.city(), bed.database);
+  StopMatcher matcher(bed.database);
+  MetricsRegistry per_sample;
+  matcher.bind_metrics(&per_sample);
+  for (const TripUpload& upload : bed.uploads) {
+    (void)server.analyze_trip(upload);
+    for (const CellularSample& s : upload.samples) {
+      if (!s.fingerprint.empty()) (void)matcher.match(s.fingerprint);
+    }
+  }
+  const MetricsSnapshot got = server.metrics().snapshot();
+  const MetricsSnapshot want = per_sample.snapshot();
+  for (const char* name :
+       {"matcher.calls", "matcher.records_considered",
+        "matcher.gamma_candidates", "matcher.records_pruned",
+        "matcher.records_accepted", "matcher.records_bound_skipped"}) {
+    EXPECT_EQ(got.counters.at(name), want.counters.at(name)) << name;
+  }
+  EXPECT_GT(got.counters.at("matcher.calls"), 1000u);
+}
+
+TEST(ShardedIdentity, ShuffledHostileUploadsFuseBitIdenticalToSerial) {
+  // Shard consumers reuse one analysis scratch across trips; nothing of
+  // one trip may leak into the next. Uploads with emptied fingerprints,
+  // duplicated timestamps and shuffled samples, fed in a shuffled order
+  // to a 1- and a 3-shard service, must fuse exactly like the serial
+  // server fed them in day order.
+  const DayBed& bed = day_bed();
+  Rng rng(41);
+  const auto shuffle = [&](auto& v) {
+    for (std::size_t i = v.size(); i > 1; --i) {  // seeded Fisher–Yates
+      std::swap(v[i - 1],
+                v[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(i) - 1))]);
+    }
+  };
+  std::vector<TripUpload> uploads = bed.uploads;
+  std::size_t emptied = 0, duplicated = 0;
+  for (TripUpload& u : uploads) {
+    for (std::size_t i = 1; i < u.samples.size(); ++i) {
+      if (rng.bernoulli(0.1)) {
+        u.samples[i].fingerprint = Fingerprint{};
+        ++emptied;
+      }
+      if (rng.bernoulli(0.15)) {
+        u.samples[i].time = u.samples[i - 1].time;
+        ++duplicated;
+      }
+    }
+    shuffle(u.samples);
+  }
+  ASSERT_GT(emptied, 10u);
+  ASSERT_GT(duplicated, 10u);
+
+  const SimTime end = at_clock(1, 0, 0);
+  TrafficServer serial(bed.world.city(), bed.database);
+  for (const TripUpload& u : uploads) (void)serial.process_trip(u);
+  serial.advance_time(end);
+  const std::vector<FusionExportEntry> want = serial.export_fusion();
+  ASSERT_GT(want.size(), 10u);
+
+  std::vector<std::size_t> order(uploads.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    shuffle(order);
+    ShardedIngestConfig sharding;
+    sharding.shards = shards;
+    ShardedIngestService service(bed.world.city(), bed.database, {}, sharding);
+    for (const std::size_t i : order) {
+      ASSERT_TRUE(service.process_trip(uploads[i]).accepted());
+    }
+    service.advance_time(end);
+    const std::vector<FusionExportEntry> got = service.backend().export_fusion();
+    ASSERT_EQ(got.size(), want.size()) << shards << " shards";
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(got[i].key == want[i].key);
+      ASSERT_EQ(got[i].fused.has_value(), want[i].fused.has_value());
+      if (got[i].fused) {
+        EXPECT_EQ(got[i].fused->mean_kmh, want[i].fused->mean_kmh);
+        EXPECT_EQ(got[i].fused->variance, want[i].fused->variance);
+        EXPECT_EQ(got[i].fused->updated_at, want[i].fused->updated_at);
+        EXPECT_EQ(got[i].fused->observation_count,
+                  want[i].fused->observation_count);
+      }
+      EXPECT_EQ(got[i].pending, want[i].pending);
     }
   }
 }

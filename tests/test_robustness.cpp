@@ -53,7 +53,7 @@ TEST(Robustness, OutOfOrderSamplesAreSorted) {
   const auto report = server.process_trip(trip.upload);
   EXPECT_GT(report.mapped.stops.size(), 5u);
   for (std::size_t i = 1; i < report.matched.size(); ++i) {
-    EXPECT_LE(report.matched[i - 1].sample.time, report.matched[i].sample.time);
+    EXPECT_LE(report.matched[i - 1].time, report.matched[i].time);
   }
   EXPECT_GT(report.estimates.size(), 3u);
 }
