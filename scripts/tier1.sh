@@ -19,11 +19,13 @@
 # Optional sharded-ingest stage: BUSSENSE_SHARDED=ON ./scripts/tier1.sh
 # builds the sharded ingest suites under TSan in build-tsan/ and runs the
 # binaries directly: all of test_ingest_service (backpressure, shutdown
-# and bit-identity properties) and the lifecycle tests of test_durability
+# and bit-identity properties), the lifecycle tests of test_durability
 # (enqueue guards, close() racing producers, partial batches at every
 # barrier, and the whole CrashRecovery suite: durability lives only in
 # the sharded service, so every crash case, 1-shard included, runs shard
-# consumer threads against the WAL). Off by default for the same reason.
+# consumer threads against the WAL) and test_properties' ShardedIdentity
+# suite (shuffled hostile uploads handed through the recycled inbox slots
+# to the shard consumers). Off by default for the same reason.
 #
 # Optional fault/fuzz stage: BUSSENSE_FAULTS=ON ./scripts/tier1.sh builds
 # the adversarial-input suites (fault injection + admission, golden
@@ -117,15 +119,18 @@ if [[ "${BUSSENSE_SANITIZE:-}" == "ON" ]]; then
 fi
 
 if [[ "${BUSSENSE_SHARDED:-}" == "ON" ]]; then
-  begin_stage "TSan sharded ingest (test_ingest_service, test_durability lifecycle)"
+  begin_stage "TSan sharded ingest (test_ingest_service, test_durability lifecycle, ShardedIdentity)"
   cmake -B build-tsan -S . -DBUSSENSE_SANITIZE=thread
-  cmake --build build-tsan -j --target test_ingest_service test_durability
+  cmake --build build-tsan -j --target test_ingest_service test_durability \
+    test_properties
   ./build-tsan/tests/test_ingest_service
   # The lifecycle and crash-recovery tests race producers against close()
   # and the shard consumers against the WAL; the rest of the suite is
   # single-threaded byte parsing, covered by the ASan durability stage.
   ./build-tsan/tests/test_durability \
     --gtest_filter='DurableLifecycle.*:ShardBatch.*:CrashRecovery.*'
+  # Hostile uploads through the recycled inbox slots of a 3-shard service.
+  ./build-tsan/tests/test_properties --gtest_filter='ShardedIdentity.*'
   end_stage
 fi
 

@@ -8,11 +8,39 @@ namespace bussense {
 
 SpeedFusion::SpeedFusion(FusionConfig config) : config_(config) {}
 
+std::uint32_t SpeedFusion::slot_of(Stripe& stripe, const SegmentKey& key) {
+  const auto [it, inserted] = stripe.index.try_emplace(
+      key, static_cast<std::uint32_t>(stripe.states.size()));
+  if (inserted) stripe.states.emplace_back().key = key;
+  return it->second;
+}
+
+std::vector<double>& SpeedFusion::batch_of(Stripe& stripe, std::uint32_t slot,
+                                           std::int64_t period) {
+  State& state = stripe.states[slot];
+  std::vector<Batch>& batches = state.batches;
+  const auto open_end = batches.begin() + state.open;
+  const auto it = std::lower_bound(
+      batches.begin(), open_end, period,
+      [](const Batch& b, std::int64_t p) { return b.period < p; });
+  if (it != open_end && it->period == period) return it->values;
+  const auto pos = it - batches.begin();
+  if (state.open == 0) stripe.pending.push_back(slot);
+  if (state.open == batches.size()) batches.emplace_back();
+  // The first kept batch (values already cleared) becomes the new one and
+  // rotates into its period's place.
+  const auto kept = batches.begin() + state.open;
+  kept->period = period;
+  std::rotate(batches.begin() + pos, kept, kept + 1);
+  ++state.open;
+  return batches[pos].values;
+}
+
 void SpeedFusion::add_locked(Stripe& stripe, const SpeedEstimate& estimate) {
-  State& state = stripe.states[estimate.segment];
   const auto period =
       static_cast<std::int64_t>(std::floor(estimate.time / config_.update_period_s));
-  state.pending[period].push_back(estimate.att_speed_kmh);
+  batch_of(stripe, slot_of(stripe, estimate.segment), period)
+      .push_back(estimate.att_speed_kmh);
 }
 
 void SpeedFusion::add(const SpeedEstimate& estimate) {
@@ -22,22 +50,19 @@ void SpeedFusion::add(const SpeedEstimate& estimate) {
 }
 
 void SpeedFusion::add(const std::vector<SpeedEstimate>& estimates) {
-  if (estimates.empty()) return;
-  // Hash each estimate once, then one pass per touched stripe: batches are
-  // small (tens of estimates), so the rescans are cheaper than the lock
-  // traffic they avoid.
-  std::vector<std::uint8_t> owner(estimates.size());
+  // One pass per touched stripe: batches are small (tens of estimates) and
+  // stripe_of() is a shift and a mask, so rescanning costs less than the
+  // lock traffic it avoids and needs no buffer.
   std::uint32_t touched = 0;
-  for (std::size_t i = 0; i < estimates.size(); ++i) {
-    owner[i] = static_cast<std::uint8_t>(stripe_of(estimates[i].segment));
-    touched |= std::uint32_t{1} << owner[i];
+  for (const SpeedEstimate& e : estimates) {
+    touched |= std::uint32_t{1} << stripe_of(e.segment);
   }
   for (std::size_t s = 0; s < kStripes; ++s) {
     if ((touched >> s & 1u) == 0) continue;
     Stripe& stripe = stripes_[s];
     const std::lock_guard<std::mutex> lock(stripe.mutex);
-    for (std::size_t i = 0; i < estimates.size(); ++i) {
-      if (owner[i] == s) add_locked(stripe, estimates[i]);
+    for (const SpeedEstimate& e : estimates) {
+      if (stripe_of(e.segment) == s) add_locked(stripe, e);
     }
   }
 }
@@ -59,39 +84,51 @@ void SpeedFusion::apply(State& state, double mean_obs, SimTime at,
   f.observation_count += count;
 }
 
+bool SpeedFusion::close_until(State& state, std::int64_t now_period) const {
+  std::size_t closed = 0;
+  // A batch closes when its period has fully elapsed.
+  for (; closed < state.open && state.batches[closed].period < now_period;
+       ++closed) {
+    Batch& batch = state.batches[closed];
+    // Sum in sorted order: the period mean then depends only on the
+    // multiset of estimates, never on their arrival order.
+    std::sort(batch.values.begin(), batch.values.end());
+    double sum = 0.0;
+    for (const double v : batch.values) sum += v;
+    const int count = static_cast<int>(batch.values.size());
+    const SimTime close_time =
+        (static_cast<double>(batch.period) + 1.0) * config_.update_period_s;
+    apply(state, sum / count, close_time, count);
+    batch.values.clear();
+  }
+  // Closed batches move behind the open ones, keeping their buffers.
+  const auto first = state.batches.begin();
+  std::rotate(first, first + closed, first + state.open);
+  state.open -= closed;
+  return state.open != 0;
+}
+
 void SpeedFusion::flush_until(SimTime now) {
   const auto now_period =
       static_cast<std::int64_t>(std::floor(now / config_.update_period_s));
   for (Stripe& stripe : stripes_) {
     const std::lock_guard<std::mutex> lock(stripe.mutex);
-    for (auto& [key, state] : stripe.states) {
-      (void)key;
-      while (!state.pending.empty()) {
-        const auto it = state.pending.begin();
-        // A batch closes when its period has fully elapsed.
-        if (it->first >= now_period) break;
-        std::vector<double>& values = it->second;
-        // Sum in sorted order: the period mean then depends only on the
-        // multiset of estimates, never on their arrival order.
-        std::sort(values.begin(), values.end());
-        double sum = 0.0;
-        for (const double v : values) sum += v;
-        const int count = static_cast<int>(values.size());
-        const SimTime close_time =
-            (static_cast<double>(it->first) + 1.0) * config_.update_period_s;
-        apply(state, sum / count, close_time, count);
-        state.pending.erase(it);
+    std::size_t still_open = 0;
+    for (const std::uint32_t slot : stripe.pending) {
+      if (close_until(stripe.states[slot], now_period)) {
+        stripe.pending[still_open++] = slot;
       }
     }
+    stripe.pending.resize(still_open);
   }
 }
 
 std::optional<FusedSpeed> SpeedFusion::query(const SegmentKey& segment) const {
   const Stripe& stripe = stripes_[stripe_of(segment)];
   const std::lock_guard<std::mutex> lock(stripe.mutex);
-  const auto it = stripe.states.find(segment);
-  if (it == stripe.states.end()) return std::nullopt;
-  return it->second.fused;
+  const auto it = stripe.index.find(segment);
+  if (it == stripe.index.end()) return std::nullopt;
+  return stripe.states[it->second].fused;
 }
 
 std::vector<std::pair<SegmentKey, FusedSpeed>> SpeedFusion::all() const {
@@ -110,8 +147,8 @@ void SpeedFusion::visit_all(
   // way.
   for (const Stripe& stripe : stripes_) {
     const std::lock_guard<std::mutex> lock(stripe.mutex);
-    for (const auto& [key, state] : stripe.states) {
-      if (state.fused) fn(key, *state.fused);
+    for (const State& state : stripe.states) {
+      if (state.fused) fn(state.key, *state.fused);
     }
   }
 }
@@ -120,15 +157,15 @@ std::vector<FusionExportEntry> SpeedFusion::export_state() const {
   std::vector<FusionExportEntry> out;
   for (const Stripe& stripe : stripes_) {
     const std::lock_guard<std::mutex> lock(stripe.mutex);
-    for (const auto& [key, state] : stripe.states) {
+    for (const State& state : stripe.states) {
       FusionExportEntry entry;
-      entry.key = key;
+      entry.key = state.key;
       entry.fused = state.fused;
-      entry.pending.reserve(state.pending.size());
-      for (const auto& [period, values] : state.pending) {
-        std::vector<double> sorted = values;
+      entry.pending.reserve(state.open);
+      for (std::size_t b = 0; b < state.open; ++b) {
+        std::vector<double> sorted = state.batches[b].values;
         std::sort(sorted.begin(), sorted.end());
-        entry.pending.emplace_back(period, std::move(sorted));
+        entry.pending.emplace_back(state.batches[b].period, std::move(sorted));
       }
       out.push_back(std::move(entry));
     }
@@ -146,15 +183,17 @@ std::vector<FusionExportEntry> SpeedFusion::export_state() const {
 void SpeedFusion::restore_state(const std::vector<FusionExportEntry>& entries) {
   for (Stripe& stripe : stripes_) {
     const std::lock_guard<std::mutex> lock(stripe.mutex);
+    stripe.index.clear();
     stripe.states.clear();
+    stripe.pending.clear();
   }
   for (const FusionExportEntry& entry : entries) {
     Stripe& stripe = stripes_[stripe_of(entry.key)];
     const std::lock_guard<std::mutex> lock(stripe.mutex);
-    State& state = stripe.states[entry.key];
-    state.fused = entry.fused;
+    const std::uint32_t slot = slot_of(stripe, entry.key);
+    stripe.states[slot].fused = entry.fused;
     for (const auto& [period, values] : entry.pending) {
-      state.pending[period] = values;
+      batch_of(stripe, slot, period) = values;
     }
   }
 }

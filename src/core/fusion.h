@@ -13,8 +13,8 @@
 // the floor is our documented stabilisation).
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -102,31 +102,56 @@ class SpeedFusion {
   /// Complete state for a checkpoint, sorted by key (byte-deterministic).
   std::vector<FusionExportEntry> export_state() const;
 
-  /// Replaces all state with an export. The rebuilt map's *iteration* order
-  /// follows the (sorted) entry order, which may differ from the original
-  /// insertion order — per-segment arithmetic and the fused values are
-  /// bit-identical; consumers comparing whole maps must canonicalise.
+  /// Replaces all state with an export. The rebuilt stripes list segments
+  /// in (sorted) entry order, which may differ from the original insertion
+  /// order — per-segment arithmetic and the fused values are bit-identical;
+  /// consumers comparing whole maps must canonicalise.
   void restore_state(const std::vector<FusionExportEntry>& entries);
 
   const FusionConfig& config() const { return config_; }
 
  private:
-  struct State {
-    std::optional<FusedSpeed> fused;
-    // Open batches by period index; raw values kept (not a running sum) so
-    // the close-time summation can be order-insensitive.
-    std::map<std::int64_t, std::vector<double>> pending;
+  /// One open period: its raw values (not a running sum) so the close-time
+  /// summation can be order-insensitive.
+  struct Batch {
+    std::int64_t period = 0;
+    std::vector<double> values;
   };
-  struct Stripe {
+  struct State {
+    SegmentKey key;
+    std::optional<FusedSpeed> fused;
+    /// batches[0, open) are the open periods in ascending order; the rest
+    /// are closed batches kept (values cleared) for their buffers, so a
+    /// steady stream of periods reuses storage instead of allocating.
+    std::vector<Batch> batches;
+    std::size_t open = 0;
+  };
+  /// Dense per-segment state: `index` maps a key to its slot in `states`
+  /// (insertion order, which is also visitation order), and `pending`
+  /// lists the slots with open batches, so flush_until() visits only
+  /// those. Cache-line aligned so neighbouring stripes' locks and vector
+  /// headers never share a line.
+  struct alignas(64) Stripe {
     mutable std::mutex mutex;
-    std::unordered_map<SegmentKey, State, SegmentKeyHash> states;
+    std::unordered_map<SegmentKey, std::uint32_t, SegmentKeyHash> index;
+    std::vector<State> states;
+    std::vector<std::uint32_t> pending;
   };
 
   static std::size_t stripe_of(const SegmentKey& key) {
     return SegmentKeyHash{}(key) % kStripes;
   }
+  /// The key's slot in stripe.states, appended when new.
+  static std::uint32_t slot_of(Stripe& stripe, const SegmentKey& key);
+  /// The open batch for `period`, opened (from a kept buffer if any) in
+  /// period order when absent; lists the slot as pending when it had none.
+  static std::vector<double>& batch_of(Stripe& stripe, std::uint32_t slot,
+                                       std::int64_t period);
   void add_locked(Stripe& stripe, const SpeedEstimate& estimate);
   void apply(State& state, double mean_obs, SimTime at, int count) const;
+  /// Closes `state`'s batches with periods before `now_period`; returns
+  /// whether any batch is still open.
+  bool close_until(State& state, std::int64_t now_period) const;
 
   FusionConfig config_;
   // A vector (not an array) so the fusion stays movable: the mutexes stay

@@ -1,5 +1,6 @@
 #include "core/ingest_service.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -93,16 +94,45 @@ bool ShardedIngestService::accepting() const {
                           !lifecycle_closed_.load(std::memory_order_acquire));
 }
 
+void ShardedIngestService::assign(Slot& slot, const TripUpload& trip) {
+  std::vector<CellularSample>& samples = slot.trip.samples;
+  // Park the fingerprints of surplus samples instead of freeing them, and
+  // grow from the parked ones; the element-wise copy below then reuses
+  // every fingerprint buffer that is large enough already.
+  while (samples.size() > trip.samples.size()) {
+    slot.spare.push_back(std::move(samples.back().fingerprint));
+    samples.pop_back();
+  }
+  while (samples.size() < trip.samples.size()) {
+    CellularSample& sample = samples.emplace_back();
+    if (!slot.spare.empty()) {
+      sample.fingerprint = std::move(slot.spare.back());
+      slot.spare.pop_back();
+    }
+  }
+  slot.trip.participant_id = trip.participant_id;
+  std::copy(trip.samples.begin(), trip.samples.end(), samples.begin());
+}
+
+std::size_t ShardedIngestService::retained_bytes(const Slot& slot) {
+  std::size_t bytes = slot.trip.samples.capacity() * sizeof(CellularSample) +
+                      slot.spare.capacity() * sizeof(Fingerprint);
+  for (const CellularSample& sample : slot.trip.samples) {
+    bytes += sample.fingerprint.cells.capacity() * sizeof(CellId);
+  }
+  for (const Fingerprint& fp : slot.spare) {
+    bytes += fp.cells.capacity() * sizeof(CellId);
+  }
+  return bytes;
+}
+
 TripReport ShardedIngestService::process_trip(const TripUpload& trip) {
   Shard& shard = *shards_[shard_of(trip.participant_id)];
-  TripUpload copy = trip;  // the one deep copy, made outside the lock
   RejectReason why = RejectReason::kNone;
   bool was_empty = false;
   {
     std::unique_lock<std::mutex> lock(shard.mutex);
-    const auto full = [&] {
-      return shard.inbox.size() >= sharding_.queue_capacity;
-    };
+    const auto full = [&] { return shard.queued >= sharding_.queue_capacity; };
     if (sharding_.backpressure == ShardedIngestConfig::Backpressure::kBlock) {
       shard.room.wait(lock, [&] { return !accepting() || !full(); });
     }
@@ -111,8 +141,13 @@ TripReport ShardedIngestService::process_trip(const TripUpload& trip) {
     } else if (full()) {
       why = RejectReason::kQueueFull;
     } else {
-      was_empty = shard.inbox.empty();
-      shard.inbox.push_back(std::move(copy));
+      was_empty = shard.queued == 0;
+      // The one copy of the upload, into a recycled slot: it allocates
+      // only while the slots warm up. Counted once complete, so a copy
+      // that throws queues nothing.
+      if (shard.queued == shard.inbox.size()) shard.inbox.emplace_back();
+      assign(shard.inbox[shard.queued], trip);
+      ++shard.queued;
     }
   }
 
@@ -164,25 +199,29 @@ void ShardedIngestService::fold_batch(Shard& shard) {
 }
 
 void ShardedIngestService::shard_loop(Shard& shard) {
-  std::vector<TripUpload> work;
   std::unique_lock<std::mutex> lock(shard.mutex);
   for (;;) {
-    shard.work.wait(lock, [&] { return !shard.inbox.empty() || closed(); });
+    shard.work.wait(lock, [&] { return shard.queued != 0 || closed(); });
     // Producers test closed_ under this lock before they queue, so closed
     // with an empty inbox means nothing more can arrive.
-    if (shard.inbox.empty()) return;
-    work.swap(shard.inbox);
+    if (shard.queued == 0) return;
+    // The slots processed last time become the new inbox.
+    shard.taken.swap(shard.inbox);
+    const std::size_t count = std::exchange(shard.queued, 0);
     shard.busy = true;
     lock.unlock();
     shard.room.notify_all();
-    for (const TripUpload& trip : work) process_one(shard, trip);
-    work.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      Slot& slot = shard.taken[i];
+      process_one(shard, slot.trip);
+      if (retained_bytes(slot) > kSlotRetainBytes) slot = Slot{};
+    }
     // Fold before going idle: drain() reads an empty inbox with busy ==
     // false as "every accepted upload's estimates are in the fusion".
     if (!shard.batch.empty()) fold_batch(shard);
     lock.lock();
     shard.busy = false;
-    if (shard.inbox.empty()) shard.idle.notify_all();
+    if (shard.queued == 0) shard.idle.notify_all();
   }
 }
 
@@ -190,7 +229,7 @@ void ShardedIngestService::drain() {
   for (auto& shard : shards_) {
     std::unique_lock<std::mutex> lock(shard->mutex);
     shard->idle.wait(lock,
-                     [&] { return shard->inbox.empty() && !shard->busy; });
+                     [&] { return shard->queued == 0 && !shard->busy; });
   }
 }
 
@@ -324,9 +363,24 @@ std::size_t ShardedIngestService::queue_depth() const {
   std::size_t depth = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    depth += shard->inbox.size();
+    depth += shard->queued;
   }
   return depth;
+}
+
+std::size_t ShardedIngestService::max_slot_retained_bytes() const {
+  std::size_t most = 0;
+  for (const auto& shard : shards_) {
+    // The consumer touches `taken` only while busy.
+    std::unique_lock<std::mutex> lock(shard->mutex);
+    shard->idle.wait(lock, [&] { return !shard->busy; });
+    for (const auto* slots : {&shard->inbox, &shard->taken}) {
+      for (const Slot& slot : *slots) {
+        most = std::max(most, retained_bytes(slot));
+      }
+    }
+  }
+  return most;
 }
 
 }  // namespace bussense

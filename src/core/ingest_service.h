@@ -10,9 +10,13 @@
 //     shard;
 //   * each shard is drained by its own consumer thread — there is no
 //     coordinator and no shared queue. A shard's inbox is one bounded
-//     vector under the shard's mutex: a producer copies the upload outside
-//     the lock and moves it in under it; the consumer swaps the whole
-//     inbox out in one lock and processes it unlocked;
+//     vector of recycled upload slots under the shard's mutex: a producer
+//     copy-assigns the upload into the next free slot, reusing the
+//     buffers an earlier upload left there; the consumer swaps the whole
+//     inbox out in one lock, processes its live prefix unlocked and keeps
+//     the slots, which come back as the next inbox. Once warm, no upload
+//     is allocated or freed, and nothing allocated on one thread is freed
+//     on another (bar an outsized slot, see Backpressure);
 //   * admission control (dedup LRU, clock-skew re-anchoring) runs inside
 //     the shard on partition-local state: a participant's replays and
 //     skew history live where its uploads are processed, so the checks
@@ -40,8 +44,11 @@
 //
 // Backpressure: a full inbox either blocks the producer until the
 // consumer swaps it out (kBlock) or rejects with RejectReason::kQueueFull
-// (kReject). A shard holds at most 2 × queue_capacity uploads: its inbox
-// plus the batch its consumer is processing.
+// (kReject). A shard holds at most 2 × queue_capacity upload slots — its
+// inbox plus the batch its consumer is processing — and keeps them for the
+// service's life; a slot retaining more than kSlotRetainBytes after its
+// upload is processed is released by the consumer, so a hostile upload
+// never stays resident.
 //
 // Shutdown is graceful: shutdown() (also run by the destructor) closes
 // the service to new uploads, lets every shard finish its inbox and fold
@@ -84,6 +91,10 @@ class ShardedIngestService {
   /// Estimates a shard buffers before it folds them into the fusion store
   /// (it also folds whatever it holds before it goes idle).
   static constexpr std::size_t kFoldBatch = 32;
+  /// Bytes (samples plus fingerprint cells) an inbox slot may keep after
+  /// its upload is processed; a larger slot is released. A 100-sample ride
+  /// keeps about 16 KiB, so only outsized uploads are ever freed.
+  static constexpr std::size_t kSlotRetainBytes = std::size_t{64} << 10;
 
   ShardedIngestService(const City& city, StopDatabase database,
                        ServerConfig config = {},
@@ -163,26 +174,42 @@ class ShardedIngestService {
   /// Uploads waiting in the shard inboxes (not yet taken by a consumer);
   /// exact only while producers and consumers are quiescent.
   std::size_t queue_depth() const;
+  /// The most bytes any recycled inbox slot retains. Waits for each
+  /// shard's consumer to finish the batch it holds.
+  std::size_t max_slot_retained_bytes() const;
   bool closed() const { return closed_.load(std::memory_order_acquire); }
   /// The shared pipeline: a TrafficServer with admission and durability
   /// stripped from its config.
   const TrafficServer& backend() const { return backend_; }
 
  private:
+  /// A recycled upload buffer. `spare` keeps the fingerprints of samples
+  /// beyond the current upload's length for the next longer one.
+  struct Slot {
+    TripUpload trip;
+    std::vector<Fingerprint> spare;
+  };
   struct Shard {
     std::size_t index = 0;  ///< position in shards_ == WAL segment number
-    /// Guards inbox and busy; producers test the closed and lifecycle
-    /// marks under it too.
+    /// Guards inbox, queued and busy; producers test the closed and
+    /// lifecycle marks under it too.
     mutable std::mutex mutex;
-    /// Uploads accepted but not yet taken by the consumer; at most
-    /// queue_capacity.
-    std::vector<TripUpload> inbox;
+    /// inbox[0, queued) are uploads accepted but not yet taken by the
+    /// consumer (queued <= queue_capacity); the slots past them are kept
+    /// for reuse.
+    std::vector<Slot> inbox;
+    std::size_t queued = 0;
     /// True while the consumer processes a swapped-out inbox and folds
     /// its batch; drain() waits for an empty inbox with busy == false.
     bool busy = false;
+    /// The inbox the consumer last swapped out; touched only by the
+    /// consumer thread, and handed back as the next inbox by its swap.
+    std::vector<Slot> taken;
     std::condition_variable work;  ///< consumer: inbox non-empty or closed
     std::condition_variable room;  ///< kBlock producers: inbox below capacity
-    std::condition_variable idle;  ///< drain(): inbox empty and not busy
+    /// Signalled when the consumer goes idle (inbox empty, not busy):
+    /// drain() and max_slot_retained_bytes() wait on it.
+    std::condition_variable idle;
     /// The analysis buffers and the estimates analysed but not yet
     /// folded; touched only by the consumer thread.
     TripScratch scratch;
@@ -206,6 +233,9 @@ class ShardedIngestService {
   /// False once shutdown() or close() ran, or before open() when durable.
   /// Producers read it under their shard's lock.
   bool accepting() const;
+  /// Copies `trip` into `slot`, reusing the buffers the slot holds.
+  static void assign(Slot& slot, const TripUpload& trip);
+  static std::size_t retained_bytes(const Slot& slot);
   void process_one(Shard& shard, const TripUpload& trip);
   void fold_batch(Shard& shard);
   void shard_loop(Shard& shard);

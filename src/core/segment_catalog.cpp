@@ -25,6 +25,10 @@ SegmentCatalog::SegmentCatalog(const City& city) : city_(&city) {
       adjacent_keys_.push_back(key);
     }
   }
+  link_lengths_.reserve(city.network().links().size());
+  for (const RoadLink& link : city.network().links()) {
+    link_lengths_.push_back(link.length());
+  }
 }
 
 SpanInfo SegmentCatalog::make_span(const BusRoute& route, double arc_from,

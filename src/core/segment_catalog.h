@@ -62,6 +62,10 @@ class SegmentCatalog {
   /// All adjacent segments, each listed once.
   const std::vector<SegmentKey>& adjacent_keys() const { return adjacent_keys_; }
 
+  /// Length in metres of every road link, indexed by SegmentId: the flat
+  /// table coverage sums read instead of each link's polyline.
+  const std::vector<double>& link_lengths() const { return link_lengths_; }
+
   const City& city() const { return *city_; }
 
  private:
@@ -74,6 +78,7 @@ class SegmentCatalog {
   std::vector<std::vector<StopId>> sequences_;  ///< effective ids per route
   std::unordered_map<SegmentKey, SpanInfo, SegmentKeyHash> adjacent_;
   std::vector<SegmentKey> adjacent_keys_;
+  std::vector<double> link_lengths_;
 };
 
 }  // namespace bussense

@@ -77,20 +77,20 @@ std::map<SpeedLevel, int> TrafficMap::level_histogram() const {
 double TrafficMap::coverage_ratio(const SegmentCatalog& catalog) const {
   // Forward and reverse segments of one corridor lie on the same physical
   // links; count each link's covered metres once, capped at its length.
-  std::map<SegmentId, double> covered_m;
+  const std::vector<double>& link_m = catalog.link_lengths();
+  std::vector<double> covered_m(link_m.size(), 0.0);
   for (const MapSegment& seg : segments_) {
     const SpanInfo* info = catalog.adjacent(seg.key);
     if (!info) continue;
     for (const auto& [link, len] : info->links) {
-      double& m = covered_m[link];
-      m = std::min(m + len, catalog.city().network().link(link).length());
+      const auto l = static_cast<std::size_t>(link);
+      covered_m[l] = std::min(covered_m[l] + len, link_m[l]);
     }
   }
+  // Ascending link order; an untouched link adds +0.0, which leaves the
+  // sum bit-identical to summing the touched links alone.
   double covered = 0.0;
-  for (const auto& [link, len] : covered_m) {
-    (void)link;
-    covered += len;
-  }
+  for (const double m : covered_m) covered += m;
   const double total = catalog.city().network().total_length();
   return total > 0.0 ? std::min(1.0, covered / total) : 0.0;
 }

@@ -2,7 +2,11 @@
 // across configurations, seeds and scales (not just the default testbed).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <optional>
 #include <numbers>
 #include <set>
 
@@ -353,6 +357,267 @@ TEST(ShardedIdentity, ShuffledHostileUploadsFuseBitIdenticalToSerial) {
       EXPECT_EQ(got[i].pending, want[i].pending);
     }
   }
+}
+
+// ------------------------------------------- fusion and coverage oracles
+
+// The map-based fusion store the dense stripes replaced: one std::map of
+// open period batches per segment, closed in period order. Kept here as
+// the oracle the dense state must match bit for bit.
+class MapFusion {
+ public:
+  explicit MapFusion(FusionConfig config) : config_(config) {}
+
+  void add(const SpeedEstimate& e) {
+    const auto period =
+        static_cast<std::int64_t>(std::floor(e.time / config_.update_period_s));
+    states_[key_of(e.segment)].pending[period].push_back(e.att_speed_kmh);
+  }
+
+  void flush_until(SimTime now) {
+    const auto now_period =
+        static_cast<std::int64_t>(std::floor(now / config_.update_period_s));
+    for (auto& [key, state] : states_) {
+      while (!state.pending.empty() &&
+             state.pending.begin()->first < now_period) {
+        const auto it = state.pending.begin();
+        std::vector<double>& values = it->second;
+        std::sort(values.begin(), values.end());
+        double sum = 0.0;
+        for (const double v : values) sum += v;
+        const int count = static_cast<int>(values.size());
+        apply(state, sum / count,
+              (static_cast<double>(it->first) + 1.0) * config_.update_period_s,
+              count);
+        state.pending.erase(it);
+      }
+    }
+  }
+
+  std::vector<FusionExportEntry> export_state() const {
+    std::vector<FusionExportEntry> out;
+    for (const auto& [key, state] : states_) {
+      FusionExportEntry entry;
+      entry.key = SegmentKey{key.first, key.second};
+      entry.fused = state.fused;
+      for (const auto& [period, values] : state.pending) {
+        std::vector<double> sorted = values;
+        std::sort(sorted.begin(), sorted.end());
+        entry.pending.emplace_back(period, std::move(sorted));
+      }
+      out.push_back(std::move(entry));
+    }
+    return out;  // std::map order == key order
+  }
+
+ private:
+  struct State {
+    std::optional<FusedSpeed> fused;
+    std::map<std::int64_t, std::vector<double>> pending;
+  };
+  static std::pair<StopId, StopId> key_of(const SegmentKey& k) {
+    return {k.from, k.to};
+  }
+  void apply(State& state, double mean_obs, SimTime at, int count) const {
+    if (!state.fused) {
+      state.fused =
+          FusedSpeed{mean_obs, config_.observation_variance, at, count};
+      return;
+    }
+    FusedSpeed& f = *state.fused;
+    f.variance += config_.process_noise_per_s * std::max(0.0, at - f.updated_at);
+    const double obs_var = config_.observation_variance;
+    const double denom = f.variance + obs_var;
+    f.mean_kmh = (f.mean_kmh * obs_var + mean_obs * f.variance) / denom;
+    f.variance = std::max(f.variance * obs_var / denom, config_.variance_floor);
+    f.updated_at = at;
+    f.observation_count += count;
+  }
+
+  FusionConfig config_;
+  std::map<std::pair<StopId, StopId>, State> states_;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_fused_bits(const FusedSpeed& got, const FusedSpeed& want,
+                       const std::string& label) {
+  EXPECT_EQ(bits(got.mean_kmh), bits(want.mean_kmh)) << label;
+  EXPECT_EQ(bits(got.variance), bits(want.variance)) << label;
+  EXPECT_EQ(bits(got.updated_at), bits(want.updated_at)) << label;
+  EXPECT_EQ(got.observation_count, want.observation_count) << label;
+}
+
+// The dense store's export and visitation must equal the oracle's, bit
+// for bit: same segments, same posteriors, same open batches.
+void expect_matches_oracle(const SpeedFusion& dense, const MapFusion& oracle,
+                           const std::string& label) {
+  const std::vector<FusionExportEntry> got = dense.export_state();
+  const std::vector<FusionExportEntry> want = oracle.export_state();
+  ASSERT_EQ(got.size(), want.size()) << label;
+  std::vector<std::pair<SegmentKey, FusedSpeed>> want_fused;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].key, want[i].key) << label;
+    ASSERT_EQ(got[i].fused.has_value(), want[i].fused.has_value()) << label;
+    if (want[i].fused) {
+      expect_fused_bits(*got[i].fused, *want[i].fused, label);
+      want_fused.emplace_back(want[i].key, *want[i].fused);
+    }
+    ASSERT_EQ(got[i].pending.size(), want[i].pending.size()) << label;
+    for (std::size_t b = 0; b < got[i].pending.size(); ++b) {
+      EXPECT_EQ(got[i].pending[b].first, want[i].pending[b].first) << label;
+      ASSERT_EQ(got[i].pending[b].second.size(),
+                want[i].pending[b].second.size()) << label;
+      for (std::size_t v = 0; v < got[i].pending[b].second.size(); ++v) {
+        EXPECT_EQ(bits(got[i].pending[b].second[v]),
+                  bits(want[i].pending[b].second[v])) << label;
+      }
+    }
+  }
+  std::vector<std::pair<SegmentKey, FusedSpeed>> visited;
+  dense.visit_all([&](const SegmentKey& key, const FusedSpeed& fused) {
+    visited.emplace_back(key, fused);
+  });
+  std::sort(visited.begin(), visited.end(), [](const auto& a, const auto& b) {
+    return std::pair(a.first.from, a.first.to) <
+           std::pair(b.first.from, b.first.to);
+  });
+  ASSERT_EQ(visited.size(), want_fused.size()) << label;
+  for (std::size_t i = 0; i < visited.size(); ++i) {
+    EXPECT_EQ(visited[i].first, want_fused[i].first) << label;
+    expect_fused_bits(visited[i].second, want_fused[i].second, label);
+  }
+}
+
+TEST(FusionOracle, DenseStateMatchesMapBasedFusionBitForBit) {
+  // A random stream over a few dozen segments: late estimates for earlier
+  // periods (open or already closed), several open periods per segment,
+  // flushes at arbitrary (mostly non-boundary) times, single and batched
+  // adds, and restores mid-stream — into the same store and into a fresh
+  // one.
+  const FusionConfig config;
+  int restores = 0;
+  std::size_t most_open = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    auto dense = std::make_unique<SpeedFusion>(config);
+    MapFusion oracle(config);
+    SimTime now = 6.0 * 3600.0;
+    std::vector<SpeedEstimate> batch;
+    for (int step = 0; step < 3000; ++step) {
+      const std::string label =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      now += rng.uniform(0.0, 20.0);
+      SpeedEstimate e;
+      e.segment = SegmentKey{rng.uniform_int(0, 7), rng.uniform_int(0, 5)};
+      // Mostly current, often up to three periods late.
+      e.time = now - (rng.bernoulli(0.3) ? rng.uniform(0.0, 3.0 * 300.0) : 0.0);
+      e.att_speed_kmh = rng.uniform(3.0, 70.0);
+      oracle.add(e);
+      if (rng.bernoulli(0.5)) {
+        dense->add(e);
+      } else {
+        batch.push_back(e);
+        if (batch.size() >= 40 || rng.bernoulli(0.05)) {
+          dense->add(batch);
+          batch.clear();
+        }
+      }
+      if (rng.bernoulli(0.02)) {
+        dense->add(batch);
+        batch.clear();
+        // Non-boundary flush times; now and then exactly on a boundary,
+        // now and then a period behind the stream.
+        SimTime at = now - rng.uniform(0.0, 600.0);
+        if (rng.bernoulli(0.2)) at = std::floor(at / 300.0) * 300.0;
+        dense->flush_until(at);
+        oracle.flush_until(at);
+        expect_matches_oracle(*dense, oracle, label);
+      }
+      if (rng.bernoulli(0.004)) {
+        dense->add(batch);
+        batch.clear();
+        const std::vector<FusionExportEntry> saved = dense->export_state();
+        for (const FusionExportEntry& entry : saved) {
+          most_open = std::max(most_open, entry.pending.size());
+        }
+        ++restores;
+        if (rng.bernoulli(0.5)) {
+          dense->restore_state(saved);
+        } else {
+          dense = std::make_unique<SpeedFusion>(config);
+          dense->restore_state(saved);
+        }
+        expect_matches_oracle(*dense, oracle, label + " (restored)");
+      }
+    }
+    dense->add(batch);
+    dense->flush_until(now + 600.0);
+    oracle.flush_until(now + 600.0);
+    expect_matches_oracle(*dense, oracle, "seed " + std::to_string(seed));
+    if (testing::Test::HasFailure()) return;
+  }
+  // The stream did restore mid-stream with several periods open at once.
+  EXPECT_GT(restores, 8);
+  EXPECT_GE(most_open, 3u);
+}
+
+// The std::map coverage formula the flat per-link array replaced.
+double map_coverage_ratio(const TrafficMap& map, const SegmentCatalog& catalog) {
+  std::map<SegmentId, double> covered_m;
+  for (const MapSegment& seg : map.segments()) {
+    const SpanInfo* info = catalog.adjacent(seg.key);
+    if (!info) continue;
+    for (const auto& [link, len] : info->links) {
+      double& m = covered_m[link];
+      m = std::min(m + len, catalog.city().network().link(link).length());
+    }
+  }
+  double covered = 0.0;
+  for (const auto& [link, len] : covered_m) covered += len;
+  const double total = catalog.city().network().total_length();
+  return total > 0.0 ? std::min(1.0, covered / total) : 0.0;
+}
+
+TEST(CoverageOracle, FlatCoverageMatchesMapFormulaBitForBit) {
+  // Random live subsets of the catalogue, with forward and reverse keys of
+  // one corridor (shared links, so the per-link cap bites) and keys the
+  // catalogue does not know.
+  const SegmentCatalog catalog(day_bed().world.city());
+  const std::vector<SegmentKey>& keys = catalog.adjacent_keys();
+  ASSERT_FALSE(keys.empty());
+  const SimTime now = 12.0 * 3600.0;
+  const auto estimate = [&](SegmentKey key, double kmh) {
+    SpeedEstimate e;
+    e.segment = key;
+    e.time = now - 400.0;
+    e.att_speed_kmh = kmh;
+    return e;
+  };
+  std::size_t shared = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    SpeedFusion fusion;
+    const double density = rng.uniform(0.0, 1.0);
+    for (const SegmentKey& key : keys) {
+      if (!rng.bernoulli(density)) continue;
+      fusion.add(estimate(key, rng.uniform(5.0, 60.0)));
+      const SegmentKey reverse{key.to, key.from};
+      if (catalog.adjacent(reverse) && rng.bernoulli(0.7)) {
+        fusion.add(estimate(reverse, 30.0));
+        ++shared;
+      }
+    }
+    for (int i = 0; i < 5; ++i) {
+      fusion.add(estimate(SegmentKey{100000 + i, 100001 + i}, 20.0));
+    }
+    fusion.flush_until(now);
+    const TrafficMap map = TrafficMap::snapshot(fusion, catalog, now);
+    EXPECT_EQ(bits(map.coverage_ratio(catalog)),
+              bits(map_coverage_ratio(map, catalog)))
+        << "seed " << seed;
+  }
+  EXPECT_GT(shared, 0u);  // the reverse keys did share links
 }
 
 TEST(IndexedMatcher, PruningSkipsHopelessCandidates) {

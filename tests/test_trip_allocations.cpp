@@ -1,11 +1,13 @@
-// Allocation budget of the trip path.
+// Allocation budget of the trip path and of the hand-off to the shards.
 //
 // A shard consumer analyses every trip through
 // TrafficServer::process_admitted over one reused TripScratch. The stage
 // types are index views and the scratch keeps its buffers' capacity, so
 // once warm a trip allocates only where a stage outgrows what earlier trips
-// needed. This binary replaces the global operator new with a counting one
-// and pins that budget, so deep copies cannot creep back into the path.
+// needed. The sharded front end copies each upload into a recycled inbox
+// slot, so once warm the hand-off allocates nothing either. This binary
+// replaces the global operator new with a counting one and pins both
+// budgets, so deep copies cannot creep back into the path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +15,7 @@
 #include <new>
 #include <vector>
 
+#include "core/ingest_service.h"
 #include "core/server.h"
 #include "core/stop_database.h"
 #include "trafficsim/world.h"
@@ -110,6 +113,84 @@ TEST(TripAllocations, SteadyStateTripStaysWithinBudget) {
   EXPECT_GT(estimates, 10u);
   // The same trip again outgrows nothing.
   EXPECT_EQ(allocations_of(server, trips.front(), scratch, batch), 0u);
+}
+
+// Heap allocations per upload a warm 3-shard service may make across
+// process_trip() and the consumers (analysis and fold included). Measured
+// on the trips below: 20-21 for 24 uploads of 1278 samples, 17 of them
+// SegmentCatalog::span() building the link list of a span over skipped
+// stops, the rest buffer growth in the fusion, clustering and a slot's
+// spare list. A producer that deep-copied each upload made one allocation
+// per sample plus one, 1302 here, before the consumer even ran.
+constexpr double kHandOffAllocationsPerUpload = 1.0;
+
+std::vector<TripUpload> hand_off_trips() {
+  std::vector<TripUpload> trips;
+  for (std::uint64_t seed = 20; seed < 44; ++seed) {
+    TripUpload trip = trip_on(seed % 2 ? "243" : "79", 1 + seed % 4,
+                              9 + seed % 3, at_clock(0, 7 + seed % 12, 0), seed);
+    trip.participant_id = static_cast<std::int32_t>(seed);
+    trips.push_back(std::move(trip));
+  }
+  return trips;
+}
+
+TEST(TripAllocations, WarmHandOffStaysWithinBudget) {
+  // Admission off and no WAL: what is left is the copy into the inbox, the
+  // consumer's analysis over its scratch, and the fold. With room for one
+  // upload, a shard's two slots alternate strictly, so each sees the same
+  // uploads in every replay and two replays warm them whatever the timing.
+  ShardedIngestConfig sharding;
+  sharding.shards = 3;
+  sharding.queue_capacity = 1;
+  ShardedIngestService service(bed().world.city(), bed().database, {},
+                               sharding);
+  const std::vector<TripUpload> trips = hand_off_trips();
+  std::size_t samples = 0;
+  for (const TripUpload& trip : trips) samples += trip.samples.size();
+  const auto replay = [&] {
+    for (const TripUpload& trip : trips) {
+      ASSERT_EQ(service.process_trip(trip).outcome, IngestOutcome::kQueued);
+    }
+    service.advance_time(at_clock(1, 0, 0));
+  };
+  replay();
+  replay();
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  replay();
+  const std::size_t made = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(static_cast<double>(made),
+            kHandOffAllocationsPerUpload * static_cast<double>(trips.size()))
+      << made << " allocations for " << trips.size() << " uploads of "
+      << samples << " samples";
+  EXPECT_GT(samples, 10 * trips.size());  // a deep copy would have cost
+  EXPECT_EQ(service.trips_processed(), 3 * trips.size());
+}
+
+TEST(TripAllocations, OutsizedUploadIsNotRetained) {
+  ShardedIngestConfig sharding;
+  sharding.shards = 3;
+  sharding.queue_capacity = 2;
+  ShardedIngestService service(bed().world.city(), bed().database, {},
+                               sharding);
+  const std::vector<TripUpload> trips = hand_off_trips();
+  TripUpload huge;
+  huge.participant_id = 7;
+  // Cells no surveyed stop has, so the pipeline rejects each sample fast.
+  CellularSample unknown;
+  unknown.fingerprint.cells = {900000001, 900000002, 900000003, 900000004};
+  huge.samples.resize(std::size_t{1} << 16, unknown);
+  for (std::size_t i = 0; i < huge.samples.size(); ++i) {
+    huge.samples[i].time = at_clock(0, 9, 0) + static_cast<double>(i);
+  }
+  ASSERT_EQ(service.process_trip(huge).outcome, IngestOutcome::kQueued);
+  for (const TripUpload& trip : trips) (void)service.process_trip(trip);
+  service.drain();
+  EXPECT_LE(service.max_slot_retained_bytes(),
+            ShardedIngestService::kSlotRetainBytes);
+  // The ordinary uploads stay resident in their slots.
+  EXPECT_GT(service.max_slot_retained_bytes(), 0u);
+  EXPECT_EQ(service.trips_processed(), trips.size() + 1);
 }
 
 TEST(TripAllocations, ScratchPathEqualsFreshAnalysis) {
