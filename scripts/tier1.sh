@@ -23,7 +23,10 @@
 # (enqueue guards, close() racing producers, partial batches at every
 # barrier, and the whole CrashRecovery suite: durability lives only in
 # the sharded service, so every crash case, 1-shard included, runs shard
-# consumer threads against the WAL) and test_properties' ShardedIdentity
+# consumer threads against the WAL, and the SIGKILL case kills a forked
+# service with a WAL sync in flight), the TripLogWriter tests (the
+# hand-off from an appender to the kInterval syncer thread, its latched
+# write errors) and test_properties' ShardedIdentity
 # suite (shuffled hostile uploads handed through the recycled inbox slots
 # to the shard consumers). Off by default for the same reason.
 #
@@ -125,10 +128,12 @@ if [[ "${BUSSENSE_SHARDED:-}" == "ON" ]]; then
     test_properties
   ./build-tsan/tests/test_ingest_service
   # The lifecycle and crash-recovery tests race producers against close()
-  # and the shard consumers against the WAL; the rest of the suite is
-  # single-threaded byte parsing, covered by the ASan durability stage.
+  # and the shard consumers against the WAL; the TripLogWriter tests hand
+  # intervals from the appender to the segment's syncer thread, and the
+  # SIGKILL crash test does so in forked children. The rest of the suite
+  # is single-threaded byte parsing, covered by the ASan durability stage.
   ./build-tsan/tests/test_durability \
-    --gtest_filter='DurableLifecycle.*:ShardBatch.*:CrashRecovery.*'
+    --gtest_filter='DurableLifecycle.*:ShardBatch.*:CrashRecovery.*:TripLogWriter.*'
   # Hostile uploads through the recycled inbox slots of a 3-shard service.
   ./build-tsan/tests/test_properties --gtest_filter='ShardedIdentity.*'
   end_stage

@@ -6,10 +6,6 @@
 
 namespace bussense {
 
-namespace {
-constexpr double kArcEps = 1e-6;
-}
-
 BusRoute::BusRoute(RouteId id, std::string name, int direction, Polyline path,
                    std::vector<RouteStop> stops, std::vector<LinkSpan> link_spans)
     : id_(id),
@@ -74,17 +70,10 @@ SegmentId BusRoute::link_at(double arc) const {
 
 std::vector<std::pair<SegmentId, double>> BusRoute::link_lengths_between(
     double arc_a, double arc_b) const {
-  if (arc_a > arc_b) {
-    throw std::invalid_argument("link_lengths_between: arc_a > arc_b");
-  }
-  const double a = std::clamp(arc_a, 0.0, length());
-  const double b = std::clamp(arc_b, 0.0, length());
   std::vector<std::pair<SegmentId, double>> parts;
-  for (const LinkSpan& span : link_spans_) {
-    const double lo = std::max(a, span.arc_begin);
-    const double hi = std::min(b, span.arc_end);
-    if (hi > lo + kArcEps) parts.emplace_back(span.link, hi - lo);
-  }
+  for_each_link_between(arc_a, arc_b, [&](SegmentId link, double metres) {
+    parts.emplace_back(link, metres);
+  });
   return parts;
 }
 

@@ -8,7 +8,9 @@
 // the traffic field.
 #pragma once
 
+#include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -64,7 +66,27 @@ class BusRoute {
   std::vector<std::pair<SegmentId, double>> link_lengths_between(
       double arc_a, double arc_b) const;
 
+  /// Calls visit(link, metres-on-link) for each entry of
+  /// link_lengths_between(arc_a, arc_b), in path order, without building
+  /// the vector.
+  template <typename Visit>
+  void for_each_link_between(double arc_a, double arc_b, Visit&& visit) const {
+    if (arc_a > arc_b) {
+      throw std::invalid_argument("link_lengths_between: arc_a > arc_b");
+    }
+    const double a = std::clamp(arc_a, 0.0, length());
+    const double b = std::clamp(arc_b, 0.0, length());
+    for (const LinkSpan& span : link_spans_) {
+      const double lo = std::max(a, span.arc_begin);
+      const double hi = std::min(b, span.arc_end);
+      if (hi > lo + kArcEps) visit(span.link, hi - lo);
+    }
+  }
+
  private:
+  /// Arc tolerance of the stop checks and link decompositions, metres.
+  static constexpr double kArcEps = 1e-6;
+
   RouteId id_;
   std::string name_;
   int direction_;

@@ -395,6 +395,7 @@ DurabilityManager::Recovery DurabilityManager::open() {
     writers_.push_back(std::make_unique<TripLogWriter>(
         segment_path(i), config_.fsync, config_.fsync_interval_records,
         scan.next_seq));
+    writers_.back()->bind_fsync_counter(inst_.fsyncs);
   }
   if (inst_.recovered_records) inst_.recovered_records->add(replayed);
   if (inst_.truncated_tail_bytes) {
@@ -410,7 +411,6 @@ std::uint64_t DurabilityManager::append_trip(std::size_t segment,
       info.signature, info.skew_offset_s, trip);
   if (inst_.appends) inst_.appends->inc();
   if (inst_.bytes_appended) inst_.bytes_appended->add(result.bytes);
-  if (result.synced && inst_.fsyncs) inst_.fsyncs->inc();
   return result.seq;
 }
 
@@ -419,7 +419,6 @@ void DurabilityManager::append_time_mark(SimTime now) {
     const TripLogWriter::AppendResult result = writer->append_time_mark(now);
     if (inst_.appends) inst_.appends->inc();
     if (inst_.bytes_appended) inst_.bytes_appended->add(result.bytes);
-    if (result.synced && inst_.fsyncs) inst_.fsyncs->inc();
   }
 }
 
@@ -428,9 +427,7 @@ std::uint64_t DurabilityManager::save_checkpoint(CheckpointState state) {
   // durable before the checkpoint that skips replaying it.
   state.covers_seq.resize(writers_.size());
   for (std::size_t i = 0; i < writers_.size(); ++i) {
-    const std::uint64_t before = writers_[i]->fsyncs();
     writers_[i]->sync();
-    if (inst_.fsyncs) inst_.fsyncs->add(writers_[i]->fsyncs() - before);
     state.covers_seq[i] = writers_[i]->last_seq();
   }
   const std::uint64_t id = next_checkpoint_id_++;
@@ -442,25 +439,25 @@ std::uint64_t DurabilityManager::save_checkpoint(CheckpointState state) {
 }
 
 void DurabilityManager::close() {
-  for (auto& writer : writers_) {
-    const std::uint64_t before = writer->fsyncs();
-    writer->close();
-    if (inst_.fsyncs) inst_.fsyncs->add(writer->fsyncs() - before);
-  }
+  for (auto& writer : writers_) writer->close();
 }
 
 void DurabilityManager::bind_metrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     inst_ = Instruments{};
-    return;
+  } else {
+    inst_.appends = &registry->counter("durability.appends");
+    inst_.fsyncs = &registry->counter("durability.fsyncs");
+    inst_.bytes_appended = &registry->counter("durability.bytes_appended");
+    inst_.checkpoints = &registry->counter("durability.checkpoints");
+    inst_.recovered_records =
+        &registry->counter("durability.recovered_records");
+    inst_.truncated_tail_bytes =
+        &registry->counter("durability.truncated_tail_bytes");
   }
-  inst_.appends = &registry->counter("durability.appends");
-  inst_.fsyncs = &registry->counter("durability.fsyncs");
-  inst_.bytes_appended = &registry->counter("durability.bytes_appended");
-  inst_.checkpoints = &registry->counter("durability.checkpoints");
-  inst_.recovered_records = &registry->counter("durability.recovered_records");
-  inst_.truncated_tail_bytes =
-      &registry->counter("durability.truncated_tail_bytes");
+  // Fsyncs complete on the writers (a syncer thread under kInterval), so
+  // they count them themselves.
+  for (auto& writer : writers_) writer->bind_fsync_counter(inst_.fsyncs);
 }
 
 }  // namespace bussense

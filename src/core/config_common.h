@@ -30,11 +30,22 @@ struct ObservabilityConfig {
   bool enabled = true;
 };
 
-/// When appended write-ahead log bytes reach the disk platter.
+/// When appended write-ahead log bytes reach the disk platter. Frames are
+/// encoded in place into the segment writer's buffer under every policy,
+/// and checkpoint() and close() are full barriers under every policy: they
+/// return once every appended record is written and fdatasync'ed.
 enum class FsyncPolicy : std::uint8_t {
-  kNever,        ///< OS page cache only; fsync at checkpoint/close barriers
-  kInterval,     ///< fsync every `fsync_interval_records` appends
-  kEveryRecord,  ///< fsync after every append (strongest, slowest)
+  /// OS page cache only (frames buffer up to 256 KiB before a write());
+  /// fsync at checkpoint/close barriers.
+  kNever,
+  /// fdatasync every `fsync_interval_records` appends, off the appending
+  /// thread: a syncer per segment writes and syncs each interval while the
+  /// next one builds, so at most 2 × `fsync_interval_records` appended
+  /// records per segment are not yet durable.
+  kInterval,
+  /// write() + fdatasync inside every append, synchronously (strongest,
+  /// slowest).
+  kEveryRecord,
 };
 
 inline const char* to_string(FsyncPolicy p) {
@@ -61,7 +72,8 @@ struct DurabilityConfig {
 
   FsyncPolicy fsync = FsyncPolicy::kNever;
 
-  /// Appends between fsyncs under FsyncPolicy::kInterval.
+  /// Appends between fsyncs under FsyncPolicy::kInterval (the tail-loss
+  /// bound is twice this, per segment).
   std::uint64_t fsync_interval_records = 256;
 
   /// Checkpoint files retained after a successful save (older ones are

@@ -34,14 +34,9 @@ void TravelEstimator::estimate(const MappedTrip& trip,
     if (btt <= 0.0) continue;
     const SegmentKey key{from.stop, to.stop};
     // Adjacent pairs (nearly all) read the catalog in place; a span over
-    // skipped stops is built on demand.
-    std::optional<SpanInfo> built;
-    const SpanInfo* span = catalog_->adjacent(key);
-    if (span == nullptr) {
-      built = catalog_->span(key);
-      if (!built) continue;  // residual mapping error: no route serves the pair
-      span = &*built;
-    }
+    // skipped stops is summed on demand.
+    const std::optional<SpanSummary> span = catalog_->summary(key);
+    if (!span) continue;  // residual mapping error: no route serves the pair
     const double att = att_seconds(btt, span->length_m, span->free_speed_kmh);
     if (att <= 0.0) continue;
     SpeedEstimate e;

@@ -7,8 +7,11 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <stdexcept>
+
+#include "obs/metrics.h"
 
 namespace bussense {
 
@@ -38,40 +41,28 @@ std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
   return tables;
 }
 
-// Byte-wise little-endian stores into a pre-sized region: host-endianness
-// independent, and contiguous enough for the compiler to fuse into single
-// stores (the per-byte push_back form is not).
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  const std::size_t n = out.size();
-  out.resize(n + 2);
-  for (int i = 0; i < 2; ++i) {
-    out[n + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
-  }
+// Little-endian stores through a cursor into pre-sized memory: host-
+// endianness independent, and contiguous enough for the compiler to fuse
+// into single stores. Each returns the cursor past what it wrote.
+std::uint8_t* put_u16(std::uint8_t* p, std::uint16_t v) {
+  for (int i = 0; i < 2; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return p + 2;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const std::size_t n = out.size();
-  out.resize(n + 4);
-  for (int i = 0; i < 4; ++i) {
-    out[n + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
-  }
+std::uint8_t* put_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return p + 4;
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  const std::size_t n = out.size();
-  out.resize(n + 8);
-  for (int i = 0; i < 8; ++i) {
-    out[n + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
-  }
+std::uint8_t* put_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return p + 8;
 }
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
+std::uint8_t* put_f64(std::uint8_t* p, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
+  return put_u64(p, bits);
 }
 
 // LEB128: 7 value bits per byte, high bit = continuation. Cell ids are
@@ -86,12 +77,13 @@ std::size_t varint_size(std::uint32_t v) {
   return n;
 }
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint32_t v) {
+std::uint8_t* put_varint(std::uint8_t* p, std::uint32_t v) {
   while (v >= 0x80u) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80u);
+    *p++ = static_cast<std::uint8_t>(v) | 0x80u;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
 }
 
 // Bounds-checked little-endian reader over a byte span.
@@ -186,31 +178,61 @@ std::size_t trip_payload_size(const TripUpload& trip) {
   return n;
 }
 
-void encode_trip_payload(std::vector<std::uint8_t>& out, std::uint64_t seq,
+constexpr std::size_t kTimeMarkPayloadSize = 1 + 8 + 8;  // type|seq|time
+
+// Both encoders write exactly their payload size at `p`.
+void encode_trip_payload(std::uint8_t* p, std::uint64_t seq,
                          std::uint64_t signature, double skew_offset_s,
                          const TripUpload& trip) {
-  out.reserve(out.size() + trip_payload_size(trip));
-  out.push_back(static_cast<std::uint8_t>(WalRecordType::kTrip));
-  put_u64(out, seq);
-  put_u64(out, signature);
-  put_f64(out, skew_offset_s);
-  put_u32(out, static_cast<std::uint32_t>(trip.participant_id));
-  put_u32(out, static_cast<std::uint32_t>(trip.samples.size()));
+  *p++ = static_cast<std::uint8_t>(WalRecordType::kTrip);
+  p = put_u64(p, seq);
+  p = put_u64(p, signature);
+  p = put_f64(p, skew_offset_s);
+  p = put_u32(p, static_cast<std::uint32_t>(trip.participant_id));
+  p = put_u32(p, static_cast<std::uint32_t>(trip.samples.size()));
   for (const CellularSample& sample : trip.samples) {
-    put_f64(out, sample.time);
-    put_u16(out, static_cast<std::uint16_t>(sample.fingerprint.size()));
+    p = put_f64(p, sample.time);
+    p = put_u16(p, static_cast<std::uint16_t>(sample.fingerprint.size()));
     for (const CellId cell : sample.fingerprint.cells) {
-      put_varint(out, static_cast<std::uint32_t>(cell));
+      p = put_varint(p, static_cast<std::uint32_t>(cell));
     }
   }
 }
 
-void encode_time_mark_payload(std::vector<std::uint8_t>& out,
-                              std::uint64_t seq, SimTime mark_time) {
-  out.reserve(out.size() + 1 + 8 + 8);
-  out.push_back(static_cast<std::uint8_t>(WalRecordType::kTimeMark));
-  put_u64(out, seq);
-  put_f64(out, mark_time);
+void encode_time_mark_payload(std::uint8_t* p, std::uint64_t seq,
+                              SimTime mark_time) {
+  *p++ = static_cast<std::uint8_t>(WalRecordType::kTimeMark);
+  p = put_u64(p, seq);
+  put_f64(p, mark_time);
+}
+
+std::string io_error(const char* what, const std::string& path, int err) {
+  return std::string("trip log ") + what + " failed: " + path + ": " +
+         std::strerror(err);
+}
+
+// 0 or the errno of the failed call.
+int write_all(int fd, const std::uint8_t* data, std::size_t size) {
+  std::size_t written = 0;
+  while (written < size) {
+    const ssize_t n = ::write(fd, data + written, size - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno;
+    }
+    written += static_cast<std::size_t>(n);
+  }
+  return 0;
+}
+
+int data_sync(int fd) {
+#ifdef __linux__
+  // fdatasync still flushes the size change needed to read the appended
+  // bytes back; it skips only timestamps — cheaper on ext4.
+  return ::fdatasync(fd) == 0 ? 0 : errno;
+#else
+  return ::fsync(fd) == 0 ? 0 : errno;
+#endif
 }
 
 }  // namespace
@@ -218,9 +240,11 @@ void encode_time_mark_payload(std::vector<std::uint8_t>& out,
 std::vector<std::uint8_t> encode_wal_payload(const WalRecord& record) {
   std::vector<std::uint8_t> out;
   if (record.type == WalRecordType::kTimeMark) {
-    encode_time_mark_payload(out, record.seq, record.mark_time);
+    out.resize(kTimeMarkPayloadSize);
+    encode_time_mark_payload(out.data(), record.seq, record.mark_time);
   } else {
-    encode_trip_payload(out, record.seq, record.signature,
+    out.resize(trip_payload_size(record.trip));
+    encode_trip_payload(out.data(), record.seq, record.signature,
                         record.skew_offset_s, record.trip);
   }
   return out;
@@ -343,6 +367,9 @@ TripLogWriter::TripLogWriter(std::string path, FsyncPolicy policy,
       throw std::runtime_error("cannot write trip log header: " + path_);
     }
   }
+  if (policy_ == FsyncPolicy::kInterval) {
+    syncer_ = std::thread([this] { syncer_loop(); });
+  }
 }
 
 TripLogWriter::~TripLogWriter() {
@@ -353,105 +380,161 @@ TripLogWriter::~TripLogWriter() {
   }
 }
 
-TripLogWriter::AppendResult TripLogWriter::append(WalRecord record) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+void TripLogWriter::check_open_locked() {
   if (fd_ < 0) throw std::runtime_error("append on closed trip log " + path_);
-  record.seq = next_seq_;
-  scratch_.clear();
-  scratch_.resize(kFrameHeader);  // length + crc filled in below
-  if (record.type == WalRecordType::kTimeMark) {
-    encode_time_mark_payload(scratch_, record.seq, record.mark_time);
-  } else {
-    encode_trip_payload(scratch_, record.seq, record.signature,
-                        record.skew_offset_s, record.trip);
+  if (failed_.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(sync_mutex_);
+    throw std::runtime_error(error_);
   }
-  return append_scratch_locked();
+}
+
+TripLogWriter::AppendResult TripLogWriter::append(const WalRecord& record) {
+  if (record.type == WalRecordType::kTimeMark) {
+    return append_time_mark(record.mark_time);
+  }
+  return append_trip(record.signature, record.skew_offset_s, record.trip);
 }
 
 TripLogWriter::AppendResult TripLogWriter::append_trip(std::uint64_t signature,
                                                        double skew_offset_s,
                                                        const TripUpload& trip) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) throw std::runtime_error("append on closed trip log " + path_);
-  scratch_.clear();
-  scratch_.resize(kFrameHeader);
-  encode_trip_payload(scratch_, next_seq_, signature, skew_offset_s, trip);
-  return append_scratch_locked();
+  check_open_locked();
+  const std::size_t size = trip_payload_size(trip);
+  encode_trip_payload(frame_locked(size), next_seq_, signature, skew_offset_s,
+                      trip);
+  return commit_frame_locked(size);
 }
 
 TripLogWriter::AppendResult TripLogWriter::append_time_mark(SimTime mark_time) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) throw std::runtime_error("append on closed trip log " + path_);
-  scratch_.clear();
-  scratch_.resize(kFrameHeader);
-  encode_time_mark_payload(scratch_, next_seq_, mark_time);
-  return append_scratch_locked();
+  check_open_locked();
+  encode_time_mark_payload(frame_locked(kTimeMarkPayloadSize), next_seq_,
+                           mark_time);
+  return commit_frame_locked(kTimeMarkPayloadSize);
 }
 
-// scratch_ holds 8 placeholder bytes followed by the payload (seq already
-// encoded as next_seq_). Frames, writes and applies the fsync policy.
-TripLogWriter::AppendResult TripLogWriter::append_scratch_locked() {
-  const std::uint64_t seq = next_seq_++;
-  const std::uint32_t length =
-      static_cast<std::uint32_t>(scratch_.size() - kFrameHeader);
-  const std::uint32_t crc = crc32(scratch_.data() + kFrameHeader, length);
-  for (int i = 0; i < 4; ++i) {
-    scratch_[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(length >> (8 * i));
-    scratch_[static_cast<std::size_t>(4 + i)] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
-  }
-  // Group commit: frames accumulate in buffer_ and reach the kernel in
-  // one write() per flush. sync_locked() flushes first, so the fsync
-  // policies keep their tail-loss bounds; the destructor's close() also
-  // flushes, so a scope-exit "crash" loses nothing the OS was given.
-  buffer_.insert(buffer_.end(), scratch_.begin(), scratch_.end());
+// Grows active_ by one frame and returns where its payload goes; the
+// 8-byte header is filled in by commit_frame_locked().
+std::uint8_t* TripLogWriter::frame_locked(std::size_t payload_size) {
+  const std::size_t at = active_.size();
+  active_.resize(at + kFrameHeader + payload_size);
+  return active_.data() + at + kFrameHeader;
+}
+
+// The last frame of active_ holds its payload (seq encoded as next_seq_):
+// CRCs it in place, patches the header and applies the fsync policy.
+TripLogWriter::AppendResult TripLogWriter::commit_frame_locked(
+    std::size_t payload_size) {
+  const std::size_t frame_size = kFrameHeader + payload_size;
+  std::uint8_t* frame = active_.data() + active_.size() - frame_size;
+  const std::uint32_t length = static_cast<std::uint32_t>(payload_size);
+  put_u32(put_u32(frame, length), crc32(frame + kFrameHeader, length));
+  const AppendResult result{next_seq_++, frame_size};
   ++appends_;
   ++appends_since_sync_;
-  bytes_appended_ += scratch_.size();
-  AppendResult result{seq, scratch_.size(), false};
-  if (policy_ == FsyncPolicy::kEveryRecord ||
-      (policy_ == FsyncPolicy::kInterval &&
-       appends_since_sync_ >= fsync_interval_)) {
+  bytes_appended_ += frame_size;
+  // Group commit: frames reach the kernel in one write() per flush or
+  // hand-off, and every sync writes what is buffered first.
+  if (policy_ == FsyncPolicy::kEveryRecord) {
     sync_locked();
-    result.synced = true;
-  } else if (buffer_.size() >= kFlushThreshold) {
-    flush_locked();
+  } else if (policy_ == FsyncPolicy::kInterval &&
+             appends_since_sync_ >= fsync_interval_) {
+    hand_off_locked(/*sync=*/true);
+  } else if (active_.size() >= kFlushThreshold) {
+    if (syncer_.joinable()) {
+      hand_off_locked(/*sync=*/false);
+    } else {
+      flush_locked();
+    }
   }
   return result;
 }
 
-// Hands buffer_ to the kernel (no fsync).
+// Inline policies: hands active_ to the kernel (no fsync).
 void TripLogWriter::flush_locked() {
-  std::size_t written = 0;
-  while (written < buffer_.size()) {
-    const ssize_t n = ::write(fd_, buffer_.data() + written,
-                              buffer_.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("trip log append failed: " + path_ + ": " +
-                               std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
+  if (const int err = write_all(fd_, active_.data(), active_.size())) {
+    throw std::runtime_error(io_error("append", path_, err));
   }
-  buffer_.clear();
+  active_.clear();
 }
 
 void TripLogWriter::sync_locked() {
-  if (fd_ < 0 || appends_since_sync_ == 0) return;
-  flush_locked();
-#ifdef __linux__
-  // fdatasync still flushes the size change needed to read the appended
-  // bytes back; it skips only timestamps — cheaper on ext4.
-  if (::fdatasync(fd_) != 0) {
-#else
-  if (::fsync(fd_) != 0) {
-#endif
-    throw std::runtime_error("trip log fsync failed: " + path_ + ": " +
-                             std::strerror(errno));
+  if (fd_ < 0) return;
+  if (syncer_.joinable()) {
+    if (appends_since_sync_ > 0) hand_off_locked(/*sync=*/true);
+    wait_idle_locked();
+    return;
   }
-  ++fsyncs_;
+  if (appends_since_sync_ == 0) return;
+  flush_locked();
+  if (const int err = data_sync(fd_)) {
+    throw std::runtime_error(io_error("fsync", path_, err));
+  }
+  record_sync(next_seq_ - 1);
   appends_since_sync_ = 0;
+}
+
+// Swaps active_ with the syncer's idle buffer once the previous hand-off
+// has finished (the only place an appender waits for the disk).
+void TripLogWriter::hand_off_locked(bool sync) {
+  {
+    std::unique_lock<std::mutex> lock(sync_mutex_);
+    idle_.wait(lock, [&] { return !in_flight_; });
+    if (!error_.empty()) throw std::runtime_error(error_);
+    in_flight_buffer_.swap(active_);
+    in_flight_ = true;
+    in_flight_sync_ = sync;
+    in_flight_seq_ = next_seq_ - 1;
+  }
+  work_.notify_one();
+  if (sync) appends_since_sync_ = 0;
+}
+
+void TripLogWriter::wait_idle_locked() {
+  std::unique_lock<std::mutex> lock(sync_mutex_);
+  idle_.wait(lock, [&] { return !in_flight_; });
+  if (!error_.empty()) throw std::runtime_error(error_);
+}
+
+void TripLogWriter::record_sync(std::uint64_t seq) {
+  synced_seq_.store(seq, std::memory_order_release);
+  fsyncs_.fetch_add(1, std::memory_order_relaxed);
+  if (Counter* counter = fsync_counter_.load(std::memory_order_acquire)) {
+    counter->inc();
+  }
+}
+
+// While in_flight_ is set the syncer owns in_flight_buffer_ and the
+// descriptor; appenders touch neither until it clears the flag.
+void TripLogWriter::syncer_loop() {
+  std::unique_lock<std::mutex> lock(sync_mutex_);
+  for (;;) {
+    work_.wait(lock, [&] { return in_flight_ || stop_; });
+    if (!in_flight_) return;
+    const bool sync = in_flight_sync_;
+    const std::uint64_t seq = in_flight_seq_;
+    lock.unlock();
+    std::string error;
+    if (const int err = write_all(fd_, in_flight_buffer_.data(),
+                                  in_flight_buffer_.size())) {
+      error = io_error("append", path_, err);
+    } else if (sync) {
+      if (const int serr = data_sync(fd_)) {
+        error = io_error("fsync", path_, serr);
+      } else {
+        record_sync(seq);
+      }
+    }
+    in_flight_buffer_.clear();
+    lock.lock();
+    if (!error.empty()) {
+      error_ = std::move(error);
+      failed_.store(true, std::memory_order_release);
+    }
+    in_flight_ = false;
+    idle_.notify_all();
+  }
 }
 
 void TripLogWriter::sync() {
@@ -462,14 +545,36 @@ void TripLogWriter::sync() {
 void TripLogWriter::close() {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ < 0) return;
-  sync_locked();
+  std::exception_ptr failure;
+  try {
+    sync_locked();
+  } catch (...) {
+    failure = std::current_exception();
+  }
+  if (syncer_.joinable()) {
+    {
+      const std::lock_guard<std::mutex> sync_lock(sync_mutex_);
+      stop_ = true;
+    }
+    work_.notify_one();
+    syncer_.join();
+  }
   ::close(fd_);
   fd_ = -1;
+  if (failure) std::rethrow_exception(failure);
+}
+
+void TripLogWriter::bind_fsync_counter(Counter* counter) {
+  fsync_counter_.store(counter, std::memory_order_release);
 }
 
 std::uint64_t TripLogWriter::last_seq() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return next_seq_ - 1;
+}
+
+std::uint64_t TripLogWriter::synced_seq() const {
+  return synced_seq_.load(std::memory_order_acquire);
 }
 
 std::uint64_t TripLogWriter::appends() const {
@@ -478,8 +583,7 @@ std::uint64_t TripLogWriter::appends() const {
 }
 
 std::uint64_t TripLogWriter::fsyncs() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return fsyncs_;
+  return fsyncs_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t TripLogWriter::bytes_appended() const {

@@ -31,10 +31,13 @@
 // advance (a duplicated block from a buggy copy) are skipped and counted.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -42,6 +45,8 @@
 #include "sensing/trip.h"
 
 namespace bussense {
+
+class Counter;
 
 /// CRC-32 (IEEE 802.3, reflected) of `size` bytes.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
@@ -87,13 +92,25 @@ struct WalScanResult {
 WalScanResult scan_trip_log(const std::string& path, bool repair);
 
 /// Appender for one WAL segment. Thread-safe (internal mutex), though each
-/// segment has one writer in practice (the serial server, or the shard that
-/// owns it). The caller scans
-/// (and repairs) the segment first and seeds `next_seq` from the scan.
+/// segment has one writer in practice (the shard that owns it). The caller
+/// scans (and repairs) the segment first and seeds `next_seq` from the scan.
+///
+/// Frames are encoded in place into an active buffer. Under kInterval a
+/// syncer thread owned by the writer does the disk work: every
+/// `fsync_interval` appends the caller swaps the active buffer with the
+/// syncer's idle one and carries on, while the syncer write()s it and
+/// calls fdatasync. The caller blocks only when the previous interval is
+/// still in flight at the next hand-off, so at most 2 × `fsync_interval`
+/// appended records are not yet durable. The syncer is then the only
+/// thread that writes to the file, so frames reach it in seq order; a
+/// failed write or sync is latched and thrown by the next append, sync()
+/// or close(). kNever and kEveryRecord do their I/O inline on the caller.
 class TripLogWriter {
  public:
   TripLogWriter(std::string path, FsyncPolicy policy,
                 std::uint64_t fsync_interval, std::uint64_t next_seq);
+  /// close()s the writer (joining the syncer); errors are swallowed here
+  /// and surface only through an explicit close().
   ~TripLogWriter();
 
   TripLogWriter(const TripLogWriter&) = delete;
@@ -101,14 +118,14 @@ class TripLogWriter {
 
   struct AppendResult {
     std::uint64_t seq = 0;
-    std::size_t bytes = 0;  ///< frame bytes written
-    bool synced = false;    ///< the fsync policy fired on this append
+    std::size_t bytes = 0;  ///< frame bytes appended
   };
 
-  /// Assigns the next seq, frames and appends the record, applies the
-  /// fsync policy. Throws std::runtime_error on I/O failure (an ingest
-  /// tier must not silently drop durability).
-  AppendResult append(WalRecord record);
+  /// Assigns the next seq (the record's own is ignored), frames and
+  /// appends the record, applies the fsync policy. Throws
+  /// std::runtime_error on I/O failure, inline or latched by the syncer
+  /// (an ingest tier must not silently drop durability).
+  AppendResult append(const WalRecord& record);
 
   /// Hot-path variants: same frame bytes as append() with a WalRecord of
   /// the matching type, without materialising one (no TripUpload copy).
@@ -116,14 +133,23 @@ class TripLogWriter {
                            const TripUpload& trip);
   AppendResult append_time_mark(SimTime mark_time);
 
-  /// Explicit fsync barrier (checkpoint prologue / close).
+  /// Full barrier (checkpoint prologue / close): returns once every record
+  /// appended so far is written and fdatasync'ed. Throws on I/O failure.
   void sync();
 
-  /// sync() + close the descriptor; further appends throw. Idempotent.
+  /// sync() + stop the syncer + close the descriptor; further appends
+  /// throw. Idempotent; the descriptor is closed even when the final sync
+  /// throws.
   void close();
+
+  /// Counts every completed fsync into `counter` from now on (null stops).
+  void bind_fsync_counter(Counter* counter);
 
   const std::string& path() const { return path_; }
   std::uint64_t last_seq() const;
+  /// Highest seq this writer has written and synced (0 before its first
+  /// sync).
+  std::uint64_t synced_seq() const;
   std::uint64_t appends() const;
   std::uint64_t fsyncs() const;
   std::uint64_t bytes_appended() const;
@@ -131,26 +157,46 @@ class TripLogWriter {
  private:
   /// Group-commit write() granularity: frames buffer in user space up to
   /// this many bytes; sync()/close() (and the fsync policies) flush first,
-  /// so every durability bound is unchanged.
+  /// so every durability bound holds.
   static constexpr std::size_t kFlushThreshold = 256 * 1024;
 
-  AppendResult append_scratch_locked();
+  void check_open_locked();
+  std::uint8_t* frame_locked(std::size_t payload_size);
+  AppendResult commit_frame_locked(std::size_t payload_size);
   void flush_locked();
   void sync_locked();
+  void hand_off_locked(bool sync);
+  void wait_idle_locked();
+  void record_sync(std::uint64_t seq);
+  void syncer_loop();
 
   std::string path_;
   FsyncPolicy policy_;
   std::uint64_t fsync_interval_;
 
-  mutable std::mutex mutex_;
-  std::vector<std::uint8_t> scratch_;  ///< reusable frame buffer
-  std::vector<std::uint8_t> buffer_;   ///< pending frames (group commit)
+  mutable std::mutex mutex_;           ///< the appending side
+  std::vector<std::uint8_t> active_;   ///< frames not yet handed off
   int fd_ = -1;
   std::uint64_t next_seq_;
   std::uint64_t appends_ = 0;
   std::uint64_t appends_since_sync_ = 0;
-  std::uint64_t fsyncs_ = 0;
   std::uint64_t bytes_appended_ = 0;
+
+  std::mutex sync_mutex_;  ///< the hand-off to the syncer; after mutex_
+  std::condition_variable work_;  ///< in_flight_ or stop_ set
+  std::condition_variable idle_;  ///< in_flight_ cleared
+  std::vector<std::uint8_t> in_flight_buffer_;  ///< the syncer's while in flight
+  bool in_flight_ = false;
+  bool in_flight_sync_ = false;  ///< fdatasync after the write
+  std::uint64_t in_flight_seq_ = 0;  ///< last seq in the buffer
+  bool stop_ = false;
+  std::string error_;  ///< latched syncer failure
+  std::atomic<bool> failed_{false};  ///< error_ is set
+
+  std::atomic<std::uint64_t> fsyncs_{0};
+  std::atomic<std::uint64_t> synced_seq_{0};
+  std::atomic<Counter*> fsync_counter_{nullptr};
+  std::thread syncer_;  ///< kInterval only; last, after what it uses
 };
 
 }  // namespace bussense

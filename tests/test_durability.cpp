@@ -16,7 +16,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -25,6 +27,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/admission.h"
@@ -132,6 +136,31 @@ void write_bytes(const std::filesystem::path& p,
   std::ofstream os(p, std::ios::binary | std::ios::trunc);
   os.write(reinterpret_cast<const char*>(bytes.data()),
            static_cast<std::streamsize>(bytes.size()));
+}
+
+// Pipe I/O that survives short reads and writes.
+bool write_full(int fd, const void* data, std::size_t size) {
+  const char* p = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t n = ::write(fd, p, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    p += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+std::size_t read_full(int fd, void* data, std::size_t size) {
+  char* p = static_cast<char*>(data);
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::read(fd, p + got, size - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  return got;
 }
 
 // Admission arms disable skew re-anchoring: a corrected trip's samples are
@@ -286,6 +315,150 @@ TEST(TripLogWriter, SameInputYieldsByteIdenticalLogs) {
   EXPECT_TRUE(missing.records.empty());
   EXPECT_EQ(missing.next_seq, 1u);
   EXPECT_FALSE(missing.torn);
+}
+
+// Under kInterval the syncer writes what the inline policies write, and
+// an appender is never more than two intervals ahead of the disk. The
+// long-interval writer hands its buffer over at the 256 KiB flush mark
+// instead, without a sync.
+TEST(TripLogWriter, IntervalSyncerKeepsBytesAndLossBound) {
+  const auto& uploads = sorted_uploads();
+  const std::size_t n = 3 * uploads.size();
+  constexpr std::uint64_t kEvery = 3;
+  TempDir dir;
+  MetricsRegistry registry;
+  Counter& fsyncs = registry.counter("durability.fsyncs");
+  std::uint64_t records = 0;
+  {
+    TripLogWriter inline_writer((dir.path / "never.wal").string(),
+                                FsyncPolicy::kNever, 256, 1);
+    TripLogWriter writer((dir.path / "interval.wal").string(),
+                         FsyncPolicy::kInterval, kEvery, 1);
+    TripLogWriter flushing((dir.path / "flushing.wal").string(),
+                           FsyncPolicy::kInterval, 1u << 30, 1);
+    writer.bind_fsync_counter(&fsyncs);
+    for (std::size_t i = 0; i < n; ++i) {
+      const WalRecord record = trip_record(uploads[i % uploads.size()]);
+      inline_writer.append(record);
+      flushing.append(record);
+      EXPECT_EQ(writer.append(record).seq, ++records);
+      if (i % 10 == 9) {
+        const SimTime mark = 100.0 * static_cast<double>(i);
+        inline_writer.append_time_mark(mark);
+        flushing.append_time_mark(mark);
+        writer.append_time_mark(mark);
+        ++records;
+      }
+      EXPECT_LE(writer.last_seq() - writer.synced_seq(), 2 * kEvery) << i;
+    }
+    ASSERT_GT(flushing.bytes_appended(), 2u * 256 * 1024);
+    writer.sync();  // a full barrier: everything is on disk
+    EXPECT_EQ(writer.synced_seq(), records);
+    inline_writer.close();
+    EXPECT_EQ(read_bytes(dir.path / "interval.wal"),
+              read_bytes(dir.path / "never.wal"));
+    writer.close();  // nothing left to sync
+    EXPECT_THROW(writer.append_time_mark(0.0), std::runtime_error);
+    const std::uint64_t expected_syncs =
+        records / kEvery + (records % kEvery != 0 ? 1 : 0);
+    EXPECT_EQ(writer.fsyncs(), expected_syncs);
+    EXPECT_EQ(fsyncs.value(), expected_syncs);
+    flushing.close();
+    EXPECT_EQ(flushing.fsyncs(), 1u);  // only the close() barrier
+    EXPECT_EQ(flushing.synced_seq(), records);
+  }
+  const auto expected = read_bytes(dir.path / "never.wal");
+  EXPECT_EQ(read_bytes(dir.path / "interval.wal"), expected);
+  EXPECT_EQ(read_bytes(dir.path / "flushing.wal"), expected);
+}
+
+// A write the syncer cannot make (EFBIG past a small RLIMIT_FSIZE, which
+// needs no privileges) is latched: the next append, sync() and close()
+// throw, the failed interval is never reported as synced, and on a shard
+// the failed appends count as worker errors. Runs in a forked child so
+// the limit stays out of the test runner.
+TEST(TripLogWriter, SyncerWriteFailureIsLatchedAndNeverSynced) {
+  const Testbed& bed = testbed();
+  const auto& uploads = sorted_uploads();
+  TempDir dir;
+  const std::string log = (dir.path / "capped.wal").string();
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const ::pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    std::string failed;  // the checks that did not hold, space-separated
+    const auto check = [&](bool ok, const char* name) {
+      if (!ok) failed += std::string(name) + " ";
+    };
+    const ::rlimit cap{16 * 1024, 16 * 1024};
+    check(::setrlimit(RLIMIT_FSIZE, &cap) == 0, "setrlimit");
+    std::signal(SIGXFSZ, SIG_IGN);
+    {
+      TripLogWriter writer(log, FsyncPolicy::kInterval, 4, 1);
+      bool threw = false;
+      for (std::size_t i = 0; i < 4 * uploads.size() && !threw; ++i) {
+        try {
+          writer.append(trip_record(uploads[i % uploads.size()]));
+        } catch (const std::runtime_error&) {
+          threw = true;
+        }
+      }
+      check(threw, "append-throws");
+      check(writer.synced_seq() > 0, "some-interval-synced");
+      check(writer.synced_seq() < writer.last_seq(), "failed-interval-unsynced");
+      bool sync_threw = false;
+      try {
+        writer.sync();
+      } catch (const std::runtime_error&) {
+        sync_threw = true;
+      }
+      check(sync_threw, "sync-throws");
+      bool close_threw = false;
+      try {
+        writer.close();
+      } catch (const std::runtime_error&) {
+        close_threw = true;
+      }
+      check(close_threw, "close-throws");
+      // Every seq reported synced is really in the file.
+      const WalScanResult scan = scan_trip_log(log, /*repair=*/false);
+      check(scan.next_seq - 1 >= writer.synced_seq(), "synced-on-disk");
+    }
+    {
+      ServerConfig cfg = durable_config((dir.path / "service").string(),
+                                        false, FsyncPolicy::kInterval);
+      cfg.durability.fsync_interval_records = 4;
+      ShardedIngestService service(bed.world.city(), bed.database, cfg,
+                                   sharding(1));
+      service.open();
+      for (const TripUpload& upload : uploads) {
+        check(service.process_trip(upload).accepted(), "queued");
+      }
+      service.drain();
+      const MetricsSnapshot shard = service.shard_metrics();
+      const auto errors = shard.counters.find("ingest.shard.worker_errors");
+      check(errors != shard.counters.end() && errors->second > 0,
+            "worker-errors");
+      bool close_threw = false;
+      try {
+        service.close();
+      } catch (const std::runtime_error&) {
+        close_threw = true;
+      }
+      check(close_threw, "service-close-throws");
+    }
+    ::_exit(write_full(fds[1], failed.data(), failed.size()) ? 0 : 1);
+  }
+  ::close(fds[1]);
+  std::string failed(4096, '\0');
+  failed.resize(read_full(fds[0], failed.data(), failed.size()));
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  EXPECT_EQ(failed, "");
 }
 
 // Every truncation point of the log yields the longest valid prefix;
@@ -1125,6 +1298,135 @@ TEST(CrashRecovery, FsyncPoliciesRecoverIdentically) {
     EXPECT_EQ(map_bytes(recovered.snapshot(end, kDay)), expected)
         << to_string(policy);
     recovered.close();
+  }
+}
+
+// What a doomed child tells the parent before it SIGKILLs itself.
+struct KillReport {
+  std::uint64_t fed = 0;   ///< uploads processed (all appended: drained)
+  std::uint8_t in_flight = 0;  ///< a handed-off interval was not yet synced
+};
+
+constexpr std::uint64_t kCrashInterval = 8;
+
+// The doomed child: feeds the service, drains at every upload from
+// `kill_at` on and SIGKILLs itself there — at once, or (`want_in_flight`)
+// at the first drain that finds a sync still in flight. Every interval
+// hand-off of a segment makes exactly one fsync, so fewer fsyncs than
+// hand-offs means one is in flight.
+[[noreturn]] void run_doomed_child(int fd, std::size_t shards,
+                                   const ServerConfig& cfg,
+                                   std::size_t kill_at, bool want_in_flight) {
+  const Testbed& bed = testbed();
+  const auto& uploads = sorted_uploads();
+  const std::size_t adv_index = uploads.size() / 3;
+  ShardedIngestService service(bed.world.city(), bed.database, cfg,
+                               sharding(shards));
+  service.open();
+  std::vector<std::uint64_t> records(shards, 0);
+  KillReport report;
+  for (std::size_t i = 0; i < uploads.size(); ++i) {
+    if (i == adv_index) {
+      service.advance_time(uploads[adv_index].samples.front().time);
+      for (std::uint64_t& r : records) ++r;  // one time mark per segment
+    }
+    if (!service.process_trip(uploads[i]).accepted()) ::_exit(3);
+    ++records[service.shard_of(uploads[i].participant_id)];
+    if (i + 1 < kill_at) continue;
+    service.drain();
+    std::uint64_t handed_off = 0;
+    for (const std::uint64_t r : records) handed_off += r / kCrashInterval;
+    const MetricsSnapshot ms = service.metrics().snapshot();
+    const auto synced = ms.counters.find("durability.fsyncs");
+    report.fed = i + 1;
+    report.in_flight =
+        (synced == ms.counters.end() ? 0 : synced->second) < handed_off;
+    if (report.in_flight || !want_in_flight) break;
+  }
+  if (!write_full(fd, &report, sizeof report)) ::_exit(4);
+  ::raise(SIGKILL);
+  ::_exit(5);
+}
+
+// SIGKILL with the WAL's syncer mid-interval: recovery loses at most
+// 2 × fsync_interval_records records per segment (the interval in flight
+// plus the one building behind it), and the recovered map equals the
+// serial reference over exactly the recovered uploads.
+TEST(CrashRecovery, SigkillWithSyncInFlightLosesAtMostTwoIntervals) {
+  const Testbed& bed = testbed();
+  const auto& uploads = sorted_uploads();
+  const std::size_t n = uploads.size();
+  const std::size_t adv_index = n / 3;
+  const SimTime end = at_clock(1, 0, 0);
+  struct KillPoint {
+    std::size_t at;
+    bool want_in_flight;
+  };
+  const KillPoint kills[] = {
+      {n / 5, false}, {n / 2, false}, {n / 4, true}, {4 * n / 5, true}};
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    bool saw_in_flight = false;
+    for (const KillPoint& kill : kills) {
+      const std::string label = std::to_string(shards) + " shard(s), kill at " +
+                                std::to_string(kill.at);
+      TempDir dir;
+      ServerConfig cfg = durable_config(dir.str(), false, FsyncPolicy::kInterval);
+      cfg.durability.fsync_interval_records = kCrashInterval;
+      int fds[2];
+      ASSERT_EQ(::pipe(fds), 0);
+      const ::pid_t pid = ::fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) {
+        ::close(fds[0]);
+        run_doomed_child(fds[1], shards, cfg, kill.at, kill.want_in_flight);
+      }
+      ::close(fds[1]);
+      KillReport report;
+      const std::size_t got = read_full(fds[0], &report, sizeof report);
+      ::close(fds[0]);
+      int status = 0;
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid) << label;
+      ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+          << label << ": status " << status;
+      ASSERT_EQ(got, sizeof report) << label;
+      ASSERT_GE(report.fed, kill.at) << label;
+      saw_in_flight = saw_in_flight || report.in_flight != 0;
+
+      ShardedIngestService recovered(bed.world.city(), bed.database, cfg,
+                                     sharding(shards));
+      const RecoveryReport rr = recovered.open();
+      ASSERT_EQ(rr.recovered_trips_per_segment.size(), shards) << label;
+      std::vector<std::uint64_t> fed(shards, 0);
+      for (std::size_t i = 0; i < report.fed; ++i) {
+        ++fed[recovered.shard_of(uploads[i].participant_id)];
+      }
+      for (std::size_t s = 0; s < shards; ++s) {
+        const std::uint64_t kept = rr.recovered_trips_per_segment[s];
+        EXPECT_LE(kept, fed[s]) << label << ", segment " << s;
+        EXPECT_LE(fed[s] - std::min(kept, fed[s]), 2 * kCrashInterval)
+            << label << ", segment " << s;
+      }
+
+      TrafficServer reference(bed.world.city(), bed.database,
+                              base_config(false));
+      std::vector<std::uint64_t> seen(shards, 0);
+      for (std::size_t i = 0; i < report.fed; ++i) {
+        if (i == adv_index) {
+          reference.advance_time(uploads[adv_index].samples.front().time);
+        }
+        const std::size_t seg = recovered.shard_of(uploads[i].participant_id);
+        if (seen[seg]++ >= rr.recovered_trips_per_segment[seg]) continue;
+        ASSERT_TRUE(reference.process_trip(uploads[i]).accepted()) << label;
+      }
+      reference.advance_time(end);
+      recovered.advance_time(end);
+      EXPECT_EQ(map_bytes(recovered.snapshot(end, kDay)),
+                map_bytes(reference.snapshot(end, kDay)))
+          << label;
+      recovered.close();
+    }
+    EXPECT_TRUE(saw_in_flight) << shards << " shard(s): no kill found a "
+                                             "sync in flight";
   }
 }
 

@@ -3,7 +3,10 @@
 // fusion, traffic map, GPS baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "citynet/city_generator.h"
 #include "common/rng.h"
@@ -415,6 +418,107 @@ TEST(SegmentCatalog, SpanResolvesSkippedStops) {
     chain_len += catalog.adjacent(SegmentKey{run[i], run[i + 1]})->length_m;
   }
   EXPECT_NEAR(chain_len, span->length_m, 1e-6);
+}
+
+// A city whose first route visits stop 1 twice, on two links with
+// different free speeds: the generated cities have no such loop.
+City loop_city() {
+  std::vector<RoadLink> links;
+  links.push_back(RoadLink{0, Polyline({{0, 0}, {600, 0}}), RoadClass::kLocal,
+                           30.0, false});
+  links.push_back(RoadLink{1, Polyline({{600, 0}, {1000, 0}}),
+                           RoadClass::kArterial, 60.0, false});
+  std::vector<BusStop> stops;
+  for (int i = 0; i < 5; ++i) {
+    BusStop stop;
+    stop.id = i;
+    stop.position = Point{100.0 * i, 0.0};
+    stops.push_back(stop);
+  }
+  const auto route = [](RouteId id, std::vector<StopId> ids) {
+    std::vector<RouteStop> visits;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      visits.push_back(RouteStop{ids[i], 100.0 + 150.0 * static_cast<double>(i)});
+    }
+    return BusRoute(id, "L" + std::to_string(id), 0,
+                    Polyline({{0, 0}, {1000, 0}}), std::move(visits),
+                    {{0, 0.0, 600.0}, {1, 600.0, 1000.0}});
+  };
+  std::vector<BusRoute> routes;
+  routes.push_back(route(0, {0, 1, 2, 1, 3}));
+  routes.push_back(route(1, {2, 1, 4}));
+  routes.push_back(route(2, {1, 0, 3, 2}));
+  return City(BoundingBox{{0, 0}, {1000, 100}}, RoadNetwork(std::move(links)),
+              std::move(stops), std::move(routes));
+}
+
+// The stop index must answer exactly what a scan of every route's stop
+// sequence answers — the first route, in route order, with `to` after the
+// first visit of `from` — over every ordered stop pair, ids out of range
+// included; and summary() must equal span() without the links.
+void expect_locate_matches_route_scan(const City& city) {
+  const SegmentCatalog catalog(city);
+  std::vector<std::vector<StopId>> sequences;
+  for (const BusRoute& route : city.routes()) {
+    std::vector<StopId> seq;
+    for (const RouteStop& rs : route.stops()) {
+      seq.push_back(city.effective_stop(rs.stop));
+    }
+    sequences.push_back(std::move(seq));
+  }
+  const auto scan = [&](const SegmentKey& key)
+      -> std::optional<std::pair<RouteId, std::pair<int, int>>> {
+    for (std::size_t r = 0; r < sequences.size(); ++r) {
+      const auto& seq = sequences[r];
+      const auto from = std::find(seq.begin(), seq.end(), key.from);
+      if (from == seq.end()) continue;
+      const auto to = std::find(from + 1, seq.end(), key.to);
+      if (to == seq.end()) continue;
+      return std::make_pair(static_cast<RouteId>(r),
+                            std::make_pair(static_cast<int>(from - seq.begin()),
+                                           static_cast<int>(to - seq.begin())));
+    }
+    return std::nullopt;
+  };
+  std::vector<StopId> ids{kInvalidStop};
+  for (std::size_t id = 0; id <= city.stops().size(); ++id) {
+    ids.push_back(static_cast<StopId>(id));
+  }
+  std::size_t located = 0;
+  std::size_t skipped_spans = 0;
+  for (const StopId from : ids) {
+    for (const StopId to : ids) {
+      const SegmentKey key{from, to};
+      const auto expected = scan(key);
+      ASSERT_EQ(catalog.locate(key), expected) << from << ">" << to;
+      const auto span = catalog.span(key);
+      const auto summary = catalog.summary(key);
+      ASSERT_EQ(span.has_value(), summary.has_value()) << from << ">" << to;
+      if (!expected) continue;
+      ++located;
+      if (catalog.adjacent(key) == nullptr) ++skipped_spans;
+      // Bitwise: the estimator reads these instead of the span.
+      EXPECT_EQ(summary->route, span->route);
+      EXPECT_EQ(summary->length_m, span->length_m);
+      EXPECT_EQ(summary->free_speed_kmh, span->free_speed_kmh);
+    }
+  }
+  EXPECT_GT(skipped_spans, 0u);  // the non-adjacent path is covered
+  EXPECT_GT(located, skipped_spans);
+}
+
+TEST(SegmentCatalog, LocateIndexMatchesRouteScan) {
+  expect_locate_matches_route_scan(test_city());
+  expect_locate_matches_route_scan(loop_city());
+  // The loop: stop 1 is visited at positions 1 and 3 of route 0.
+  const City loop = loop_city();
+  const SegmentCatalog catalog(loop);
+  using Located = std::optional<std::pair<RouteId, std::pair<int, int>>>;
+  EXPECT_EQ(catalog.locate(SegmentKey{1, 1}), Located({0, {1, 3}}));
+  EXPECT_EQ(catalog.locate(SegmentKey{2, 1}), Located({0, {2, 3}}));
+  EXPECT_EQ(catalog.locate(SegmentKey{1, 4}), Located({1, {1, 2}}));
+  EXPECT_EQ(catalog.locate(SegmentKey{0, 2}), Located({0, {0, 2}}));
+  EXPECT_FALSE(catalog.locate(SegmentKey{4, 1}).has_value());
 }
 
 TEST(SegmentCatalog, UnknownPairReturnsEmpty) {

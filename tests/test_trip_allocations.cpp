@@ -117,12 +117,12 @@ TEST(TripAllocations, SteadyStateTripStaysWithinBudget) {
 
 // Heap allocations per upload a warm 3-shard service may make across
 // process_trip() and the consumers (analysis and fold included). Measured
-// on the trips below: 20-21 for 24 uploads of 1278 samples, 17 of them
-// SegmentCatalog::span() building the link list of a span over skipped
-// stops, the rest buffer growth in the fusion, clustering and a slot's
-// spare list. A producer that deep-copied each upload made one allocation
-// per sample plus one, 1302 here, before the consumer even ran.
-constexpr double kHandOffAllocationsPerUpload = 1.0;
+// on the trips below: 3-6 for 24 uploads of 1278 samples (12 runs), buffer
+// growth in the fusion, clustering and a slot's spare list. Spans over
+// skipped stops cost 17 more while the estimator built their link list.
+// A producer that deep-copied each upload made one allocation per sample
+// plus one, 1302 here, before the consumer even ran.
+constexpr double kHandOffAllocationsPerUpload = 0.5;
 
 std::vector<TripUpload> hand_off_trips() {
   std::vector<TripUpload> trips;
