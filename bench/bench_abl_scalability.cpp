@@ -43,13 +43,12 @@ SizedWorld make_world(double width, double height,
         return out.world->scan_stop(stop, survey, run % 2 == 1);
       },
       3);
-  // The ingest workload comes from the deterministic parallel trip driver:
-  // bit-identical at any thread count, so the bench input stays stable while
-  // fixture construction uses every core. Each trip gets its own
-  // participant so the sharded ladder spreads it over every shard.
+  // The ingest workload is an all-Event LodWorld day: bit-identical at any
+  // thread count, so the bench input stays stable while fixture
+  // construction uses every core. Each trip gets its own participant so
+  // the sharded ladder spreads it over every shard.
   ThreadPool pool(std::thread::hardware_concurrency());
-  const auto specs = out.world->make_trip_specs(0, 240, seed + 1);
-  out.trips = out.world->simulate_trips(specs, seed + 1, &pool);
+  out.trips = event_day_trips(*out.world, 240, seed + 1, pool);
   for (std::size_t i = 0; i < out.trips.size(); ++i) {
     out.trips[i].upload.participant_id = static_cast<std::int32_t>(i);
   }

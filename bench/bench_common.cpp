@@ -42,6 +42,34 @@ const Testbed& testbed() {
   return bed;
 }
 
+LodConfig all_event_lod_config(double trips, std::uint64_t seed) {
+  LodConfig config;
+  config.focus_fraction = 0.0;
+  config.event_fraction = 1.0;
+  config.event_cap = static_cast<std::size_t>(kEventDayRiders);
+  config.trips_per_rider_per_day = trips / static_cast<double>(kEventDayRiders);
+  config.seed = seed;
+  return config;
+}
+
+std::vector<AnnotatedTrip> event_day_trips(const World& world,
+                                           std::size_t count,
+                                           std::uint64_t seed,
+                                           ThreadPool& pool) {
+  const LodWorld lod(world, kEventDayRiders,
+                     all_event_lod_config(1.25 * static_cast<double>(count), seed));
+  std::vector<LodTrip> day = lod.simulate_day(0, &pool);
+  if (day.size() < count) {
+    std::cerr << "all-Event LodWorld day emitted " << day.size()
+              << " trips, " << count << " needed\n";
+    std::exit(1);
+  }
+  std::vector<AnnotatedTrip> trips;
+  trips.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) trips.push_back(std::move(day[i].trip));
+  return trips;
+}
+
 const std::vector<std::string>& figure2_routes() {
   static const std::vector<std::string> kRoutes = {"79", "99", "243", "252",
                                                    "257"};

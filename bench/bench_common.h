@@ -17,6 +17,7 @@
 #include "core/ingest_service.h"
 #include "core/server.h"
 #include "core/stop_database.h"
+#include "trafficsim/lod_world.h"
 #include "trafficsim/world.h"
 
 namespace bussense::bench {
@@ -74,6 +75,25 @@ inline std::string num(double v) {
 
 /// The default 7 km x 4 km world with a 5-run mixed-condition survey DB.
 const Testbed& testbed();
+
+/// Riders of an all-Event benchmark day: eight of LodWorld's 1024-rider
+/// blocks, so the day fans out over every thread of a small pool.
+inline constexpr std::int64_t kEventDayRiders = 8192;
+
+/// A LodWorld population of kEventDayRiders, all in the Event tier (every
+/// rider's beeps come from the calibrated event channel over a full bus
+/// run; no Focus audio, no OnRails shortcut), planning `trips` trips a day
+/// on average.
+LodConfig all_event_lod_config(double trips, std::uint64_t seed);
+
+/// The first `count` trips, in ingest arrival order, of day 0 of an
+/// all-Event population over `world` that plans 1.25 × `count` trips.
+/// Bit-identical at any pool size. Exits the bench with status 1 when the
+/// day emitted fewer than `count`.
+std::vector<AnnotatedTrip> event_day_trips(const World& world,
+                                           std::size_t count,
+                                           std::uint64_t seed,
+                                           ThreadPool& pool);
 
 /// Names of the five routes used in the paper's Figure 2 feasibility study.
 const std::vector<std::string>& figure2_routes();

@@ -257,34 +257,18 @@ void sensing_report() {
                ", \"speedup\": " + num(speedup) + "}");
   }
 
-  // 3. Parallel trip driver: trips/s at 1/2/4/8 threads, checked
-  // bit-identical against the serial run.
+  // 3. Parallel trip driver: an all-Event LodWorld day planning ~400 trips
+  // (each a full bus run through the event channel and the recorder) at
+  // 1/2/4/8 threads, its stream digest checked against the serial run.
   print_banner(std::cout, "Sensing fast path: parallel trip driver");
   {
     WorldConfig cfg;
     cfg.city.route_names = {"79", "99", "241", "243"};
     cfg.seed = 12;
     const World world(cfg);
-    const auto specs = world.make_trip_specs(0, 400, 500);
-    const auto serial = world.simulate_trips(specs, 500, nullptr);
-
-    const auto same = [](const std::vector<AnnotatedTrip>& a,
-                         const std::vector<AnnotatedTrip>& b) {
-      if (a.size() != b.size()) return false;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].upload.samples.size() != b[i].upload.samples.size()) {
-          return false;
-        }
-        for (std::size_t s = 0; s < a[i].upload.samples.size(); ++s) {
-          if (a[i].upload.samples[s].time != b[i].upload.samples[s].time ||
-              a[i].upload.samples[s].fingerprint.cells !=
-                  b[i].upload.samples[s].fingerprint.cells) {
-            return false;
-          }
-        }
-      }
-      return true;
-    };
+    const LodWorld lod(world, kEventDayRiders, all_event_lod_config(400, 500));
+    const std::vector<LodTrip> serial = lod.simulate_day(0, nullptr);
+    const std::uint64_t serial_digest = LodWorld::stream_digest(serial);
 
     Table t({"threads", "trips/s", "scaling", "identical to serial"});
     std::ostringstream rows;
@@ -293,15 +277,13 @@ void sensing_report() {
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       ThreadPool pool(threads);
       const int rounds = 3;
-      std::vector<AnnotatedTrip> trips;
+      std::vector<LodTrip> trips;
       const auto start = std::chrono::steady_clock::now();
-      for (int r = 0; r < rounds; ++r) {
-        trips = world.simulate_trips(specs, 500, &pool);
-      }
+      for (int r = 0; r < rounds; ++r) trips = lod.simulate_day(0, &pool);
       const double tps =
-          rounds * specs.size() / std::max(seconds_since(start), 1e-9);
+          rounds * trips.size() / std::max(seconds_since(start), 1e-9);
       if (threads == 1) base_tps = tps;
-      const bool ok = same(serial, trips);
+      const bool ok = LodWorld::stream_digest(trips) == serial_digest;
       identical = identical && ok;
       t.add_row({std::to_string(threads), fmt(tps, 0),
                  fmt(tps / std::max(base_tps, 1e-9), 2) + "x",
@@ -312,9 +294,10 @@ void sensing_report() {
            << ", \"scaling\": " << num(tps / std::max(base_tps, 1e-9)) << "}";
     }
     t.print(std::cout);
-    std::cout << "(each trip is seeded from (seed, index); the schedule "
-                 "cannot influence the result. Scaling tracks the available "
-                 "cores — this host has "
+    std::cout << "(" << serial.size()
+              << " trips; each is seeded from (seed, rider, day, trip), so "
+                 "the schedule cannot influence the result. Scaling tracks "
+                 "the available cores — this host has "
               << std::thread::hardware_concurrency()
               << " — and stays flat on a single-core host)\n";
     json.field("\"trips\": [" + rows.str() + "]");

@@ -55,8 +55,7 @@ std::vector<AnnotatedTrip>& bench_trips() {
   static std::vector<AnnotatedTrip> trips = [] {
     const Testbed& bed = testbed();
     ThreadPool pool(std::thread::hardware_concurrency());
-    const auto specs = bed.world.make_trip_specs(0, 360, 91);
-    std::vector<AnnotatedTrip> out = bed.world.simulate_trips(specs, 91, &pool);
+    std::vector<AnnotatedTrip> out = event_day_trips(bed.world, 360, 91, pool);
     for (std::size_t i = 0; i < out.size(); ++i) {
       out[i].upload.participant_id = static_cast<std::int32_t>(i);
     }

@@ -53,8 +53,7 @@ std::vector<AnnotatedTrip>& bench_trips() {
   static std::vector<AnnotatedTrip> trips = [] {
     const Testbed& bed = testbed();
     ThreadPool pool(std::thread::hardware_concurrency());
-    const auto specs = bed.world.make_trip_specs(0, 240, 91);
-    return bed.world.simulate_trips(specs, 91, &pool);
+    return event_day_trips(bed.world, 240, 91, pool);
   }();
   return trips;
 }

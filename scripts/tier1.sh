@@ -60,7 +60,10 @@
 #
 # Optional LOD metropolis stage: BUSSENSE_LOD=ON ./scripts/tier1.sh builds
 # the tiered-fidelity simulation suites (test_lod_world + the metropolis
-# golden band), the scan equivalence suite (test_sensing_perf: scan
+# golden band), the World suites that drive the same recorder stage as
+# LodWorld's Focus tier (test_trafficsim, test_world_detail and
+# test_extensions, whose transfer trips feed it multi-leg beeps), the scan
+# equivalence suite (test_sensing_perf: scan
 # sites, the tower index and the shadow-node memo, which LodWorld's
 # per-stop site table indexes through) and the generator's building blocks
 # (test_common: the lazy mt19937_64 engine, which indexes its 312-word
@@ -195,11 +198,15 @@ if [[ "${BUSSENSE_SERVING:-}" == "ON" ]]; then
 fi
 
 if [[ "${BUSSENSE_LOD:-}" == "ON" ]]; then
-  begin_stage "ASan+UBSan LOD suites (test_lod_world, test_sensing_perf, test_common, test_dsp, metropolis golden)"
+  begin_stage "ASan+UBSan LOD + World suites (test_lod_world, test_trafficsim, test_world_detail, test_extensions, test_sensing_perf, test_common, test_dsp, metropolis golden)"
   cmake -B build-asan -S . -DBUSSENSE_SANITIZE=address,undefined
-  cmake --build build-asan -j --target test_lod_world test_sensing_perf \
-    test_common test_dsp test_golden_accuracy
+  cmake --build build-asan -j --target test_lod_world test_trafficsim \
+    test_world_detail test_extensions test_sensing_perf test_common \
+    test_dsp test_golden_accuracy
   ./build-asan/tests/test_lod_world
+  ./build-asan/tests/test_trafficsim
+  ./build-asan/tests/test_world_detail
+  ./build-asan/tests/test_extensions
   ./build-asan/tests/test_sensing_perf
   ./build-asan/tests/test_common
   ./build-asan/tests/test_dsp

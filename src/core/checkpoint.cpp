@@ -11,6 +11,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "core/wire_reader.h"
+
 namespace bussense {
 
 namespace {
@@ -34,50 +36,6 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   std::memcpy(&bits, &v, sizeof bits);
   put_u64(out, bits);
 }
-
-struct Reader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  bool u8(std::uint8_t* v) {
-    if (size - pos < 1) return false;
-    *v = data[pos++];
-    return true;
-  }
-  bool u32(std::uint32_t* v) {
-    if (size - pos < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(data[pos + static_cast<std::size_t>(i)])
-            << (8 * i);
-    }
-    pos += 4;
-    return true;
-  }
-  bool u64(std::uint64_t* v) {
-    if (size - pos < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(data[pos + static_cast<std::size_t>(i)])
-            << (8 * i);
-    }
-    pos += 8;
-    return true;
-  }
-  bool f64(double* v) {
-    std::uint64_t bits = 0;
-    if (!u64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof *v);
-    return true;
-  }
-  // Guard against bit-flipped counts driving huge allocations: every
-  // element of a counted sequence costs at least `min_bytes`.
-  bool count(std::uint32_t* v, std::size_t min_bytes) {
-    if (!u32(v)) return false;
-    return *v <= (size - pos) / std::max<std::size_t>(1, min_bytes);
-  }
-};
 
 std::string checkpoint_name(std::uint64_t id) {
   char buf[48];
@@ -182,12 +140,12 @@ bool decode_checkpoint(const std::uint8_t* data, std::size_t size,
     return false;
   }
   const std::size_t body = size - sizeof kMagic - 4;
-  Reader crc_reader{data + sizeof kMagic + body, 4};
+  wire::Reader crc_reader{data + sizeof kMagic + body, 4};
   std::uint32_t crc = 0;
   crc_reader.u32(&crc);
   if (crc32(data + sizeof kMagic, body) != crc) return false;
 
-  Reader r{data + sizeof kMagic, body};
+  wire::Reader r{data + sizeof kMagic, body};
   std::uint32_t n_segments = 0;
   if (!r.u64(id) || !r.count(&n_segments, 8)) return false;
   state->covers_seq.assign(n_segments, 0);

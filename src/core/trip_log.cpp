@@ -11,6 +11,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "core/wire_reader.h"
 #include "obs/metrics.h"
 
 namespace bussense {
@@ -85,64 +86,6 @@ std::uint8_t* put_varint(std::uint8_t* p, std::uint32_t v) {
   *p++ = static_cast<std::uint8_t>(v);
   return p;
 }
-
-// Bounds-checked little-endian reader over a byte span.
-struct Reader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  bool u8(std::uint8_t* v) {
-    if (size - pos < 1) return false;
-    *v = data[pos++];
-    return true;
-  }
-  bool u16(std::uint16_t* v) {
-    if (size - pos < 2) return false;
-    *v = static_cast<std::uint16_t>(data[pos] |
-                                    (static_cast<std::uint16_t>(data[pos + 1])
-                                     << 8));
-    pos += 2;
-    return true;
-  }
-  bool u32(std::uint32_t* v) {
-    if (size - pos < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(data[pos + static_cast<std::size_t>(i)])
-            << (8 * i);
-    }
-    pos += 4;
-    return true;
-  }
-  bool u64(std::uint64_t* v) {
-    if (size - pos < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(data[pos + static_cast<std::size_t>(i)])
-            << (8 * i);
-    }
-    pos += 8;
-    return true;
-  }
-  bool f64(double* v) {
-    std::uint64_t bits = 0;
-    if (!u64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof *v);
-    return true;
-  }
-  bool varint(std::uint32_t* v) {
-    *v = 0;
-    for (int shift = 0; shift < 35; shift += 7) {
-      if (pos >= size) return false;
-      const std::uint8_t byte = data[pos++];
-      if (shift == 28 && (byte & ~0x0fu)) return false;  // > 32 bits
-      *v |= static_cast<std::uint32_t>(byte & 0x7fu) << shift;
-      if (!(byte & 0x80u)) return true;
-    }
-    return false;
-  }
-};
 
 }  // namespace
 
@@ -252,7 +195,7 @@ std::vector<std::uint8_t> encode_wal_payload(const WalRecord& record) {
 
 bool decode_wal_payload(const std::uint8_t* data, std::size_t size,
                         WalRecord* out) {
-  Reader r{data, size};
+  wire::Reader r{data, size};
   std::uint8_t type = 0;
   if (!r.u8(&type) || !r.u64(&out->seq)) return false;
   if (type == static_cast<std::uint8_t>(WalRecordType::kTimeMark)) {
@@ -263,14 +206,12 @@ bool decode_wal_payload(const std::uint8_t* data, std::size_t size,
   out->type = WalRecordType::kTrip;
   std::uint32_t participant = 0;
   std::uint32_t n_samples = 0;
+  // A sample costs at least 10 bytes (time + cell count).
   if (!r.u64(&out->signature) || !r.f64(&out->skew_offset_s) ||
-      !r.u32(&participant) || !r.u32(&n_samples)) {
+      !r.u32(&participant) || !r.count(&n_samples, 10)) {
     return false;
   }
   out->trip.participant_id = static_cast<std::int32_t>(participant);
-  // A sample costs at least 10 bytes; a bit-flipped count must not drive a
-  // huge allocation before the bounds checks can catch it.
-  if (n_samples > (size - r.pos) / 10) return false;
   out->trip.samples.clear();
   out->trip.samples.reserve(n_samples);
   for (std::uint32_t i = 0; i < n_samples; ++i) {
@@ -309,7 +250,7 @@ WalScanResult scan_trip_log(const std::string& path, bool repair) {
     while (pos < bytes.size()) {
       const std::size_t remaining = bytes.size() - pos;
       if (remaining < kFrameHeader) break;  // torn frame header
-      Reader header{bytes.data() + pos, kFrameHeader};
+      wire::Reader header{bytes.data() + pos, kFrameHeader};
       std::uint32_t length = 0, crc = 0;
       header.u32(&length);
       header.u32(&crc);

@@ -17,9 +17,11 @@
 //
 // Draw discipline: delivered() consumes exactly one Bernoulli draw,
 // spurious_count() one Poisson draw and spurious_time() one uniform draw.
-// World::build_trip_from_legs consumed exactly this sequence before the
-// channel was factored out, so day-scale workloads are bit-identical
-// across the refactor (fixed seeds, golden-tested).
+// World's event beep source (World::build_trip_from_legs) makes these
+// draws per tap and per leg before World::record_trip, the recorder stage
+// every tier shares, draws its scans — so day-scale workloads stay
+// bit-identical (fixed seeds, pinned digests in test_trafficsim and
+// test_lod_world).
 #pragma once
 
 #include <cstdint>

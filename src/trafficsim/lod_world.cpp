@@ -33,6 +33,16 @@ constexpr double kFocusClipTail = 1.0;
 /// identical at any pool size.
 constexpr std::int64_t kRiderBlock = 1024;
 
+/// Ground truth of a one-leg ride, before its samples are known.
+TripGroundTruth ride_header(const BusRoute& route, int board, int alight) {
+  TripGroundTruth truth;
+  truth.route_id = route.id();
+  truth.board_stop_index = board;
+  truth.alight_stop_index = alight;
+  truth.leg_routes.push_back(route.id());
+  return truth;
+}
+
 }  // namespace
 
 const char* to_string(FidelityTier tier) {
@@ -235,19 +245,13 @@ std::vector<LodWorld::TripPlan> LodWorld::plan_day(std::int64_t rider,
   return plans;
 }
 
-AnnotatedTrip LodWorld::focus_trip(const BusRoute& route, const BusRun& run,
-                                   int board, int alight,
-                                   std::int32_t participant, Rng& rng) const {
-  // The full waveform path: render cabin audio around every served dwell,
-  // run the streaming detector over it, and feed the detected events
-  // through the phone-side trip recorder — exactly the testbed pipeline,
+std::vector<World::Beep> LodWorld::detected_beeps(const BusRoute& route,
+                                                  const BusRun& run, int board,
+                                                  int alight, Rng& rng) const {
+  // The full waveform path: render cabin audio around every served dwell
+  // and run the streaming detector over it — exactly the testbed pipeline,
   // windowed to the dwells so a week of Focus riders stays affordable.
-  struct BeepContext {
-    SimTime time;
-    Point position;
-    StopId true_stop;
-  };
-  std::vector<BeepContext> beeps;
+  std::vector<World::Beep> beeps;
   for (int k = board; k <= alight; ++k) {
     const StopVisit& visit = run.visits[static_cast<std::size_t>(k)];
     if (!visit.served) continue;
@@ -271,56 +275,16 @@ AnnotatedTrip LodWorld::focus_trip(const BusRoute& route, const BusRun& run,
       }
       const SimTime t =
           std::clamp(event.time, run.depart_time, run.end_time);
-      beeps.push_back(BeepContext{event.time,
+      beeps.push_back(World::Beep{event.time,
                                   route.path().point_at(run.arc_at(t)),
                                   matched ? visit.stop : kInvalidStop});
     }
   }
   std::sort(beeps.begin(), beeps.end(),
-            [](const BeepContext& a, const BeepContext& b) {
+            [](const World::Beep& a, const World::Beep& b) {
               return a.time < b.time;
             });
-
-  std::size_t cursor = 0;
-  std::vector<StopId> scanned_stops;
-  TripRecorder recorder(
-      world_->config().recorder, participant,
-      [&](SimTime t) {
-        const BeepContext& ctx = beeps[cursor];
-        scanned_stops.push_back(ctx.true_stop);
-        return world_->apply_churn(
-            world_->scanner().scan_fingerprint(world_->radio(), ctx.position,
-                                               rng, /*in_bus=*/true),
-            t);
-      },
-      [&](SimTime /*t*/) {
-        return world_->accel().sample_variance(VehicleClass::kBus, rng);
-      });
-  std::vector<TripUpload> uploads;
-  for (cursor = 0; cursor < beeps.size(); ++cursor) {
-    if (auto done = recorder.on_beep(beeps[cursor].time)) {
-      uploads.push_back(std::move(*done));
-    }
-  }
-  if (auto done = recorder.flush()) uploads.push_back(std::move(*done));
-
-  std::size_t history = 0;
-  AnnotatedTrip best;
-  for (TripUpload& up : uploads) {
-    TripGroundTruth truth;
-    truth.route_id = route.id();
-    truth.board_stop_index = board;
-    truth.alight_stop_index = alight;
-    truth.leg_routes.push_back(route.id());
-    for (std::size_t i = 0; i < up.samples.size(); ++i) {
-      truth.sample_stops.push_back(scanned_stops[history++]);
-    }
-    if (up.samples.size() > best.upload.samples.size()) {
-      best.upload = std::move(up);
-      best.truth = std::move(truth);
-    }
-  }
-  return best;
+  return beeps;
 }
 
 AnnotatedTrip LodWorld::onrails_trip(const BusRoute& route, int board,
@@ -339,10 +303,7 @@ AnnotatedTrip LodWorld::onrails_trip(const BusRoute& route, int board,
 
   AnnotatedTrip trip;
   trip.upload.participant_id = participant;
-  trip.truth.route_id = route.id();
-  trip.truth.board_stop_index = board;
-  trip.truth.alight_stop_index = alight;
-  trip.truth.leg_routes.push_back(route.id());
+  trip.truth = ride_header(route, board, alight);
 
   SimTime t = depart;
   double prev_arc = 0.0;
@@ -412,7 +373,9 @@ std::vector<LodTrip> LodWorld::simulate_rider_day(
         const BusRun run = world_->buses().simulate_run(
             route, plan.depart, boarders, alighters, world_->config().headway_s,
             rng, /*record_trajectory=*/true);
-        trip = focus_trip(route, run, plan.board, plan.alight, participant, rng);
+        trip = world_->record_trip(
+            detected_beeps(route, run, plan.board, plan.alight, rng),
+            ride_header(route, plan.board, plan.alight), participant, rng);
         break;
       }
       case FidelityTier::kEvent:
@@ -425,7 +388,9 @@ std::vector<LodTrip> LodWorld::simulate_rider_day(
                             participant, rng);
         break;
     }
-    if (trip.upload.samples.size() < min_samples) {
+    // An empty trip is thin even when min_samples is 0: it has no last
+    // sample to time its upload by.
+    if (trip.upload.empty() || trip.upload.samples.size() < min_samples) {
       ++thin;
       continue;
     }

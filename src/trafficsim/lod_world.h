@@ -42,6 +42,8 @@
 
 namespace bussense {
 
+class MetricsRegistry;  // obs/metrics.h
+
 enum class FidelityTier : std::uint8_t {
   kFocus = 0,
   kEvent = 1,
@@ -112,7 +114,7 @@ struct LodTrip {
 struct LodLoss {
   std::uint64_t planned = 0;           ///< trips drawn by rider plans
   std::uint64_t dropped_no_route = 0;  ///< 32 route retries all too short
-  std::uint64_t thin = 0;              ///< < min_samples after sensing
+  std::uint64_t thin = 0;              ///< empty or < min_samples after sensing
   std::uint64_t emitted = 0;
 };
 
@@ -195,9 +197,11 @@ class LodWorld {
   /// Draws the rider's full day plan; invalid specs keep kInvalidRoute.
   std::vector<TripPlan> plan_day(std::int64_t rider, int day) const;
 
-  AnnotatedTrip focus_trip(const BusRoute& route, const BusRun& run, int board,
-                           int alight, std::int32_t participant,
-                           Rng& rng) const;
+  /// Focus tier's beep source: the audio detector's events over `run`'s
+  /// dwells from `board` to `alight`, time-sorted.
+  std::vector<World::Beep> detected_beeps(const BusRoute& route,
+                                          const BusRun& run, int board,
+                                          int alight, Rng& rng) const;
   AnnotatedTrip onrails_trip(const BusRoute& route, int board, int alight,
                              SimTime depart, std::int32_t participant,
                              Rng& rng) const;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <map>
 #include <stdexcept>
 
-#include "obs/metrics.h"
 #include "sensing/gps_model.h"
 
 namespace bussense {
@@ -71,13 +69,6 @@ Fingerprint World::apply_churn(Fingerprint fingerprint, SimTime when) const {
   return fingerprint;
 }
 
-AnnotatedTrip World::build_trip(const BusRoute& route, const BusRun& run,
-                                int board, int alight, std::int32_t participant,
-                                Rng& rng, const EventChannel* channel) const {
-  return build_trip_from_legs({TripLeg{&route, &run, board, alight}},
-                              participant, rng, channel);
-}
-
 AnnotatedTrip World::build_trip_from_legs(const std::vector<TripLeg>& legs,
                                           std::int32_t participant, Rng& rng,
                                           const EventChannel* channel) const {
@@ -85,12 +76,11 @@ AnnotatedTrip World::build_trip_from_legs(const std::vector<TripLeg>& legs,
     throw std::invalid_argument("build_trip_from_legs: no legs");
   }
   const EventChannel& beeps_channel = channel ? *channel : event_channel_;
-  struct BeepContext {
-    SimTime time;
-    Point position;
-    StopId true_stop;
-  };
-  std::vector<BeepContext> beeps;
+  std::vector<Beep> beeps;
+  TripGroundTruth header;
+  header.route_id = legs.front().route->id();
+  header.board_stop_index = legs.front().board;
+  header.alight_stop_index = legs.back().alight;
   for (const TripLeg& leg : legs) {
     const BusRoute& route = *leg.route;
     const BusRun& run = *leg.run;
@@ -98,6 +88,7 @@ AnnotatedTrip World::build_trip_from_legs(const std::vector<TripLeg>& legs,
         leg.alight >= static_cast<int>(run.visits.size())) {
       throw std::invalid_argument("build_trip_from_legs: invalid stop indices");
     }
+    header.leg_routes.push_back(route.id());
     for (int k = leg.board; k <= leg.alight; ++k) {
       const StopVisit& visit = run.visits[static_cast<std::size_t>(k)];
       if (!visit.served) continue;
@@ -105,7 +96,7 @@ AnnotatedTrip World::build_trip_from_legs(const std::vector<TripLeg>& legs,
       const Point bus_pos = route.path().point_at(arc);
       for (const TapEvent& tap : visit.taps) {
         if (beeps_channel.delivered(rng)) {
-          beeps.push_back(BeepContext{tap.time, bus_pos, visit.stop});
+          beeps.push_back(Beep{tap.time, bus_pos, visit.stop});
         }
       }
     }
@@ -119,25 +110,27 @@ AnnotatedTrip World::build_trip_from_legs(const std::vector<TripLeg>& legs,
       for (int s = 0; s < spurious && t1 > t0; ++s) {
         const SimTime t = beeps_channel.spurious_time(t0, t1, rng);
         const Point pos = route.path().point_at(run.arc_at(t));
-        beeps.push_back(BeepContext{t, pos, kInvalidStop});
+        beeps.push_back(Beep{t, pos, kInvalidStop});
       }
     }
   }
   std::sort(beeps.begin(), beeps.end(),
-            [](const BeepContext& a, const BeepContext& b) {
-              return a.time < b.time;
-            });
+            [](const Beep& a, const Beep& b) { return a.time < b.time; });
+  return record_trip(beeps, header, participant, rng);
+}
 
-  // Feed the beeps through the real phone-side trip recorder.
+AnnotatedTrip World::record_trip(const std::vector<Beep>& beeps,
+                                 const TripGroundTruth& header,
+                                 std::int32_t participant, Rng& rng) const {
   std::size_t cursor = 0;
   std::vector<StopId> scanned_stops;  // true stop per executed scan, in order
   TripRecorder recorder(
       config_.recorder, participant,
       [&](SimTime t) {
-        const BeepContext& ctx = beeps[cursor];
-        scanned_stops.push_back(ctx.true_stop);
-        return apply_churn(scanner_.scan_fingerprint(*radio_, ctx.position, rng,
-                                                     /*in_bus=*/true),
+        const Beep& beep = beeps[cursor];
+        scanned_stops.push_back(beep.true_stop);
+        return apply_churn(scanner_.scan_fingerprint(*radio_, beep.position,
+                                                     rng, /*in_bus=*/true),
                            t);
       },
       [&](SimTime /*t*/) {
@@ -152,23 +145,19 @@ AnnotatedTrip World::build_trip_from_legs(const std::vector<TripLeg>& legs,
   }
   if (auto done = recorder.flush()) uploads.push_back(std::move(*done));
 
-  // Align ground-truth stop ids with the uploaded samples: uploads consume
-  // the scan history in order.
-  std::deque<StopId> history(scanned_stops.begin(), scanned_stops.end());
+  // Uploads consume the scan history in order, so each upload's truth is
+  // the next run of scanned stops.
+  std::size_t history = 0;
   AnnotatedTrip best;
   for (TripUpload& up : uploads) {
-    TripGroundTruth truth;
-    truth.route_id = legs.front().route->id();
-    truth.board_stop_index = legs.front().board;
-    truth.alight_stop_index = legs.back().alight;
-    for (const TripLeg& leg : legs) truth.leg_routes.push_back(leg.route->id());
-    for (std::size_t i = 0; i < up.samples.size(); ++i) {
-      truth.sample_stops.push_back(history.front());
-      history.pop_front();
-    }
+    const std::size_t first = history;
+    history += up.samples.size();
     if (up.samples.size() > best.upload.samples.size()) {
       best.upload = std::move(up);
-      best.truth = std::move(truth);
+      best.truth = header;
+      best.truth.sample_stops.assign(
+          scanned_stops.begin() + static_cast<std::ptrdiff_t>(first),
+          scanned_stops.begin() + static_cast<std::ptrdiff_t>(history));
     }
   }
   return best;
@@ -233,74 +222,6 @@ AnnotatedTrip World::simulate_transfer_trip(const BusRoute& first, int board_a,
       /*participant=*/0, rng);
 }
 
-void World::TripSpecStats::export_to(MetricsRegistry& registry) const {
-  registry.counter("trafficsim.specs.requested").add(requested);
-  registry.counter("trafficsim.specs.emitted").add(emitted);
-  registry.counter("trafficsim.specs.dropped").add(dropped_no_route);
-}
-
-std::vector<World::TripSpec> World::make_trip_specs(int day, std::size_t count,
-                                                    std::uint64_t seed,
-                                                    TripSpecStats* stats) const {
-  std::vector<TripSpec> specs;
-  if (stats) stats->requested += count;
-  if (city_->routes().empty()) {
-    if (stats) stats->dropped_no_route += count;
-    return specs;
-  }
-  specs.reserve(count);
-  const SimTime day0 = at_clock(day, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    // Each spec from its own substream: the workload for (seed, i) never
-    // depends on how many specs were requested.
-    Rng rng = Rng::stream(seed, i);
-    TripSpec spec;
-    for (int tries = 0; tries < 32; ++tries) {
-      const auto route_idx = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<int>(city_->routes().size()) - 1));
-      const BusRoute& route = city_->routes()[route_idx];
-      const int n_stops = static_cast<int>(route.stop_count());
-      if (n_stops < 4) continue;
-      spec.route = route.id();
-      spec.board = rng.uniform_int(0, n_stops - 3);
-      const int ride = 2 + rng.poisson(5.0);
-      spec.alight = std::min(spec.board + ride, n_stops - 1);
-      break;
-    }
-    // Every retry drew a route too short to ride: drop the spec rather
-    // than hand simulate_trips an invalid route id — but never silently,
-    // the caller can see the loss in `stats`.
-    if (spec.route == kInvalidRoute) {
-      if (stats) ++stats->dropped_no_route;
-      continue;
-    }
-    spec.depart =
-        day0 + rng.uniform(config_.service_start_h, config_.service_end_h - 0.5) *
-                   kHour;
-    specs.push_back(spec);
-  }
-  if (stats) stats->emitted += specs.size();
-  return specs;
-}
-
-std::vector<AnnotatedTrip> World::simulate_trips(
-    const std::vector<TripSpec>& specs, std::uint64_t seed,
-    ThreadPool* pool) const {
-  std::vector<AnnotatedTrip> trips(specs.size());
-  const auto simulate_one = [&](std::size_t i) {
-    const TripSpec& spec = specs[i];
-    Rng rng = Rng::stream(seed, i);
-    trips[i] = simulate_single_trip(city_->route(spec.route), spec.board,
-                                    spec.alight, spec.depart, rng);
-  };
-  if (pool) {
-    pool->parallel_for(specs.size(), simulate_one);
-  } else {
-    for (std::size_t i = 0; i < specs.size(); ++i) simulate_one(i);
-  }
-  return trips;
-}
-
 std::vector<AnnotatedTrip> World::simulate_driver_day(int day, Rng& rng) const {
   std::vector<AnnotatedTrip> trips;
   for (const BusRoute& route : city_->routes()) {
@@ -326,7 +247,8 @@ AnnotatedTrip World::simulate_single_trip(const BusRoute& route, int board,
   const BusRun run =
       bus_sim_->simulate_run(route, bus_depart, boarders, alighters,
                              config_.headway_s, rng, /*record_trajectory=*/true);
-  return build_trip(route, run, board, alight, participant, rng, channel);
+  return build_trip_from_legs({TripLeg{&route, &run, board, alight}},
+                              participant, rng, channel);
 }
 
 World::DayResult World::simulate_day(int day, double intensity, Rng& rng) const {
@@ -404,7 +326,8 @@ World::DayResult World::simulate_day(int day, double intensity, Rng& rng) const 
                                           planned.extra_alighters,
                                           config_.headway_s, rng, has_riders);
       for (const auto& [pid, board, alight] : planned.riders) {
-        AnnotatedTrip trip = build_trip(route, run, board, alight, pid, rng);
+        AnnotatedTrip trip = build_trip_from_legs(
+            {TripLeg{&route, &run, board, alight}}, pid, rng);
         if (!trip.upload.empty()) result.trips.push_back(std::move(trip));
       }
       run.trajectory.clear();  // not needed downstream; keep memory bounded

@@ -23,7 +23,6 @@
 #include "citynet/city.h"
 #include "citynet/city_generator.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "sensing/accel_model.h"
 #include "sensing/event_channel.h"
 #include "sensing/trip.h"
@@ -34,8 +33,6 @@
 #include "trafficsim/traffic_field.h"
 
 namespace bussense {
-
-class MetricsRegistry;  // obs/metrics.h
 
 struct WorldConfig {
   CityConfig city;
@@ -123,44 +120,6 @@ class World {
   /// drivers to install our app to bootstrap the system" deployment mode.
   std::vector<AnnotatedTrip> simulate_driver_day(int day, Rng& rng) const;
 
-  /// One independently simulated rider trip: ride `route` from stop index
-  /// `board` to `alight` on a bus departing the terminal at `depart`.
-  struct TripSpec {
-    RouteId route = kInvalidRoute;
-    int board = 0;
-    int alight = 1;
-    SimTime depart = 0.0;
-  };
-
-  /// Accounting for spec generation: the retry loop can exhaust its 32
-  /// attempts in a degenerate city (every route shorter than 4 stops) and
-  /// must then drop the spec. Large LOD runs assert dropped == 0 so spec
-  /// loss is never silent.
-  struct TripSpecStats {
-    std::uint64_t requested = 0;
-    std::uint64_t emitted = 0;
-    std::uint64_t dropped_no_route = 0;  ///< all 32 retries hit short routes
-
-    /// Adds the counts to `trafficsim.specs.{requested,emitted,dropped}`.
-    void export_to(MetricsRegistry& registry) const;
-  };
-
-  /// A deterministic city-scale trip workload: `count` specs over the day's
-  /// service window, each drawn from its own (seed, index) substream.
-  /// `stats`, when non-null, accumulates generation accounting.
-  std::vector<TripSpec> make_trip_specs(int day, std::size_t count,
-                                        std::uint64_t seed,
-                                        TripSpecStats* stats = nullptr) const;
-
-  /// Simulates every spec, fanned out over `pool` (serial when null). Trip
-  /// i is seeded by the order-independent substream (seed, i), so the
-  /// result vector is bit-identical at any thread count — including the
-  /// serial run. This is the front-end counterpart of the backend's
-  /// concurrent ingestion path.
-  std::vector<AnnotatedTrip> simulate_trips(const std::vector<TripSpec>& specs,
-                                            std::uint64_t seed,
-                                            ThreadPool* pool = nullptr) const;
-
   /// One survey scan at a stop (used to build/evaluate fingerprint DBs).
   /// `when` determines which tower-churn epoch applies.
   Fingerprint scan_stop(StopId stop, Rng& rng, bool in_bus = false,
@@ -174,6 +133,27 @@ class World {
                                                    double period_s,
                                                    Rng& rng) const;
 
+  /// One beep a rider's phone hears: when, where the bus was, and the stop
+  /// whose tap made it (kInvalidStop for a spurious beep).
+  struct Beep {
+    SimTime time = 0.0;
+    Point position;
+    StopId true_stop = kInvalidStop;
+  };
+
+  /// The phone side of every simulated ride, whatever made its beeps (the
+  /// event channel here, the audio detector in LodWorld's Focus tier).
+  /// Feeds the time-sorted `beeps` through a TripRecorder whose scans are
+  /// in-bus scans at each beep's position with tower churn applied, then
+  /// returns the longest upload. Its truth is `header` plus the true stop of
+  /// each of that upload's own scans. Draws from `rng` in recorder order:
+  /// one accel draw per trip start, one scan per sample. Returns an empty
+  /// trip when the recorder uploads nothing.
+  AnnotatedTrip record_trip(const std::vector<Beep>& beeps,
+                            const TripGroundTruth& header,
+                            std::int32_t participant, Rng& rng) const;
+
+ private:
   /// One bus leg of a (possibly multi-leg) participant trip.
   struct TripLeg {
     const BusRoute* route = nullptr;
@@ -182,13 +162,8 @@ class World {
     int alight = -1;
   };
 
- private:
-  /// Builds the annotated trip of one rider on `run` (visits board..alight).
-  AnnotatedTrip build_trip(const BusRoute& route, const BusRun& run, int board,
-                           int alight, std::int32_t participant, Rng& rng,
-                           const EventChannel* channel = nullptr) const;
-
-  /// Builds the annotated trip across several consecutive bus legs.
+  /// The annotated trip of one rider across consecutive bus legs, with
+  /// beeps drawn from `channel` (null = the world's own).
   AnnotatedTrip build_trip_from_legs(const std::vector<TripLeg>& legs,
                                      std::int32_t participant, Rng& rng,
                                      const EventChannel* channel = nullptr) const;

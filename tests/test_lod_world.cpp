@@ -11,8 +11,8 @@
 //       waveform path — same bus, agreeing stop sequences, and
 //       server-level accuracy within a pinned golden band.
 // Plus: event-channel calibration pins, the weekly load curve shape,
-// make_trip_specs loss accounting (the silent-drop fix), and the shared
-// workload-replay driver.
+// generation-loss accounting (no planned trip vanishes silently), and the
+// shared workload-replay driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,6 +117,22 @@ TEST(LodDeterminism, DayStreamDigestPinned) {
   const std::vector<LodTrip> trips = small_lod().simulate_day(0, nullptr);
   EXPECT_EQ(trips.size(), 1818u);
   EXPECT_EQ(LodWorld::stream_digest(trips), 0x56d54bcd3130270fULL);
+}
+
+// Each rider's trips come from its own substreams, so simulating a slice
+// of the riders yields exactly those riders' share of the full day.
+TEST(LodDeterminism, RiderRangeMatchesFullDay) {
+  const LodWorld& lod = small_lod();
+  const std::vector<LodTrip> full = lod.simulate_day(0, nullptr);
+  const std::int64_t a = 700, b = 2100;  // straddles rider-block edges
+  std::vector<LodTrip> slice;
+  for (const LodTrip& t : full) {
+    if (t.rider >= a && t.rider < b) slice.push_back(t);
+  }
+  ASSERT_GT(slice.size(), 100u);
+  const std::vector<LodTrip> range = lod.simulate_day_range(0, a, b, nullptr);
+  ASSERT_EQ(range.size(), slice.size());
+  EXPECT_EQ(LodWorld::stream_digest(range), LodWorld::stream_digest(slice));
 }
 
 TEST(LodDeterminism, StreamSortedByArrival) {
@@ -332,17 +348,17 @@ TEST(LodCalibration, EventTierAccuracyTracksFocusReferenceAtTestbedScale) {
   config.trips_per_rider_per_day = 2.0;
   const LodWorld lod(world, 22, config);
 
-  std::vector<AnnotatedTrip> focus_trips, event_trips;
+  std::vector<AnnotatedTrip> focus_rides, event_rides;
   for (std::int64_t rider = 0; rider < lod.riders(); ++rider) {
     for (LodTrip& t : lod.simulate_rider_day(rider, 0, FidelityTier::kFocus)) {
-      focus_trips.push_back(std::move(t.trip));
+      focus_rides.push_back(std::move(t.trip));
     }
     for (LodTrip& t : lod.simulate_rider_day(rider, 0, FidelityTier::kEvent)) {
-      event_trips.push_back(std::move(t.trip));
+      event_rides.push_back(std::move(t.trip));
     }
   }
-  ASSERT_GE(focus_trips.size(), 25u);
-  ASSERT_GE(event_trips.size(), 25u);
+  ASSERT_GE(focus_rides.size(), 25u);
+  ASSERT_GE(event_rides.size(), 25u);
 
   Rng survey_rng(2024);
   StopDatabase database = build_stop_database(
@@ -353,14 +369,14 @@ TEST(LodCalibration, EventTierAccuracyTracksFocusReferenceAtTestbedScale) {
       5);
   TrafficServer server(world.city(), database);
 
-  const double focus_acc = stop_accuracy(world, server, focus_trips);
-  const double event_acc = stop_accuracy(world, server, event_trips);
-  const double focus_matched = matched_fraction(server, focus_trips);
-  const double event_matched = matched_fraction(server, event_trips);
+  const double focus_acc = stop_accuracy(world, server, focus_rides);
+  const double event_acc = stop_accuracy(world, server, event_rides);
+  const double focus_matched = matched_fraction(server, focus_rides);
+  const double event_matched = matched_fraction(server, event_rides);
   std::cout << "[lod] testbed focus: acc=" << focus_acc
-            << " matched=" << focus_matched << " trips=" << focus_trips.size()
+            << " matched=" << focus_matched << " trips=" << focus_rides.size()
             << "\n[lod] testbed event: acc=" << event_acc
-            << " matched=" << event_matched << " trips=" << event_trips.size()
+            << " matched=" << event_matched << " trips=" << event_rides.size()
             << "\n";
 
   // Pinned golden bands (fixed-seed measurements: focus 0.986/0.998,
@@ -435,28 +451,10 @@ TEST(LodLoadCurve, WeekdayVolumeExceedsWeekend) {
 
 // -------------------------------------------------- spec-loss accounting
 
-TEST(LodSpecLoss, MakeTripSpecsAccountsForEverySpec) {
-  const World& world = test_world();
-  World::TripSpecStats stats;
-  const auto specs = world.make_trip_specs(0, 500, 91, &stats);
-  EXPECT_EQ(stats.requested, 500u);
-  EXPECT_EQ(stats.emitted, specs.size());
-  EXPECT_EQ(stats.requested, stats.emitted + stats.dropped_no_route);
-  // The default city has eight ≥4-stop routes: nothing can drop.
-  EXPECT_EQ(stats.dropped_no_route, 0u);
-
-  MetricsRegistry registry;
-  stats.export_to(registry);
-  const MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.at("trafficsim.specs.requested"), 500u);
-  EXPECT_EQ(snap.counters.at("trafficsim.specs.emitted"), specs.size());
-  EXPECT_EQ(snap.counters.at("trafficsim.specs.dropped"), 0u);
-}
-
 TEST(LodSpecLoss, DegenerateCitySurfacesTheDrops) {
   // Stops 2.8 km apart in a 7×4 km city: every route ends up with two or
-  // three stops, so every spec exhausts its retries — the loss that used
-  // to vanish silently must now be fully accounted.
+  // three stops, so every planned trip exhausts its route retries — the
+  // loss must be fully accounted, never silent.
   WorldConfig config;
   config.city.stop_spacing_m = 2800.0;
   config.city.stop_spacing_jitter_m = 0.0;
@@ -467,12 +465,34 @@ TEST(LodSpecLoss, DegenerateCitySurfacesTheDrops) {
   }
   ASSERT_TRUE(all_short);
 
-  World::TripSpecStats stats;
-  const auto specs = degenerate.make_trip_specs(0, 64, 5, &stats);
-  EXPECT_TRUE(specs.empty());
-  EXPECT_EQ(stats.requested, 64u);
-  EXPECT_EQ(stats.dropped_no_route, 64u);
-  EXPECT_EQ(stats.emitted, 0u);
+  const LodWorld lod(degenerate, 200, small_lod_config());
+  const auto trips = lod.simulate_day(0, nullptr);
+  EXPECT_TRUE(trips.empty());
+  const LodLoss loss = lod.loss();
+  EXPECT_GT(loss.planned, 50u);
+  EXPECT_EQ(loss.dropped_no_route, loss.planned);
+  EXPECT_EQ(loss.thin, 0u);
+  EXPECT_EQ(loss.emitted, 0u);
+}
+
+// A recorder that keeps zero-sample trips (min_samples 0) over a channel
+// that delivers no tap: the OnRails and Event tiers sense nothing, and an
+// empty trip has no last sample to time its upload by. It must be counted
+// thin, not emitted.
+TEST(LodSpecLoss, EmptyTripsAreThinEvenAtZeroMinSamples) {
+  WorldConfig world_config;
+  world_config.city.route_names = {"79", "243"};
+  world_config.recorder.min_samples = 0;
+  const World world(world_config);
+  LodConfig config;
+  config.event.detection_prob = 0.0;
+  const LodWorld lod(world, 3000, config);
+  const auto trips = lod.simulate_day(0, nullptr);
+  const LodLoss loss = lod.loss();
+  EXPECT_EQ(loss.planned, loss.emitted + loss.dropped_no_route + loss.thin);
+  EXPECT_GT(loss.thin, 0u);
+  EXPECT_EQ(loss.emitted, trips.size());
+  for (const LodTrip& t : trips) EXPECT_FALSE(t.trip.upload.empty());
 }
 
 TEST(LodSpecLoss, LodRunsReportZeroUnexplainedLoss) {

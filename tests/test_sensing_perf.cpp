@@ -1,7 +1,8 @@
-// Sensing fast-path equivalence: the indexed scan, the one-pass Goertzel
-// bank and the parallel trip driver must be *result-identical* to their
-// brute-force / scalar / serial reference paths — the contract that lets
-// the benches claim speedups without changing any downstream number.
+// Sensing fast-path equivalence: the indexed scan and the one-pass Goertzel
+// bank must be *result-identical* to their brute-force / scalar reference
+// paths — the contract that lets the benches claim speedups without
+// changing any downstream number. (The parallel trip driver, LodWorld's
+// day, is held to its serial run in tests/test_lod_world.cpp.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -413,67 +414,6 @@ TEST(ThreadPool, PropagatesTheFirstException) {
   std::atomic<int> count{0};
   pool.parallel_for(32, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 32);
-}
-
-// --------------------------------------- parallel trip driver determinism
-
-void expect_trips_identical(const std::vector<AnnotatedTrip>& a,
-                            const std::vector<AnnotatedTrip>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].upload.samples.size(), b[i].upload.samples.size()) << i;
-    for (std::size_t s = 0; s < a[i].upload.samples.size(); ++s) {
-      EXPECT_EQ(a[i].upload.samples[s].time, b[i].upload.samples[s].time);
-      EXPECT_EQ(a[i].upload.samples[s].fingerprint.cells,
-                b[i].upload.samples[s].fingerprint.cells);
-    }
-    EXPECT_EQ(a[i].truth.route_id, b[i].truth.route_id);
-    EXPECT_EQ(a[i].truth.sample_stops, b[i].truth.sample_stops);
-  }
-}
-
-TEST(ParallelTrips, BitIdenticalAtAnyThreadCount) {
-  WorldConfig cfg;
-  cfg.city.route_names = {"79", "243", "99"};
-  cfg.city.width_m = 5000.0;
-  cfg.city.height_m = 3000.0;
-  cfg.seed = 77;
-  const World world(cfg);
-  const auto specs = world.make_trip_specs(0, 24, 2026);
-  ASSERT_EQ(specs.size(), 24u);
-  for (const World::TripSpec& spec : specs) {
-    EXPECT_NE(spec.route, kInvalidRoute);
-    EXPECT_LT(spec.board, spec.alight);
-  }
-
-  const auto serial = world.simulate_trips(specs, 555, nullptr);
-  int with_samples = 0;
-  for (const AnnotatedTrip& t : serial) with_samples += !t.upload.empty();
-  EXPECT_GE(with_samples, 16);  // the workload is not degenerate
-
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    const auto parallel = world.simulate_trips(specs, 555, &pool);
-    expect_trips_identical(serial, parallel);
-  }
-}
-
-TEST(ParallelTrips, SpecStreamsAreOrderIndependent) {
-  WorldConfig cfg;
-  cfg.city.route_names = {"79", "243"};
-  cfg.city.width_m = 4000.0;
-  cfg.city.height_m = 2500.0;
-  const World world(cfg);
-  // A prefix of a longer workload is the same workload: spec i depends only
-  // on (seed, i).
-  const auto small = world.make_trip_specs(0, 8, 99);
-  const auto large = world.make_trip_specs(0, 32, 99);
-  for (std::size_t i = 0; i < small.size(); ++i) {
-    EXPECT_EQ(small[i].route, large[i].route);
-    EXPECT_EQ(small[i].board, large[i].board);
-    EXPECT_EQ(small[i].alight, large[i].alight);
-    EXPECT_EQ(small[i].depart, large[i].depart);
-  }
 }
 
 // ----------------------------------------- audio chain through the pool

@@ -2,6 +2,8 @@
 // demand, bus kinematics, taxi feed, world orchestration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 
 #include "citynet/city_generator.h"
@@ -380,6 +382,124 @@ TEST(World, ScanStopInBusDiffersFromKerbOccasionally) {
   const Fingerprint kerb = world.scan_stop(stop, rng, false);
   EXPECT_FALSE(kerb.empty());
   EXPECT_LE(kerb.size(), 7u);
+}
+
+
+// ------------------------------------------------------ the recorder stage
+
+// A silence longer than the recorder's trip timeout splits the beeps into
+// two uploads. The stage keeps the longer one, and that upload's truth is
+// the true stops of its own scans, not those of the upload before it.
+TEST(World, RecordTripKeepsLongestUploadWithItsOwnStops) {
+  const World& world = test_world();
+  const BusRoute& route = *world.city().route_by_name("99", 0);
+  const auto stop_beep = [&](SimTime t, int k) {
+    const StopId stop = route.stops()[static_cast<std::size_t>(k)].stop;
+    return World::Beep{t, world.city().stop(stop).position, stop};
+  };
+  const SimTime t0 = at_clock(0, 9, 0);
+  const double gap = world.config().recorder.trip_timeout_s + 60.0;
+  const std::vector<World::Beep> beeps = {
+      stop_beep(t0, 1),
+      stop_beep(t0 + 60.0, 2),
+      stop_beep(t0 + 60.0 + gap, 6),
+      stop_beep(t0 + 120.0 + gap, 7),
+      World::Beep{t0 + 150.0 + gap, route.path().point_at(route.stop_arc(7)),
+                  kInvalidStop},
+      stop_beep(t0 + 180.0 + gap, 8),
+  };
+  TripGroundTruth header;
+  header.route_id = route.id();
+  header.board_stop_index = 1;
+  header.alight_stop_index = 8;
+  header.leg_routes = {route.id()};
+
+  Rng rng(7);
+  const AnnotatedTrip trip = world.record_trip(beeps, header, 5, rng);
+  ASSERT_EQ(trip.upload.samples.size(), 4u);
+  EXPECT_EQ(trip.upload.participant_id, 5);
+  EXPECT_EQ(trip.upload.samples.front().time, beeps[2].time);
+  EXPECT_EQ(trip.truth.route_id, route.id());
+  EXPECT_EQ(trip.truth.board_stop_index, 1);
+  EXPECT_EQ(trip.truth.alight_stop_index, 8);
+  EXPECT_EQ(trip.truth.leg_routes, header.leg_routes);
+  const std::vector<std::int32_t> want = {beeps[2].true_stop,
+                                          beeps[3].true_stop, kInvalidStop,
+                                          beeps[5].true_stop};
+  EXPECT_EQ(trip.truth.sample_stops, want);
+
+  // No beeps, no upload: the stage returns an empty trip.
+  EXPECT_TRUE(world.record_trip({}, header, 5, rng).upload.empty());
+}
+
+// ------------------------------------------------------------ pinned bytes
+
+// FNV-1a over everything a World trip carries, doubles by their bits.
+struct TripHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint8_t>(v >> (8 * i));
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void trip(const AnnotatedTrip& t) {
+    i64(t.upload.participant_id);
+    u64(t.upload.samples.size());
+    for (const CellularSample& s : t.upload.samples) {
+      f64(s.time);
+      u64(s.fingerprint.cells.size());
+      for (CellId id : s.fingerprint.cells) i64(id);
+    }
+    i64(t.truth.route_id);
+    i64(t.truth.board_stop_index);
+    i64(t.truth.alight_stop_index);
+    u64(t.truth.leg_routes.size());
+    for (std::int32_t r : t.truth.leg_routes) i64(r);
+    u64(t.truth.sample_stops.size());
+    for (std::int32_t s : t.truth.sample_stops) i64(s);
+  }
+};
+
+// World's trips go through the recorder stage LodWorld's Focus tier shares;
+// these pins hold its RNG draw order and its truth alignment (multi-leg
+// included) to the bytes it produced before the stage was shared.
+TEST(World, DayDigestPinned) {
+  Rng rng(99);
+  const World::DayResult day = test_world().simulate_day(0, 1.0, rng);
+  TripHash hash;
+  for (const BusRun& run : day.runs) {
+    hash.i64(run.route);
+    hash.f64(run.depart_time);
+    hash.f64(run.end_time);
+    for (const StopVisit& visit : run.visits) {
+      hash.f64(visit.arrival);
+      hash.f64(visit.departure);
+      hash.u64(visit.taps.size());
+    }
+  }
+  for (const AnnotatedTrip& trip : day.trips) hash.trip(trip);
+  EXPECT_EQ(day.runs.size(), 1395u);
+  EXPECT_EQ(day.trips.size(), 84u);
+  EXPECT_EQ(hash.h, 0x88f5255190a8162bULL);
+}
+
+TEST(World, TransferTripDigestPinned) {
+  const World& world = test_world();
+  const BusRoute& a = *world.city().route_by_name("79", 0);
+  const BusRoute& b = *world.city().route_by_name("243", 0);
+  const auto [ta, tb] = world.find_transfer_stops(a, b);
+  Rng rng(1);
+  const AnnotatedTrip trip = world.simulate_transfer_trip(
+      a, std::max(0, ta - 4), ta, b, tb,
+      std::min<int>(static_cast<int>(b.stop_count()) - 1, tb + 4),
+      at_clock(0, 10, 0), rng);
+  TripHash hash;
+  hash.trip(trip);
+  EXPECT_EQ(trip.upload.samples.size(), 58u);
+  EXPECT_EQ(hash.h, 0x615f0c5c57a7febdULL);
 }
 
 }  // namespace
