@@ -76,7 +76,7 @@ inline std::string num(double v) {
 /// The default 7 km x 4 km world with a 5-run mixed-condition survey DB.
 const Testbed& testbed();
 
-/// Riders of an all-Event benchmark day: eight of LodWorld's 1024-rider
+/// Riders of an all-Event benchmark day: 64 of LodWorld's 128-rider
 /// blocks, so the day fans out over every thread of a small pool.
 inline constexpr std::int64_t kEventDayRiders = 8192;
 

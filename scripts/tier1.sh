@@ -25,8 +25,10 @@
 # the sharded service, so every crash case, 1-shard included, runs shard
 # consumer threads against the WAL, and the SIGKILL case kills a forked
 # service with a WAL sync in flight), the TripLogWriter tests (the
-# hand-off from an appender to the kInterval syncer thread, its latched
-# write errors) and test_properties' ShardedIdentity
+# hand-off from an appender to the segment's syncer thread, which does the
+# WAL I/O under all three fsync policies, and its latched write errors),
+# the Checkpoint tests (checkpoints taken from a running service, saves
+# that fail mid-write) and test_properties' ShardedIdentity
 # suite (shuffled hostile uploads handed through the recycled inbox slots
 # to the shard consumers). Off by default for the same reason.
 #
@@ -132,11 +134,13 @@ if [[ "${BUSSENSE_SHARDED:-}" == "ON" ]]; then
   ./build-tsan/tests/test_ingest_service
   # The lifecycle and crash-recovery tests race producers against close()
   # and the shard consumers against the WAL; the TripLogWriter tests hand
-  # intervals from the appender to the segment's syncer thread, and the
-  # SIGKILL crash test does so in forked children. The rest of the suite
-  # is single-threaded byte parsing, covered by the ASan durability stage.
+  # buffers from the appender to the segment's syncer thread under every
+  # fsync policy, and the SIGKILL crash test does so in forked children;
+  # the Checkpoint tests sync every segment's syncer before each save. The
+  # rest of the suite is single-threaded byte parsing, covered by the ASan
+  # durability stage.
   ./build-tsan/tests/test_durability \
-    --gtest_filter='DurableLifecycle.*:ShardBatch.*:CrashRecovery.*:TripLogWriter.*'
+    --gtest_filter='DurableLifecycle.*:ShardBatch.*:CrashRecovery.*:TripLogWriter.*:Checkpoint.*'
   # Hostile uploads through the recycled inbox slots of a 3-shard service.
   ./build-tsan/tests/test_properties --gtest_filter='ShardedIdentity.*'
   end_stage
@@ -175,7 +179,9 @@ if [[ "${BUSSENSE_DURABILITY:-}" == "ON" ]]; then
   cmake -B build-asan -S . -DBUSSENSE_SANITIZE=address,undefined
   cmake --build build-asan -j --target test_durability
   # The scan/repair paths parse attacker-shaped bytes (torn tails, bit
-  # flips, duplicated blocks); run them with memory checking on.
+  # flips, duplicated blocks, the checkpoint prefix and bit-flip sweep);
+  # run them, and the pinned WAL/checkpoint digests, with memory checking
+  # on.
   ./build-asan/tests/test_durability
   end_stage
 fi

@@ -8,34 +8,15 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
-#include "core/wire_reader.h"
+#include "core/wire.h"
 
 namespace bussense {
 
 namespace {
 
 constexpr char kMagic[8] = {'B', 'S', 'C', 'K', 'P', 'T', '1', '\n'};
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
 
 std::string checkpoint_name(std::uint64_t id) {
   char buf[48];
@@ -93,43 +74,49 @@ void fsync_path(const std::string& path) {
 std::vector<std::uint8_t> encode_checkpoint(std::uint64_t id,
                                             const CheckpointState& state) {
   std::vector<std::uint8_t> out(kMagic, kMagic + sizeof kMagic);
-  put_u64(out, id);
-  put_u32(out, static_cast<std::uint32_t>(state.covers_seq.size()));
-  for (const std::uint64_t seq : state.covers_seq) put_u64(out, seq);
-  put_u64(out, state.trips_processed);
-  put_u32(out, static_cast<std::uint32_t>(state.fusion.size()));
+  const auto u8 = [&](bool v) { *wire::grow(out, 1) = v ? 1 : 0; };
+  const auto u32 = [&](auto v) {
+    wire::put_u32(wire::grow(out, 4), static_cast<std::uint32_t>(v));
+  };
+  const auto u64 = [&](auto v) {
+    wire::put_u64(wire::grow(out, 8), static_cast<std::uint64_t>(v));
+  };
+  const auto f64 = [&](double v) { wire::put_f64(wire::grow(out, 8), v); };
+  u64(id);
+  u32(state.covers_seq.size());
+  for (const std::uint64_t seq : state.covers_seq) u64(seq);
+  u64(state.trips_processed);
+  u32(state.fusion.size());
   for (const FusionExportEntry& entry : state.fusion) {
-    put_u32(out, static_cast<std::uint32_t>(entry.key.from));
-    put_u32(out, static_cast<std::uint32_t>(entry.key.to));
-    out.push_back(entry.fused ? 1 : 0);
+    u32(entry.key.from);
+    u32(entry.key.to);
+    u8(entry.fused.has_value());
     if (entry.fused) {
-      put_f64(out, entry.fused->mean_kmh);
-      put_f64(out, entry.fused->variance);
-      put_f64(out, entry.fused->updated_at);
-      put_u32(out, static_cast<std::uint32_t>(entry.fused->observation_count));
+      f64(entry.fused->mean_kmh);
+      f64(entry.fused->variance);
+      f64(entry.fused->updated_at);
+      u32(entry.fused->observation_count);
     }
-    put_u32(out, static_cast<std::uint32_t>(entry.pending.size()));
+    u32(entry.pending.size());
     for (const auto& [period, values] : entry.pending) {
-      put_u64(out, static_cast<std::uint64_t>(period));
-      put_u32(out, static_cast<std::uint32_t>(values.size()));
-      for (const double v : values) put_f64(out, v);
+      u64(period);
+      u32(values.size());
+      for (const double v : values) f64(v);
     }
   }
-  put_u32(out, static_cast<std::uint32_t>(state.admission.size()));
+  u32(state.admission.size());
   for (const AdmissionCheckpoint& adm : state.admission) {
-    put_u32(out, static_cast<std::uint32_t>(adm.lru_oldest_first.size()));
-    for (const std::uint64_t sig : adm.lru_oldest_first) put_u64(out, sig);
-    put_u32(out, static_cast<std::uint32_t>(adm.skew_offsets.size()));
+    u32(adm.lru_oldest_first.size());
+    for (const std::uint64_t sig : adm.lru_oldest_first) u64(sig);
+    u32(adm.skew_offsets.size());
     for (const auto& [participant, offset] : adm.skew_offsets) {
-      put_u32(out, static_cast<std::uint32_t>(participant));
-      put_f64(out, offset);
+      u32(participant);
+      f64(offset);
     }
-    out.push_back(adm.have_watermark ? 1 : 0);
-    put_f64(out, adm.watermark);
+    u8(adm.have_watermark);
+    f64(adm.watermark);
   }
-  const std::uint32_t crc =
-      crc32(out.data() + sizeof kMagic, out.size() - sizeof kMagic);
-  put_u32(out, crc);
+  u32(crc32(out.data() + sizeof kMagic, out.size() - sizeof kMagic));
   return out;
 }
 
@@ -224,11 +211,9 @@ bool decode_checkpoint(const std::uint8_t* data, std::size_t size,
 
 std::optional<LoadedCheckpoint> load_latest_checkpoint(
     const std::string& directory) {
+  std::vector<std::uint8_t> bytes;
   for (const auto& [id, path] : list_checkpoints_newest_first(directory)) {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) continue;
-    const std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
+    if (!wire::read_file(path.string(), &bytes)) continue;
     LoadedCheckpoint loaded;
     if (decode_checkpoint(bytes.data(), bytes.size(), &loaded.id,
                           &loaded.state)) {
@@ -246,36 +231,29 @@ void save_checkpoint_file(const std::string& directory, std::uint64_t id,
   const std::filesystem::path dir(directory);
   const std::filesystem::path tmp = dir / (checkpoint_name(id) + ".tmp");
   const std::filesystem::path final_path = dir / checkpoint_name(id);
-  {
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) {
-      throw std::runtime_error("cannot create checkpoint " + tmp.string() +
-                               ": " + std::strerror(errno));
-    }
-    std::size_t written = 0;
-    while (written < bytes.size()) {
-      const ssize_t n = ::write(fd, bytes.data() + written,
-                                bytes.size() - written);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        throw std::runtime_error("checkpoint write failed: " + tmp.string() +
-                                 ": " + std::strerror(errno));
-      }
-      written += static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd) != 0) {
-      ::close(fd);
-      throw std::runtime_error("checkpoint fsync failed: " + tmp.string());
-    }
-    ::close(fd);
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    throw std::runtime_error("cannot create checkpoint " + tmp.string() +
+                             ": " + std::strerror(errno));
   }
+  // Nothing lists `.tmp` names, so a failed save must remove its own.
+  const auto fail = [&](const char* what, const std::string& why) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    return std::runtime_error(std::string("checkpoint ") + what +
+                              " failed: " + tmp.string() + ": " + why);
+  };
+  const char* what = "write";
+  int err = wire::write_all(fd, bytes.data(), bytes.size());
+  if (err == 0 && ::fsync(fd) != 0) {
+    err = errno;
+    what = "fsync";
+  }
+  ::close(fd);
+  if (err != 0) throw fail(what, std::strerror(err));
   std::error_code ec;
   std::filesystem::rename(tmp, final_path, ec);
-  if (ec) {
-    throw std::runtime_error("checkpoint rename failed: " + final_path.string() +
-                             ": " + ec.message());
-  }
+  if (ec) throw fail("rename", ec.message());
   fsync_path(directory);
 }
 
@@ -413,8 +391,8 @@ void DurabilityManager::bind_metrics(MetricsRegistry* registry) {
     inst_.truncated_tail_bytes =
         &registry->counter("durability.truncated_tail_bytes");
   }
-  // Fsyncs complete on the writers (a syncer thread under kInterval), so
-  // they count them themselves.
+  // Fsyncs complete on each writer's syncer thread, so the writers count
+  // them themselves.
   for (auto& writer : writers_) writer->bind_fsync_counter(inst_.fsyncs);
 }
 

@@ -16,9 +16,10 @@
 //           | u32 n_fusion  | fusion_entry*
 //           | u32 n_admission | admission_state*
 //
-// Writes are atomic: body to `checkpoint-<id>.tmp`, fsync, rename to
-// `.ckpt`, fsync the directory — a crash mid-checkpoint leaves either the
-// previous checkpoint set or the complete new file, never a half state.
+// Writes are atomic: body to `checkpoint-<id>.ckpt.tmp`, fsync, rename to
+// `checkpoint-<id>.ckpt`, fsync the directory — a crash mid-checkpoint
+// leaves either the previous checkpoint set or the complete new file,
+// never a half state, and a save that fails removes its temp file.
 // Fusion entries are sorted by key with sorted pending values and the
 // admission exports are canonical (core/fusion.h, core/admission.h), so
 // checkpointing the same logical state yields byte-identical files.
@@ -71,7 +72,8 @@ std::optional<LoadedCheckpoint> load_latest_checkpoint(
     const std::string& directory);
 
 /// Atomic write of `checkpoint-<id>.ckpt` (tmp + fsync + rename + dir
-/// fsync). Throws std::runtime_error on I/O failure.
+/// fsync). Throws std::runtime_error on I/O failure, after removing the
+/// temp file.
 void save_checkpoint_file(const std::string& directory, std::uint64_t id,
                           const CheckpointState& state);
 

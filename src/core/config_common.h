@@ -30,21 +30,21 @@ struct ObservabilityConfig {
   bool enabled = true;
 };
 
-/// When appended write-ahead log bytes reach the disk platter. Frames are
-/// encoded in place into the segment writer's buffer under every policy,
-/// and checkpoint() and close() are full barriers under every policy: they
-/// return once every appended record is written and fdatasync'ed.
+/// When appended write-ahead log bytes reach the disk platter. Under every
+/// policy a syncer thread per segment does the write() and fdatasync, and
+/// checkpoint() and close() are full barriers: they return once every
+/// appended record is written and fdatasync'ed.
 enum class FsyncPolicy : std::uint8_t {
-  /// OS page cache only (frames buffer up to 256 KiB before a write());
-  /// fsync at checkpoint/close barriers.
+  /// OS page cache only (frames buffer up to 256 KiB before the syncer
+  /// write()s them); fdatasync at checkpoint/close barriers.
   kNever,
   /// fdatasync every `fsync_interval_records` appends, off the appending
-  /// thread: a syncer per segment writes and syncs each interval while the
-  /// next one builds, so at most 2 × `fsync_interval_records` appended
-  /// records per segment are not yet durable.
+  /// thread: the syncer writes and syncs each interval while the next one
+  /// builds, so at most 2 × `fsync_interval_records` appended records per
+  /// segment are not yet durable.
   kInterval,
-  /// write() + fdatasync inside every append, synchronously (strongest,
-  /// slowest).
+  /// Every append waits for the syncer's write() + fdatasync of its record
+  /// (strongest, slowest).
   kEveryRecord,
 };
 

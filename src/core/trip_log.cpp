@@ -8,17 +8,16 @@
 #include <cerrno>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <stdexcept>
 
-#include "core/wire_reader.h"
+#include "core/wire.h"
 #include "obs/metrics.h"
 
 namespace bussense {
 
 namespace {
 
-constexpr char kMagic[8] = {'B', 'S', 'W', 'A', 'L', '0', '1', '\n'};
+constexpr std::uint8_t kMagic[8] = {'B', 'S', 'W', 'A', 'L', '0', '1', '\n'};
 constexpr std::size_t kFrameHeader = 8;  // u32 length + u32 crc
 
 // Slice-by-8 tables: table[0] is the classic byte-at-a-time table, and
@@ -40,51 +39,6 @@ std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
     }
   }
   return tables;
-}
-
-// Little-endian stores through a cursor into pre-sized memory: host-
-// endianness independent, and contiguous enough for the compiler to fuse
-// into single stores. Each returns the cursor past what it wrote.
-std::uint8_t* put_u16(std::uint8_t* p, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  return p + 2;
-}
-
-std::uint8_t* put_u32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  return p + 4;
-}
-
-std::uint8_t* put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  return p + 8;
-}
-
-std::uint8_t* put_f64(std::uint8_t* p, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return put_u64(p, bits);
-}
-
-// LEB128: 7 value bits per byte, high bit = continuation. Cell ids are
-// small integers, so this is 1–2 bytes against a fixed u32 — and WAL bytes
-// are what both the buffered write and the fsync dirty-data flush cost.
-std::size_t varint_size(std::uint32_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80u) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-std::uint8_t* put_varint(std::uint8_t* p, std::uint32_t v) {
-  while (v >= 0x80u) {
-    *p++ = static_cast<std::uint8_t>(v) | 0x80u;
-    v >>= 7;
-  }
-  *p++ = static_cast<std::uint8_t>(v);
-  return p;
 }
 
 }  // namespace
@@ -115,7 +69,7 @@ std::size_t trip_payload_size(const TripUpload& trip) {
   for (const CellularSample& sample : trip.samples) {
     n += 8 + 2;
     for (const CellId cell : sample.fingerprint.cells) {
-      n += varint_size(static_cast<std::uint32_t>(cell));
+      n += wire::varint_size(static_cast<std::uint32_t>(cell));
     }
   }
   return n;
@@ -128,16 +82,16 @@ void encode_trip_payload(std::uint8_t* p, std::uint64_t seq,
                          std::uint64_t signature, double skew_offset_s,
                          const TripUpload& trip) {
   *p++ = static_cast<std::uint8_t>(WalRecordType::kTrip);
-  p = put_u64(p, seq);
-  p = put_u64(p, signature);
-  p = put_f64(p, skew_offset_s);
-  p = put_u32(p, static_cast<std::uint32_t>(trip.participant_id));
-  p = put_u32(p, static_cast<std::uint32_t>(trip.samples.size()));
+  p = wire::put_u64(p, seq);
+  p = wire::put_u64(p, signature);
+  p = wire::put_f64(p, skew_offset_s);
+  p = wire::put_u32(p, static_cast<std::uint32_t>(trip.participant_id));
+  p = wire::put_u32(p, static_cast<std::uint32_t>(trip.samples.size()));
   for (const CellularSample& sample : trip.samples) {
-    p = put_f64(p, sample.time);
-    p = put_u16(p, static_cast<std::uint16_t>(sample.fingerprint.size()));
+    p = wire::put_f64(p, sample.time);
+    p = wire::put_u16(p, static_cast<std::uint16_t>(sample.fingerprint.size()));
     for (const CellId cell : sample.fingerprint.cells) {
-      p = put_varint(p, static_cast<std::uint32_t>(cell));
+      p = wire::put_varint(p, static_cast<std::uint32_t>(cell));
     }
   }
 }
@@ -145,27 +99,13 @@ void encode_trip_payload(std::uint8_t* p, std::uint64_t seq,
 void encode_time_mark_payload(std::uint8_t* p, std::uint64_t seq,
                               SimTime mark_time) {
   *p++ = static_cast<std::uint8_t>(WalRecordType::kTimeMark);
-  p = put_u64(p, seq);
-  put_f64(p, mark_time);
+  p = wire::put_u64(p, seq);
+  wire::put_f64(p, mark_time);
 }
 
 std::string io_error(const char* what, const std::string& path, int err) {
   return std::string("trip log ") + what + " failed: " + path + ": " +
          std::strerror(err);
-}
-
-// 0 or the errno of the failed call.
-int write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return 0;
 }
 
 int data_sync(int fd) {
@@ -183,12 +123,12 @@ int data_sync(int fd) {
 std::vector<std::uint8_t> encode_wal_payload(const WalRecord& record) {
   std::vector<std::uint8_t> out;
   if (record.type == WalRecordType::kTimeMark) {
-    out.resize(kTimeMarkPayloadSize);
-    encode_time_mark_payload(out.data(), record.seq, record.mark_time);
+    encode_time_mark_payload(wire::grow(out, kTimeMarkPayloadSize), record.seq,
+                             record.mark_time);
   } else {
-    out.resize(trip_payload_size(record.trip));
-    encode_trip_payload(out.data(), record.seq, record.signature,
-                        record.skew_offset_s, record.trip);
+    encode_trip_payload(wire::grow(out, trip_payload_size(record.trip)),
+                        record.seq, record.signature, record.skew_offset_s,
+                        record.trip);
   }
   return out;
 }
@@ -232,11 +172,8 @@ bool decode_wal_payload(const std::uint8_t* data, std::size_t size,
 
 WalScanResult scan_trip_log(const std::string& path, bool repair) {
   WalScanResult result;
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return result;  // missing file == empty log
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
-                                  std::istreambuf_iterator<char>());
-  is.close();
+  std::vector<std::uint8_t> bytes;
+  if (!wire::read_file(path, &bytes)) return result;  // missing == empty log
 
   std::size_t pos = 0;
   if (bytes.size() < sizeof kMagic ||
@@ -301,16 +238,13 @@ TripLogWriter::TripLogWriter(std::string path, FsyncPolicy policy,
   }
   struct stat st{};
   if (::fstat(fd_, &st) == 0 && st.st_size == 0) {
-    if (::write(fd_, kMagic, sizeof kMagic) !=
-        static_cast<ssize_t>(sizeof kMagic)) {
+    if (const int err = wire::write_all(fd_, kMagic, sizeof kMagic)) {
       ::close(fd_);
       fd_ = -1;
-      throw std::runtime_error("cannot write trip log header: " + path_);
+      throw std::runtime_error(io_error("header write", path_, err));
     }
   }
-  if (policy_ == FsyncPolicy::kInterval) {
-    syncer_ = std::thread([this] { syncer_loop(); });
-  }
+  syncer_ = std::thread([this] { syncer_loop(); });
 }
 
 TripLogWriter::~TripLogWriter() {
@@ -358,9 +292,7 @@ TripLogWriter::AppendResult TripLogWriter::append_time_mark(SimTime mark_time) {
 // Grows active_ by one frame and returns where its payload goes; the
 // 8-byte header is filled in by commit_frame_locked().
 std::uint8_t* TripLogWriter::frame_locked(std::size_t payload_size) {
-  const std::size_t at = active_.size();
-  active_.resize(at + kFrameHeader + payload_size);
-  return active_.data() + at + kFrameHeader;
+  return wire::grow(active_, kFrameHeader + payload_size) + kFrameHeader;
 }
 
 // The last frame of active_ holds its payload (seq encoded as next_seq_):
@@ -370,50 +302,31 @@ TripLogWriter::AppendResult TripLogWriter::commit_frame_locked(
   const std::size_t frame_size = kFrameHeader + payload_size;
   std::uint8_t* frame = active_.data() + active_.size() - frame_size;
   const std::uint32_t length = static_cast<std::uint32_t>(payload_size);
-  put_u32(put_u32(frame, length), crc32(frame + kFrameHeader, length));
+  wire::put_u32(wire::put_u32(frame, length),
+                crc32(frame + kFrameHeader, length));
   const AppendResult result{next_seq_++, frame_size};
   ++appends_;
   ++appends_since_sync_;
   bytes_appended_ += frame_size;
-  // Group commit: frames reach the kernel in one write() per flush or
-  // hand-off, and every sync writes what is buffered first.
+  // Group commit: frames reach the syncer in one hand-off per interval or
+  // per kFlushThreshold bytes; kEveryRecord syncs each record before the
+  // append returns.
   if (policy_ == FsyncPolicy::kEveryRecord) {
     sync_locked();
   } else if (policy_ == FsyncPolicy::kInterval &&
              appends_since_sync_ >= fsync_interval_) {
     hand_off_locked(/*sync=*/true);
   } else if (active_.size() >= kFlushThreshold) {
-    if (syncer_.joinable()) {
-      hand_off_locked(/*sync=*/false);
-    } else {
-      flush_locked();
-    }
+    hand_off_locked(/*sync=*/false);
   }
   return result;
 }
 
-// Inline policies: hands active_ to the kernel (no fsync).
-void TripLogWriter::flush_locked() {
-  if (const int err = write_all(fd_, active_.data(), active_.size())) {
-    throw std::runtime_error(io_error("append", path_, err));
-  }
-  active_.clear();
-}
-
+// Hands off what is unsynced with an fdatasync and waits for the syncer.
 void TripLogWriter::sync_locked() {
   if (fd_ < 0) return;
-  if (syncer_.joinable()) {
-    if (appends_since_sync_ > 0) hand_off_locked(/*sync=*/true);
-    wait_idle_locked();
-    return;
-  }
-  if (appends_since_sync_ == 0) return;
-  flush_locked();
-  if (const int err = data_sync(fd_)) {
-    throw std::runtime_error(io_error("fsync", path_, err));
-  }
-  record_sync(next_seq_ - 1);
-  appends_since_sync_ = 0;
+  if (appends_since_sync_ > 0) hand_off_locked(/*sync=*/true);
+  wait_idle_locked();
 }
 
 // Swaps active_ with the syncer's idle buffer once the previous hand-off
@@ -457,8 +370,8 @@ void TripLogWriter::syncer_loop() {
     const std::uint64_t seq = in_flight_seq_;
     lock.unlock();
     std::string error;
-    if (const int err = write_all(fd_, in_flight_buffer_.data(),
-                                  in_flight_buffer_.size())) {
+    if (const int err = wire::write_all(fd_, in_flight_buffer_.data(),
+                                        in_flight_buffer_.size())) {
       error = io_error("append", path_, err);
     } else if (sync) {
       if (const int serr = data_sync(fd_)) {
@@ -492,14 +405,12 @@ void TripLogWriter::close() {
   } catch (...) {
     failure = std::current_exception();
   }
-  if (syncer_.joinable()) {
-    {
-      const std::lock_guard<std::mutex> sync_lock(sync_mutex_);
-      stop_ = true;
-    }
-    work_.notify_one();
-    syncer_.join();
+  {
+    const std::lock_guard<std::mutex> sync_lock(sync_mutex_);
+    stop_ = true;
   }
+  work_.notify_one();
+  syncer_.join();
   ::close(fd_);
   fd_ = -1;
   if (failure) std::rethrow_exception(failure);

@@ -95,16 +95,18 @@ WalScanResult scan_trip_log(const std::string& path, bool repair);
 /// segment has one writer in practice (the shard that owns it). The caller
 /// scans (and repairs) the segment first and seeds `next_seq` from the scan.
 ///
-/// Frames are encoded in place into an active buffer. Under kInterval a
-/// syncer thread owned by the writer does the disk work: every
-/// `fsync_interval` appends the caller swaps the active buffer with the
-/// syncer's idle one and carries on, while the syncer write()s it and
-/// calls fdatasync. The caller blocks only when the previous interval is
-/// still in flight at the next hand-off, so at most 2 × `fsync_interval`
-/// appended records are not yet durable. The syncer is then the only
-/// thread that writes to the file, so frames reach it in seq order; a
-/// failed write or sync is latched and thrown by the next append, sync()
-/// or close(). kNever and kEveryRecord do their I/O inline on the caller.
+/// Frames are encoded in place into an active buffer; a syncer thread
+/// owned by the writer does all the disk work. A hand-off swaps the active
+/// buffer with the syncer's idle one, which the syncer write()s and, when
+/// asked, fdatasyncs. The policy only picks when hand-offs happen and
+/// whether the append waits: kEveryRecord hands off with a sync on every
+/// append and waits for it; kInterval hands off with a sync every
+/// `fsync_interval` appends and blocks only when the previous interval is
+/// still in flight, so at most 2 × `fsync_interval` appended records are
+/// not yet durable; kNever hands off without a sync every kFlushThreshold
+/// bytes. The syncer is the only thread that writes to the file, so frames
+/// reach it in seq order; a failed write or sync is latched, never counted
+/// as synced, and thrown by the next append, sync() or close().
 class TripLogWriter {
  public:
   TripLogWriter(std::string path, FsyncPolicy policy,
@@ -123,8 +125,8 @@ class TripLogWriter {
 
   /// Assigns the next seq (the record's own is ignored), frames and
   /// appends the record, applies the fsync policy. Throws
-  /// std::runtime_error on I/O failure, inline or latched by the syncer
-  /// (an ingest tier must not silently drop durability).
+  /// std::runtime_error on an I/O failure latched by the syncer (an
+  /// ingest tier must not silently drop durability).
   AppendResult append(const WalRecord& record);
 
   /// Hot-path variants: same frame bytes as append() with a WalRecord of
@@ -156,14 +158,13 @@ class TripLogWriter {
 
  private:
   /// Group-commit write() granularity: frames buffer in user space up to
-  /// this many bytes; sync()/close() (and the fsync policies) flush first,
-  /// so every durability bound holds.
+  /// this many bytes before an unsynced hand-off; every synced hand-off
+  /// carries what is buffered, so every durability bound holds.
   static constexpr std::size_t kFlushThreshold = 256 * 1024;
 
   void check_open_locked();
   std::uint8_t* frame_locked(std::size_t payload_size);
   AppendResult commit_frame_locked(std::size_t payload_size);
-  void flush_locked();
   void sync_locked();
   void hand_off_locked(bool sync);
   void wait_idle_locked();
@@ -196,7 +197,7 @@ class TripLogWriter {
   std::atomic<std::uint64_t> fsyncs_{0};
   std::atomic<std::uint64_t> synced_seq_{0};
   std::atomic<Counter*> fsync_counter_{nullptr};
-  std::thread syncer_;  ///< kInterval only; last, after what it uses
+  std::thread syncer_;  ///< last, after everything it uses
 };
 
 }  // namespace bussense

@@ -28,10 +28,14 @@ constexpr double kFocusMatchTolerance = 0.25;
 constexpr double kFocusClipLead = 2.5;
 constexpr double kFocusClipTail = 1.0;
 
-/// Riders per parallel work unit. Fixed (never derived from the thread
-/// count) so the block decomposition — and therefore the output — is
-/// identical at any pool size.
-constexpr std::int64_t kRiderBlock = 1024;
+/// Riders per parallel work unit: a 64th of the range, at most 1024, so a
+/// small population still spreads over the pool. Derived from the rider
+/// count only, never from the thread count, so the block decomposition is
+/// identical at any pool size (and the output, sorted by a total order,
+/// does not depend on it at all).
+std::int64_t rider_block(std::int64_t riders) {
+  return std::clamp<std::int64_t>((riders + 63) / 64, 1, 1024);
+}
 
 /// Ground truth of a one-leg ride, before its samples are known.
 TripGroundTruth ride_header(const BusRoute& route, int board, int alight) {
@@ -418,12 +422,14 @@ std::vector<LodTrip> LodWorld::simulate_day_range(int day,
     throw std::invalid_argument("simulate_day_range: bad rider range");
   }
   const std::int64_t total = rider_end - rider_begin;
+  const std::int64_t block_riders = rider_block(total);
   const std::size_t blocks =
-      static_cast<std::size_t>((total + kRiderBlock - 1) / kRiderBlock);
+      static_cast<std::size_t>((total + block_riders - 1) / block_riders);
   std::vector<std::vector<LodTrip>> per_block(blocks);
   const auto body = [&](std::size_t b) {
-    const std::int64_t lo = rider_begin + static_cast<std::int64_t>(b) * kRiderBlock;
-    const std::int64_t hi = std::min(lo + kRiderBlock, rider_end);
+    const std::int64_t lo =
+        rider_begin + static_cast<std::int64_t>(b) * block_riders;
+    const std::int64_t hi = std::min(lo + block_riders, rider_end);
     std::vector<LodTrip>& block = per_block[b];
     for (std::int64_t rider = lo; rider < hi; ++rider) {
       std::vector<LodTrip> trips = simulate_rider_day(rider, day);

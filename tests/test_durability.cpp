@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -317,8 +318,8 @@ TEST(TripLogWriter, SameInputYieldsByteIdenticalLogs) {
   EXPECT_FALSE(missing.torn);
 }
 
-// Under kInterval the syncer writes what the inline policies write, and
-// an appender is never more than two intervals ahead of the disk. The
+// Under kInterval the syncer writes the bytes kNever writes, and an
+// appender is never more than two intervals ahead of the disk. The
 // long-interval writer hands its buffer over at the 256 KiB flush mark
 // instead, without a sync.
 TEST(TripLogWriter, IntervalSyncerKeepsBytesAndLossBound) {
@@ -372,29 +373,55 @@ TEST(TripLogWriter, IntervalSyncerKeepsBytesAndLossBound) {
   EXPECT_EQ(read_bytes(dir.path / "flushing.wal"), expected);
 }
 
-// A write the syncer cannot make (EFBIG past a small RLIMIT_FSIZE, which
-// needs no privileges) is latched: the next append, sync() and close()
-// throw, the failed interval is never reported as synced, and on a shard
-// the failed appends count as worker errors. Runs in a forked child so
-// the limit stays out of the test runner.
+using Check = std::function<void(bool ok, const char* name)>;
+
+constexpr ::rlim_t kFileSizeCap = 16 * 1024;
+
+// Runs `body` in a forked child whose files cannot grow past kFileSizeCap
+// (RLIMIT_FSIZE: a write past it fails with EFBIG and needs no
+// privileges), so the limit stays out of the test runner. `body` reports
+// each property through `check`; returns the names of those that did not
+// hold, space-separated ("" when all did).
+std::string failed_checks_under_file_size_cap(
+    const std::function<void(const Check&)>& body) {
+  int fds[2];
+  if (::pipe(fds) != 0) return "pipe";
+  const ::pid_t pid = ::fork();
+  if (pid < 0) return "fork";
+  if (pid == 0) {
+    ::close(fds[0]);
+    std::string failed;
+    const Check check = [&](bool ok, const char* name) {
+      if (!ok) failed += std::string(name) + " ";
+    };
+    const ::rlimit cap{kFileSizeCap, kFileSizeCap};
+    check(::setrlimit(RLIMIT_FSIZE, &cap) == 0, "setrlimit");
+    std::signal(SIGXFSZ, SIG_IGN);
+    body(check);
+    ::_exit(write_full(fds[1], failed.data(), failed.size()) ? 0 : 1);
+  }
+  ::close(fds[1]);
+  std::string failed(4096, '\0');
+  failed.resize(read_full(fds[0], failed.data(), failed.size()));
+  ::close(fds[0]);
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    return "child-status-" + std::to_string(status);
+  }
+  return failed;
+}
+
+// A write the syncer cannot make (EFBIG past the file size cap) is
+// latched: the next append, sync() and close() throw, the failed interval
+// is never reported as synced, and on a shard the failed appends count as
+// worker errors.
 TEST(TripLogWriter, SyncerWriteFailureIsLatchedAndNeverSynced) {
   const Testbed& bed = testbed();
   const auto& uploads = sorted_uploads();
   TempDir dir;
   const std::string log = (dir.path / "capped.wal").string();
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  const ::pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::close(fds[0]);
-    std::string failed;  // the checks that did not hold, space-separated
-    const auto check = [&](bool ok, const char* name) {
-      if (!ok) failed += std::string(name) + " ";
-    };
-    const ::rlimit cap{16 * 1024, 16 * 1024};
-    check(::setrlimit(RLIMIT_FSIZE, &cap) == 0, "setrlimit");
-    std::signal(SIGXFSZ, SIG_IGN);
+  EXPECT_EQ(failed_checks_under_file_size_cap([&](const Check& check) {
     {
       TripLogWriter writer(log, FsyncPolicy::kInterval, 4, 1);
       bool threw = false;
@@ -449,16 +476,102 @@ TEST(TripLogWriter, SyncerWriteFailureIsLatchedAndNeverSynced) {
       }
       check(close_threw, "service-close-throws");
     }
-    ::_exit(write_full(fds[1], failed.data(), failed.size()) ? 0 : 1);
+  }), "");
+}
+
+// The same latch serves the other policies. Under kEveryRecord the append
+// whose record cannot be written throws itself, with every earlier record
+// synced; under kNever the appends only buffer, so the sync() barrier and
+// close() throw. No policy ever reports a seq synced that is not on disk.
+TEST(TripLogWriter, WriteFailureIsLatchedUnderEveryPolicy) {
+  const auto& uploads = sorted_uploads();
+  TempDir dir;
+  const std::string every_log = (dir.path / "every.wal").string();
+  const std::string never_log = (dir.path / "never.wal").string();
+  const auto throws = [](auto&& op) {
+    try {
+      op();
+    } catch (const std::runtime_error&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_EQ(failed_checks_under_file_size_cap([&](const Check& check) {
+    {
+      TripLogWriter writer(every_log, FsyncPolicy::kEveryRecord, 1, 1);
+      std::uint64_t failed_seq = 0;
+      for (std::size_t i = 0; i < 4 * uploads.size() && failed_seq == 0; ++i) {
+        if (throws([&] {
+              writer.append(trip_record(uploads[i % uploads.size()]));
+            })) {
+          failed_seq = writer.last_seq();
+        }
+      }
+      check(failed_seq > 1, "every-append-throws");
+      check(writer.synced_seq() + 1 == failed_seq, "every-earlier-synced");
+      check(throws([&] { writer.append_time_mark(0.0); }),
+            "every-next-append-throws");
+      check(throws([&] { writer.sync(); }), "every-sync-throws");
+      check(throws([&] { writer.close(); }), "every-close-throws");
+      const WalScanResult scan = scan_trip_log(every_log, /*repair=*/false);
+      check(scan.next_seq - 1 == writer.synced_seq(), "every-synced-on-disk");
+      check(scan.torn, "every-failed-record-torn");
+    }
+    {
+      TripLogWriter writer(never_log, FsyncPolicy::kNever, 256, 1);
+      bool append_threw = false;
+      for (std::size_t i = 0;
+           writer.bytes_appended() < 4 * kFileSizeCap && !append_threw; ++i) {
+        append_threw = throws([&] {
+          writer.append(trip_record(uploads[i % uploads.size()]));
+        });
+      }
+      check(!append_threw, "never-appends-only-buffer");
+      check(throws([&] { writer.sync(); }), "never-sync-throws");
+      check(throws([&] { writer.close(); }), "never-close-throws");
+      check(writer.synced_seq() == 0, "never-nothing-synced");
+      const WalScanResult scan = scan_trip_log(never_log, /*repair=*/false);
+      check(scan.next_seq - 1 < writer.last_seq(), "never-log-is-short");
+    }
+  }), "");
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+// The on-disk bytes are a compatibility contract: a WAL segment and a
+// checkpoint written by a 1-shard durable service over a fixed slice of
+// the testbed day must not move under any fsync policy. Re-pinning these
+// needs a format change stated in CHANGES.md.
+TEST(DurableBytes, WalAndCheckpointDigestsPinned) {
+  const Testbed& bed = testbed();
+  const auto& uploads = sorted_uploads();
+  ASSERT_GE(uploads.size(), 60u);
+  for (const FsyncPolicy policy : {FsyncPolicy::kNever, FsyncPolicy::kInterval,
+                                   FsyncPolicy::kEveryRecord}) {
+    TempDir dir;
+    ServerConfig cfg = durable_config(dir.str(), true, policy);
+    cfg.durability.fsync_interval_records = 4;
+    ShardedIngestService service(bed.world.city(), bed.database, cfg,
+                                 sharding(1));
+    service.open();
+    for (std::size_t i = 0; i < 60; ++i) {
+      if (i == 40) service.advance_time(uploads[40].samples.front().time);
+      ASSERT_TRUE(service.process_trip(uploads[i]).accepted());
+    }
+    EXPECT_EQ(service.checkpoint(), 1u);
+    service.close();
+    const auto wal = read_bytes(dir.path / "trips-0000.wal");
+    const auto ckpt =
+        read_bytes(dir.path / "checkpoint-00000000000000000001.ckpt");
+    EXPECT_EQ(wal.size(), 94853u) << to_string(policy);
+    EXPECT_EQ(fnv1a(wal), 0x0efb17858cef7979ULL) << to_string(policy);
+    EXPECT_EQ(ckpt.size(), 10530u) << to_string(policy);
+    EXPECT_EQ(fnv1a(ckpt), 0x709ab60e2daa0b4fULL) << to_string(policy);
   }
-  ::close(fds[1]);
-  std::string failed(4096, '\0');
-  failed.resize(read_full(fds[0], failed.data(), failed.size()));
-  ::close(fds[0]);
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
-  EXPECT_EQ(failed, "");
 }
 
 // Every truncation point of the log yields the longest valid prefix;
@@ -680,6 +793,71 @@ TEST(Checkpoint, PruneKeepsOnlyTheNewest) {
   }
   EXPECT_EQ(remaining, 2u);
   EXPECT_EQ(load_latest_checkpoint(dir.str())->id, 5u);
+}
+
+// Every strict prefix and a single-bit flip of every byte of a real
+// checkpoint fail to decode: the magic, the CRC or the decoder catches
+// each, so no torn or corrupt file is ever partly restored.
+TEST(Checkpoint, EveryPrefixAndBitFlipFailsToDecode) {
+  const Testbed& bed = testbed();
+  const auto& uploads = sorted_uploads();
+  TempDir dir;
+  ShardedIngestService service(bed.world.city(), bed.database,
+                               durable_config(dir.str(), true), sharding(1));
+  service.open();
+  for (std::size_t i = 0; i < std::min<std::size_t>(uploads.size(), 30); ++i) {
+    service.process_trip(uploads[i]);
+  }
+  const std::uint64_t id = service.checkpoint();
+  service.close();
+  const auto loaded = load_latest_checkpoint(dir.str());
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_FALSE(loaded->state.fusion.empty());
+  const std::vector<std::uint8_t> bytes = encode_checkpoint(id, loaded->state);
+
+  std::uint64_t ignored_id = 0;
+  CheckpointState ignored;
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(decode_checkpoint(bytes.data(), cut, &ignored_id, &ignored))
+        << "cut " << cut;
+  }
+  std::vector<std::uint8_t> corrupt = bytes;
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    const std::uint8_t mask = static_cast<std::uint8_t>(1u << (pos % 8));
+    corrupt[pos] ^= mask;
+    EXPECT_FALSE(decode_checkpoint(corrupt.data(), corrupt.size(), &ignored_id,
+                                   &ignored))
+        << "pos " << pos;
+    corrupt[pos] ^= mask;
+  }
+  EXPECT_TRUE(decode_checkpoint(corrupt.data(), corrupt.size(), &ignored_id,
+                                &ignored));
+}
+
+// A save that cannot write its file (EFBIG past the file size cap) throws
+// and removes its temp file; nothing else would, since only `.ckpt` names
+// are ever listed.
+TEST(Checkpoint, FailedSaveLeavesNoTempFile) {
+  TempDir dir;
+  CheckpointState big;
+  big.covers_seq.assign(2 * kFileSizeCap / 8, 7);  // twice the cap
+  CheckpointState small;
+  small.covers_seq = {3};
+  EXPECT_EQ(failed_checks_under_file_size_cap([&](const Check& check) {
+    bool threw = false;
+    try {
+      save_checkpoint_file(dir.str(), 1, big);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+    check(threw, "save-throws");
+    save_checkpoint_file(dir.str(), 2, small);
+    for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
+      check(e.path().extension() != ".tmp", "tmp-left-behind");
+    }
+    const auto loaded = load_latest_checkpoint(dir.str());
+    check(loaded.has_value() && loaded->id == 2, "small-save-loads");
+  }), "");
 }
 
 // --------------------------------------------------------------- lifecycle

@@ -108,6 +108,22 @@ TEST(LodDeterminism, DayStreamByteIdenticalAtAnyThreadCount) {
   }
 }
 
+// A population smaller than one of the large rider blocks is still cut
+// into many blocks, so it spreads over the pool; the cut depends on the
+// rider count only, so the bytes do not depend on the thread count.
+TEST(LodDeterminism, SmallDayByteIdenticalAt1And4Threads) {
+  const LodWorld lod(test_world(), 200, small_lod_config());
+  const auto text_at = [&](unsigned threads) {
+    ThreadPool pool(threads);
+    const std::vector<LodTrip> trips = lod.simulate_day(0, &pool);
+    EXPECT_GT(trips.size(), 50u) << threads << " threads";
+    std::ostringstream text;
+    LodWorld::write_stream(text, trips);
+    return text.str();
+  };
+  EXPECT_EQ(text_at(4), text_at(1));
+}
+
 // The day stream is the input every LOD benchmark replays, so optimising
 // the generator must not move it: a drifted stream would make before/after
 // benchmark numbers measure different workloads. The digest was taken

@@ -40,6 +40,12 @@ struct CityParams {
   std::vector<std::string> routes;
 };
 
+// Names each case (and its ctest id) by its geometry and seed, e.g.
+// "7000x4000_seed7", instead of by raw bytes that include heap pointers.
+void PrintTo(const CityParams& p, std::ostream* os) {
+  *os << p.width << 'x' << p.height << "_seed" << p.seed;
+}
+
 class CityInvariants : public ::testing::TestWithParam<CityParams> {};
 
 TEST_P(CityInvariants, HoldAcrossConfigurations) {
