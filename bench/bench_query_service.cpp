@@ -383,18 +383,17 @@ void report() {
     Table mt({"family", "queries", "p50", "p99"});
     std::ostringstream mrows;
     bool mfirst = true;
-    for (const auto& [family, name] :
-         std::vector<std::pair<std::string, std::string>>{
-             {"segment", "query.latency.segment"},
-             {"eta", "query.latency.eta"},
-             {"region", "query.latency.region"}}) {
-      const auto& h = snap.histograms.at(name);
-      mt.add_row({family, std::to_string(h.total),
+    // Query counts from the exact counters: the latency histograms hold a
+    // one-in-64 sample of the queries.
+    for (const std::string family : {"segment", "eta", "region"}) {
+      const std::uint64_t queries = snap.counters.at("queries." + family);
+      const auto& h = snap.histograms.at("query.latency." + family);
+      mt.add_row({family, std::to_string(queries),
                   Fmt::fixed(1e6 * h.percentile(0.50), 2) + " us",
                   Fmt::fixed(1e6 * h.percentile(0.99), 2) + " us"});
       if (!mfirst) mrows << ", ";
       mfirst = false;
-      mrows << "{\"family\": \"" << family << "\", \"queries\": " << h.total
+      mrows << "{\"family\": \"" << family << "\", \"queries\": " << queries
             << ", \"p50_s\": " << num(h.percentile(0.50))
             << ", \"p99_s\": " << num(h.percentile(0.99)) << "}";
     }

@@ -12,9 +12,11 @@
 # additionally builds the concurrency-sensitive suites under TSan in
 # build-tsan/ and runs the binaries directly: test_ingest_service (the
 # sharded front end's backpressure, shutdown and interleaved-ops
-# bit-identity properties) and test_robustness (multi-producer sharded
+# bit-identity properties), test_robustness (multi-producer sharded
 # ingest against the serial server, snapshots racing the shard
-# consumers). Off by default -- TSan builds are ~10x slower.
+# consumers) and test_metrics (more recording threads than metric cells
+# while another thread snapshots; two readers sharing one QueryService).
+# Off by default -- TSan builds are ~10x slower.
 #
 # Optional sharded-ingest stage: BUSSENSE_SHARDED=ON ./scripts/tier1.sh
 # builds the sharded ingest suites under TSan in build-tsan/ and runs the
@@ -116,13 +118,15 @@ begin_stage "ctest"
 end_stage
 
 if [[ "${BUSSENSE_SANITIZE:-}" == "ON" ]]; then
-  begin_stage "TSan concurrency (test_ingest_service, test_robustness)"
+  begin_stage "TSan concurrency (test_ingest_service, test_robustness, test_metrics)"
   cmake -B build-tsan -S . -DBUSSENSE_SANITIZE=thread
-  cmake --build build-tsan -j --target test_ingest_service test_robustness
+  cmake --build build-tsan -j --target test_ingest_service test_robustness \
+    test_metrics
   # Run the binaries directly: a partial TSan build registers no stale
   # ctest placeholders for the targets we skipped.
   ./build-tsan/tests/test_ingest_service
   ./build-tsan/tests/test_robustness
+  ./build-tsan/tests/test_metrics
   end_stage
 fi
 

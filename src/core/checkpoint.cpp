@@ -292,16 +292,26 @@ DurabilityManager::Recovery DurabilityManager::open() {
         std::to_string(segment_count_));
   };
   std::size_t written = 0;
+  std::vector<std::filesystem::path> stale_temps;
   for (const auto& entry :
        std::filesystem::directory_iterator(config_.directory)) {
+    const std::string name = entry.path().filename().string();
     unsigned index = 0;
     char trailing = 0;
-    if (std::sscanf(entry.path().filename().c_str(), "trips-%u.wal%c", &index,
-                    &trailing) == 1) {
+    if (std::sscanf(name.c_str(), "trips-%u.wal%c", &index, &trailing) == 1) {
       written = std::max<std::size_t>(written, index + std::size_t{1});
+    }
+    if (name.starts_with("checkpoint-") && name.ends_with(".tmp")) {
+      stale_temps.push_back(entry.path());
     }
   }
   if (written > segment_count_) throw refuse(written);
+  // A save that crashed before its rename leaves its temp file behind, and
+  // nothing else lists `.tmp` names: remove them here.
+  for (const auto& path : stale_temps) {
+    std::error_code ignored;
+    std::filesystem::remove(path, ignored);
+  }
 
   Recovery recovery;
   recovery.checkpoint = load_latest_checkpoint(config_.directory);

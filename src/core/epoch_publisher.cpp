@@ -351,9 +351,8 @@ void EpochPublisher::Pin::release() {
 }
 
 std::uint64_t EpochPublisher::publish_map(TrafficMap map) {
-  return publish_impl(std::move(map),
-                      inst_.build_s ? monotonic_time_s() : 0.0,
-                      config_.max_age_s);
+  const ScopedTimer timer(inst_.build_s);
+  return publish_impl(std::move(map), config_.max_age_s);
 }
 
 std::uint64_t EpochPublisher::publish_from(const SpeedFusion& fusion,
@@ -363,14 +362,13 @@ std::uint64_t EpochPublisher::publish_from(const SpeedFusion& fusion,
 
 std::uint64_t EpochPublisher::publish_from(const SpeedFusion& fusion,
                                            SimTime now, double max_age_s) {
-  const double t0 = inst_.build_s ? monotonic_time_s() : 0.0;
+  const ScopedTimer timer(inst_.build_s);
   return publish_impl(
-      TrafficMap::snapshot_visiting(fusion, catalog(), now, max_age_s), t0,
+      TrafficMap::snapshot_visiting(fusion, catalog(), now, max_age_s),
       max_age_s);
 }
 
-std::uint64_t EpochPublisher::publish_impl(TrafficMap map, double start_s,
-                                           double max_age_s) {
+std::uint64_t EpochPublisher::publish_impl(TrafficMap map, double max_age_s) {
   // Snapshot construction (index, overlay, aggregates) runs outside the
   // publish lock; only the id assignment, swap and reclaim serialize.
   // Not make_unique: the snapshot ctor is private to this friend class.
@@ -391,7 +389,6 @@ std::uint64_t EpochPublisher::publish_impl(TrafficMap map, double start_s,
     if (inst_.published) inst_.published->inc();
     reclaim_locked();
   }
-  if (inst_.build_s) inst_.build_s->record(monotonic_time_s() - start_s);
   return id;
 }
 

@@ -315,7 +315,7 @@ class EpochPublisher {
 
   LocalPin& local_pin() const;
   void unpin() const;
-  std::uint64_t publish_impl(TrafficMap map, double start_s, double max_age_s);
+  std::uint64_t publish_impl(TrafficMap map, double max_age_s);
   std::size_t reclaim_locked();
   std::size_t count_pinned_locked(
       std::vector<const EpochSnapshot*>* hazards) const;

@@ -22,7 +22,7 @@ QueryService::QueryService(const EpochPublisher& publisher,
 }
 
 SegmentSpeedResult QueryService::segment_speed(const SegmentKey& key) const {
-  const double t0 = inst_.lat_segment ? monotonic_time_s() : 0.0;
+  const ScopedTimer timer(sampled(inst_.lat_segment));
   SegmentSpeedResult out;
   if (const EpochPublisher::Pin p = publisher_->pin()) {
     out.epoch_id = p->id();
@@ -38,13 +38,12 @@ SegmentSpeedResult QueryService::segment_speed(const SegmentKey& key) const {
     inst_.no_epoch->inc();
   }
   if (inst_.segment) inst_.segment->inc();
-  if (inst_.lat_segment) inst_.lat_segment->record(monotonic_time_s() - t0);
   return out;
 }
 
 RouteEtaResult QueryService::route_eta(const BusRoute& route, int from_index,
                                        SimTime departure) const {
-  const double t0 = inst_.lat_eta ? monotonic_time_s() : 0.0;
+  const ScopedTimer timer(sampled(inst_.lat_eta));
   RouteEtaResult out;
   if (const EpochPublisher::Pin p = publisher_->pin()) {
     out.epoch_id = p->id();
@@ -64,12 +63,11 @@ RouteEtaResult QueryService::route_eta(const BusRoute& route, int from_index,
         /*now=*/departure);
   }
   if (inst_.eta) inst_.eta->inc();
-  if (inst_.lat_eta) inst_.lat_eta->record(monotonic_time_s() - t0);
   return out;
 }
 
 RegionAggregate QueryService::region_aggregate(const BoundingBox& box) const {
-  const double t0 = inst_.lat_region ? monotonic_time_s() : 0.0;
+  const ScopedTimer timer(sampled(inst_.lat_region));
   RegionAggregate out;
   if (const EpochPublisher::Pin p = publisher_->pin()) {
     out = p->region(box);
@@ -77,13 +75,12 @@ RegionAggregate QueryService::region_aggregate(const BoundingBox& box) const {
     inst_.no_epoch->inc();
   }
   if (inst_.region) inst_.region->inc();
-  if (inst_.lat_region) inst_.lat_region->record(monotonic_time_s() - t0);
   return out;
 }
 
 KNearestResult QueryService::k_nearest_live_segments(Point p,
                                                      std::size_t k) const {
-  const double t0 = inst_.lat_knearest ? monotonic_time_s() : 0.0;
+  const ScopedTimer timer(sampled(inst_.lat_knearest));
   KNearestResult out;
   if (const EpochPublisher::Pin pin = publisher_->pin()) {
     out.epoch_id = pin->id();
@@ -93,9 +90,6 @@ KNearestResult QueryService::k_nearest_live_segments(Point p,
     inst_.no_epoch->inc();
   }
   if (inst_.knearest) inst_.knearest->inc();
-  if (inst_.lat_knearest) {
-    inst_.lat_knearest->record(monotonic_time_s() - t0);
-  }
   return out;
 }
 

@@ -18,8 +18,15 @@
 // Results are stamped with the answering epoch's id and time, so callers
 // can detect staleness and correlate across queries. The service is
 // stateless apart from cached instrument pointers: one QueryService can be
-// shared by any number of threads, or each thread can own one — metrics
+// shared by any number of threads, or each thread can own one — each
+// thread records into its own cells of the shared instruments, and
 // registries merge deterministically either way.
+//
+// Instruments cost a query a few nanoseconds: every query bumps its
+// family's counter (exact), and each latency histogram times one query in
+// BucketHistogram::kSampleEvery per thread (the thread's first included),
+// so the other queries read no clock. A histogram's `total` counts the
+// timed queries; the `queries.*` counters count them all.
 #pragma once
 
 #include <memory>
@@ -102,7 +109,8 @@ class QueryService {
 
   /// Query-side instruments: queries.{segment,eta,region,knearest}
   /// counters, queries.no_epoch, query.latency.{segment,eta,region,
-  /// knearest} histograms. Empty when observability is disabled.
+  /// knearest} histograms (sampled, one query in 64 per thread). Empty
+  /// when observability is disabled.
   const MetricsRegistry& metrics() const { return *metrics_; }
   MetricsRegistry& metrics_registry() { return *metrics_; }
 

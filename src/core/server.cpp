@@ -92,8 +92,8 @@ TripReport report_of(TripScratch& scratch,
 
 void TrafficServer::match_into(const TripUpload& trip,
                                std::vector<MatchedSample>& out,
-                               std::size_t& rejected) const {
-  const double start = inst_.match_s ? monotonic_time_s() : 0.0;
+                               std::size_t& rejected, bool timed) const {
+  const ScopedTimer timer(timed ? inst_.match_s : nullptr);
   out.clear();
   rejected = 0;
   MatchStats stats;
@@ -121,8 +121,7 @@ void TrafficServer::match_into(const TripUpload& trip,
   if (!std::is_sorted(out.begin(), out.end(), earlier)) {
     std::sort(out.begin(), out.end(), earlier);
   }
-  if (inst_.match_s) {
-    inst_.match_s->record(monotonic_time_s() - start);
+  if (inst_.samples_considered) {
     inst_.samples_considered->add(trip.samples.size());
     inst_.samples_rejected->add(rejected);
     inst_.samples_matched->add(out.size());
@@ -131,8 +130,9 @@ void TrafficServer::match_into(const TripUpload& trip,
 
 void TrafficServer::cluster_into(std::span<const MatchedSample> matched,
                                  std::vector<SampleCluster>& out,
-                                 ClusteringScratch& scratch) const {
-  const double start = inst_.cluster_s ? monotonic_time_s() : 0.0;
+                                 ClusteringScratch& scratch,
+                                 bool timed) const {
+  const ScopedTimer timer(timed ? inst_.cluster_s : nullptr);
   if (config_.stages.clustering) {
     bussense::cluster_samples(matched, config_.clustering, out, scratch);
   } else {
@@ -144,15 +144,13 @@ void TrafficServer::cluster_into(std::span<const MatchedSample> matched,
                                   {StopCandidate{m.stop, 1.0, m.score}}});
     }
   }
-  if (inst_.cluster_s) {
-    inst_.cluster_s->record(monotonic_time_s() - start);
-    inst_.clusters->add(out.size());
-  }
+  if (inst_.clusters) inst_.clusters->add(out.size());
 }
 
 void TrafficServer::map_into(std::span<const SampleCluster> clusters,
-                             MappedTrip& out, MapperScratch& scratch) const {
-  const double start = inst_.map_s ? monotonic_time_s() : 0.0;
+                             MappedTrip& out, MapperScratch& scratch,
+                             bool timed) const {
+  const ScopedTimer timer(timed ? inst_.map_s : nullptr);
   if (config_.stages.trip_mapping) {
     mapper_.map_trip(clusters, out, scratch);
   } else {
@@ -166,28 +164,26 @@ void TrafficServer::map_into(std::span<const SampleCluster> clusters,
                                         c.departure});
     }
   }
-  if (inst_.map_s) inst_.map_s->record(monotonic_time_s() - start);
 }
 
 void TrafficServer::analyze(const TripUpload& trip, TripScratch& scratch,
-                            std::vector<SpeedEstimate>& out) const {
-  match_into(trip, scratch.matched, scratch.rejected_samples);
-  cluster_into(scratch.matched, scratch.clusters, scratch.clustering);
-  map_into(scratch.clusters, scratch.mapped, scratch.mapping);
-  const double start = inst_.estimate_s ? monotonic_time_s() : 0.0;
+                            std::vector<SpeedEstimate>& out, bool timed) const {
+  match_into(trip, scratch.matched, scratch.rejected_samples, timed);
+  cluster_into(scratch.matched, scratch.clusters, scratch.clustering, timed);
+  map_into(scratch.clusters, scratch.mapped, scratch.mapping, timed);
   const std::size_t before = out.size();
-  estimator_.estimate(scratch.mapped, out);
-  if (inst_.estimate_s) {
-    inst_.estimate_s->record(monotonic_time_s() - start);
-    inst_.estimates->add(out.size() - before);
+  {
+    const ScopedTimer timer(timed ? inst_.estimate_s : nullptr);
+    estimator_.estimate(scratch.mapped, out);
   }
+  if (inst_.estimates) inst_.estimates->add(out.size() - before);
 }
 
 std::vector<MatchedSample> TrafficServer::match_samples(
     const TripUpload& trip, std::size_t* rejected) const {
   std::vector<MatchedSample> matched;
   std::size_t dropped = 0;
-  match_into(trip, matched, dropped);
+  match_into(trip, matched, dropped, sampled(inst_.match_s) != nullptr);
   if (rejected) *rejected = dropped;
   return matched;
 }
@@ -196,7 +192,8 @@ std::vector<SampleCluster> TrafficServer::cluster_samples(
     std::span<const MatchedSample> matched) const {
   std::vector<SampleCluster> clusters;
   ClusteringScratch scratch;
-  cluster_into(matched, clusters, scratch);
+  cluster_into(matched, clusters, scratch,
+               sampled(inst_.cluster_s) != nullptr);
   return clusters;
 }
 
@@ -204,33 +201,33 @@ MappedTrip TrafficServer::map_trip(
     std::span<const SampleCluster> clusters) const {
   MappedTrip trip;
   MapperScratch scratch;
-  map_into(clusters, trip, scratch);
+  map_into(clusters, trip, scratch, sampled(inst_.map_s) != nullptr);
   return trip;
 }
 
 TripReport TrafficServer::analyze_trip(const TripUpload& trip) const {
   TripScratch scratch;
   std::vector<SpeedEstimate> estimates;
-  analyze(trip, scratch, estimates);
+  analyze(trip, scratch, estimates, sampled(inst_.trip_s) != nullptr);
   return report_of(scratch, std::move(estimates));
 }
 
 void TrafficServer::process_admitted(const TripUpload& trip,
                                      TripScratch& scratch,
                                      std::vector<SpeedEstimate>& out) {
-  const double start = inst_.trip_s ? monotonic_time_s() : 0.0;
-  analyze(trip, scratch, out);
-  trips_processed_.fetch_add(1, std::memory_order_relaxed);
-  if (inst_.trip_s) {
-    inst_.trip_s->record(monotonic_time_s() - start);
-    inst_.trips->inc();
+  // One sampling decision per trip: a timed trip times all of its stages.
+  BucketHistogram* const trip_s = sampled(inst_.trip_s);
+  {
+    const ScopedTimer timer(trip_s);
+    analyze(trip, scratch, out, trip_s != nullptr);
   }
+  trips_processed_.inc();
+  if (inst_.trips) inst_.trips->inc();
 }
 
 void TrafficServer::ingest(const std::vector<SpeedEstimate>& estimates) {
-  const double start = inst_.fold_s ? monotonic_time_s() : 0.0;
+  const ScopedTimer timer(inst_.fold_s);  // a batch per call: time every one
   fusion_.add(estimates);
-  if (inst_.fold_s) inst_.fold_s->record(monotonic_time_s() - start);
 }
 
 TripReport TrafficServer::process_trip(const TripUpload& trip) {
@@ -260,7 +257,8 @@ void TrafficServer::advance_time(SimTime now) {
 void TrafficServer::restore(const std::vector<FusionExportEntry>& fusion,
                             std::uint64_t trips_processed) {
   fusion_.restore_state(fusion);
-  trips_processed_.store(trips_processed, std::memory_order_relaxed);
+  // Quiescent, so the cells hold still: one add lands the sum exactly.
+  trips_processed_.add(trips_processed - trips_processed_.value());
 }
 
 TrafficMap TrafficServer::snapshot(SimTime now, double max_age_s) const {

@@ -22,10 +22,13 @@
 // 1-shard service is the durable serial path. Every pipeline stage
 // reports throughput, rejection counts and latency into the server's
 // MetricsRegistry (disable via ServerConfig::obs — results are
-// bit-identical either way).
+// bit-identical either way). The counters are exact; the per-trip stage
+// latencies (pipeline.{match,cluster,map,estimate,trip}_s) are sampled:
+// a thread times one trip in BucketHistogram::kSampleEvery, its first
+// included, and a timed trip times all of its stages. The per-batch fold
+// (fusion.fold_s) is timed on every call.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -168,22 +171,21 @@ class TrafficServer {
   const SegmentCatalog& catalog() const { return catalog_; }
   const SpeedFusion& fusion() const { return fusion_; }
   const RouteGraph& route_graph() const { return route_graph_; }
-  std::uint64_t trips_processed() const {
-    return trips_processed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t trips_processed() const { return trips_processed_.value(); }
 
  private:
-  /// The stages over caller buffers, each timed and counted.
+  /// The stages over caller buffers, each counted, and timed into its
+  /// latency histogram when `timed`.
   void match_into(const TripUpload& trip, std::vector<MatchedSample>& out,
-                  std::size_t& rejected) const;
+                  std::size_t& rejected, bool timed) const;
   void cluster_into(std::span<const MatchedSample> matched,
                     std::vector<SampleCluster>& out,
-                    ClusteringScratch& scratch) const;
+                    ClusteringScratch& scratch, bool timed) const;
   void map_into(std::span<const SampleCluster> clusters, MappedTrip& out,
-                MapperScratch& scratch) const;
+                MapperScratch& scratch, bool timed) const;
   /// match → cluster → map → estimate into `scratch` and `out`.
   void analyze(const TripUpload& trip, TripScratch& scratch,
-               std::vector<SpeedEstimate>& out) const;
+               std::vector<SpeedEstimate>& out, bool timed) const;
 
   const City* city_;
   StopDatabase database_;
@@ -195,7 +197,9 @@ class TrafficServer {
   TravelEstimator estimator_;
   SpeedFusion fusion_;
   std::unique_ptr<AdmissionController> admission_;
-  std::atomic<std::uint64_t> trips_processed_{0};
+  /// Per-thread cells, so the shard consumers never write one line; kept
+  /// with observability off too (checkpoints save it).
+  Counter trips_processed_;
 
   // Observability: instruments cached at construction; all null-checked so
   // the disabled path costs one branch. Owned registry exists either way

@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +19,55 @@ std::string num(double v) {
 
 }  // namespace
 
+namespace metrics_detail {
+
+namespace {
+
+static_assert(kMetricCells <= 32, "cells_held is a 32-bit mask");
+constexpr std::uint32_t kAllCells =
+    kMetricCells == 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << kMetricCells) - 1;
+
+std::atomic<std::uint32_t> cells_held{0};   ///< bit c: a live thread holds cell c
+std::atomic<unsigned> next_shared_cell{0};  ///< round-robin once all are held
+
+/// Returns the thread's cell to the free set when the thread exits.
+struct CellLease {
+  unsigned cell = kMetricCells;  ///< kMetricCells: a shared cell, not held
+  ~CellLease() {
+    if (cell < kMetricCells) {
+      cells_held.fetch_and(~(std::uint32_t{1} << cell), std::memory_order_relaxed);
+    }
+  }
+};
+thread_local CellLease lease;
+
+}  // namespace
+
+unsigned claim_cell() {
+  std::uint32_t held = cells_held.load(std::memory_order_relaxed);
+  while (held != kAllCells) {
+    const auto free = static_cast<unsigned>(std::countr_one(held));
+    if (cells_held.compare_exchange_weak(held, held | (std::uint32_t{1} << free),
+                                         std::memory_order_relaxed)) {
+      lease.cell = free;
+      this_thread_cell = free;
+      return free;
+    }
+  }
+  const unsigned shared =
+      next_shared_cell.fetch_add(1, std::memory_order_relaxed) % kMetricCells;
+  this_thread_cell = shared;
+  return shared;
+}
+
+}  // namespace metrics_detail
+
+std::uint64_t Counter::value() const {
+  std::uint64_t sum = 0;
+  for (const Cell& cell : cells_) sum += cell.value.load(std::memory_order_relaxed);
+  return sum;
+}
+
 BucketHistogram::BucketHistogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)) {
   if (bounds_.empty()) throw std::invalid_argument("BucketHistogram: no buckets");
@@ -25,16 +76,41 @@ BucketHistogram::BucketHistogram(std::vector<double> upper_bounds)
       throw std::invalid_argument("BucketHistogram: bounds must strictly increase");
     }
   }
-  counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i] = 0;
+  const std::size_t words = kFirstBucket + bounds_.size() + 1;
+  lines_per_cell_ = (words + kWordsPerLine - 1) / kWordsPerLine;
+  lines_ = std::make_unique<Line[]>(kMetricCells * lines_per_cell_);
+}
+
+std::size_t BucketHistogram::bucket_of(double value) const {
+  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
+  return static_cast<std::size_t>(it - bounds_.begin());
+}
+
+void BucketHistogram::add(std::size_t bucket, std::uint64_t sum_ns) {
+  const unsigned cell = metric_cell();
+  word(cell, kFirstBucket + bucket).fetch_add(1, std::memory_order_relaxed);
+  word(cell, kSumNs).fetch_add(sum_ns, std::memory_order_relaxed);
 }
 
 void BucketHistogram::record(double value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
-  total_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
+  // A negative value wraps; the sum is read back as two's complement.
+  add(bucket_of(value), static_cast<std::uint64_t>(std::llround(value * 1e9)));
+}
+
+void BucketHistogram::record_ns(std::uint64_t ns) {
+  add(bucket_of(static_cast<double>(ns) * 1e-9), ns);
+}
+
+std::uint64_t BucketHistogram::fold_cells(std::vector<std::uint64_t>& counts) const {
+  counts.assign(bounds_.size() + 1, 0);
+  std::uint64_t sum_ns = 0;
+  for (unsigned cell = 0; cell < kMetricCells; ++cell) {
+    sum_ns += word(cell, kSumNs).load(std::memory_order_relaxed);
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+      counts[b] += word(cell, kFirstBucket + b).load(std::memory_order_relaxed);
+    }
+  }
+  return sum_ns;
 }
 
 const std::vector<double>& BucketHistogram::default_latency_bounds_s() {
@@ -53,12 +129,9 @@ const std::vector<double>& BucketHistogram::default_latency_bounds_s() {
 BucketHistogram::Snapshot BucketHistogram::snapshot() const {
   Snapshot s;
   s.bounds = bounds_;
-  s.counts.resize(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    s.counts[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  s.total = total_.load(std::memory_order_relaxed);
-  s.sum = sum_.load(std::memory_order_relaxed);
+  const std::uint64_t sum_ns = fold_cells(s.counts);
+  for (const std::uint64_t n : s.counts) s.total += n;
+  s.sum = static_cast<double>(static_cast<std::int64_t>(sum_ns)) / 1e9;
   return s;
 }
 
@@ -86,14 +159,13 @@ void BucketHistogram::merge(const BucketHistogram& other) {
   if (bounds_ != other.bounds_) {
     throw std::invalid_argument("BucketHistogram::merge: bucket bounds differ");
   }
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    counts_[i].fetch_add(other.counts_[i].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
+  std::vector<std::uint64_t> counts;
+  const std::uint64_t sum_ns = other.fold_cells(counts);
+  const unsigned cell = metric_cell();
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    word(cell, kFirstBucket + b).fetch_add(counts[b], std::memory_order_relaxed);
   }
-  total_.fetch_add(other.total_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
+  word(cell, kSumNs).fetch_add(sum_ns, std::memory_order_relaxed);
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

@@ -860,6 +860,54 @@ TEST(Checkpoint, FailedSaveLeavesNoTempFile) {
   }), "");
 }
 
+// A crash between writing a checkpoint's temp file and renaming it leaves
+// the temp behind; open() removes it and recovers exactly as it would
+// have without it.
+TEST(Checkpoint, OpenRemovesStaleTempFiles) {
+  const Testbed& bed = testbed();
+  const auto& uploads = sorted_uploads();
+  const SimTime end = at_clock(1, 0, 0);
+  TempDir dir;
+  TempDir clean;
+  const ServerConfig cfg = durable_config(dir.str(), true);
+  {
+    ShardedIngestService service(bed.world.city(), bed.database, cfg, sharding(2));
+    service.open();
+    for (std::size_t i = 0; i < std::min<std::size_t>(uploads.size(), 40); ++i) {
+      service.process_trip(uploads[i]);
+    }
+    EXPECT_EQ(service.checkpoint(), 1u);
+    for (std::size_t i = 40; i < std::min<std::size_t>(uploads.size(), 60); ++i) {
+      service.process_trip(uploads[i]);
+    }
+    service.close();
+  }
+  std::filesystem::copy(dir.path, clean.path,
+                        std::filesystem::copy_options::recursive);
+  const std::filesystem::path stale =
+      dir.path / "checkpoint-00000000000000000002.ckpt.tmp";
+  write_bytes(stale, {1, 2, 3, 4});
+
+  const auto recover = [&](const std::string& path, RecoveryReport& report) {
+    ShardedIngestService service(bed.world.city(), bed.database,
+                                 durable_config(path, true), sharding(2));
+    report = service.open();
+    service.advance_time(end);
+    const std::string bytes = map_bytes(service.snapshot(end, kDay));
+    service.close();
+    return bytes;
+  };
+  RecoveryReport with_temp, without_temp;
+  const std::string recovered = recover(dir.str(), with_temp);
+  EXPECT_FALSE(std::filesystem::exists(stale));
+  EXPECT_EQ(recovered, recover(clean.str(), without_temp));
+  EXPECT_TRUE(with_temp.checkpoint_loaded);
+  EXPECT_EQ(with_temp.checkpoint_id, without_temp.checkpoint_id);
+  EXPECT_EQ(with_temp.replayed_trips, without_temp.replayed_trips);
+  EXPECT_EQ(with_temp.recovered_trips_per_segment,
+            without_temp.recovered_trips_per_segment);
+}
+
 // --------------------------------------------------------------- lifecycle
 
 TEST(DurableLifecycle, GuardsProcessTripOutsideOpenClose) {

@@ -250,9 +250,8 @@ TEST(MetricsRegistry, MergeIsDeterministicAcrossShardings) {
     snaps.push_back(merged.snapshot());
   }
   for (std::size_t i = 1; i < snaps.size(); ++i) {
-    // Counters, gauges, bucket counts and totals merge exactly; only the
-    // histogram's running sum is a float accumulation, which merges to
-    // within rounding (documented in obs/metrics.h).
+    // Counters, gauges, bucket counts, totals and the histogram's integer
+    // nanosecond sum all merge exactly (documented in obs/metrics.h).
     EXPECT_EQ(snaps[i].counters, snaps[0].counters);
     EXPECT_EQ(snaps[i].gauges, snaps[0].gauges);
     ASSERT_EQ(snaps[i].histograms.size(), snaps[0].histograms.size());
@@ -262,7 +261,7 @@ TEST(MetricsRegistry, MergeIsDeterministicAcrossShardings) {
     EXPECT_EQ(a.total, b.total);
     EXPECT_EQ(a.percentile(0.5), b.percentile(0.5));
     EXPECT_EQ(a.percentile(0.99), b.percentile(0.99));
-    EXPECT_NEAR(a.sum, b.sum, 1e-9 * a.sum);
+    EXPECT_EQ(a.sum, b.sum);
   }
 }
 
