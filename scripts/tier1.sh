@@ -26,9 +26,11 @@
 # barrier, and the whole CrashRecovery suite: durability lives only in
 # the sharded service, so every crash case, 1-shard included, runs shard
 # consumer threads against the WAL, and the SIGKILL case kills a forked
-# service with a WAL sync in flight), the TripLogWriter tests (the
-# hand-off from an appender to the segment's syncer thread, which does the
-# WAL I/O under all three fsync policies, and its latched write errors),
+# service whose WAL syncer is held between write() and fdatasync by
+# wal_test_seam, so the kill lands mid-sync in every build), the
+# TripLogWriter tests (the hand-off from an appender to the segment's
+# syncer thread, which does the WAL I/O under all three fsync policies,
+# and its latched write errors),
 # the Checkpoint tests (checkpoints taken from a running service, saves
 # that fail mid-write) and test_properties' ShardedIdentity
 # suite (shuffled hostile uploads handed through the recycled inbox slots
@@ -48,7 +50,10 @@
 # (the intrinsics paths get sanitizer coverage), then builds a
 # forced-scalar-fallback tree (-DBUSSENSE_SIMD=OFF) and reruns the same
 # suites — so non-AVX2/NEON hosts stay covered by the identical property
-# surface. Off by default.
+# surface. The matching suites are test_matching, test_matching_simd and
+# test_properties' matcher cases (the indexed-vs-brute-force equivalence,
+# the pipeline identity with the index off, the matching invariants and
+# the per-trip matcher counters). Off by default.
 #
 # Optional durability stage: BUSSENSE_DURABILITY=ON ./scripts/tier1.sh
 # builds the WAL + checkpoint/restore suite under ASan+UBSan in build-asan/
@@ -164,17 +169,23 @@ if [[ "${BUSSENSE_FAULTS:-}" == "ON" ]]; then
 fi
 
 if [[ "${BUSSENSE_SIMD:-}" == "ON" ]]; then
-  begin_stage "ASan+UBSan SIMD kernels (test_matching, test_matching_simd)"
+  # The seeded suites print as Seeds/<Suite>, hence the leading wildcards.
+  MATCHER_PROPERTIES='*IndexedMatcher*:*MatchingProperties*:MatcherMetrics*'
+  begin_stage "ASan+UBSan SIMD kernels (test_matching, test_matching_simd, test_properties matcher cases)"
   cmake -B build-asan -S . -DBUSSENSE_SANITIZE=address,undefined
-  cmake --build build-asan -j --target test_matching test_matching_simd
+  cmake --build build-asan -j --target test_matching test_matching_simd \
+    test_properties
   ./build-asan/tests/test_matching
   ./build-asan/tests/test_matching_simd
+  ./build-asan/tests/test_properties --gtest_filter="${MATCHER_PROPERTIES}"
   end_stage
   begin_stage "scalar-batch fallback (-DBUSSENSE_SIMD=OFF)"
   cmake -B build-scalar -S . -DBUSSENSE_SIMD=OFF
-  cmake --build build-scalar -j --target test_matching test_matching_simd
+  cmake --build build-scalar -j --target test_matching test_matching_simd \
+    test_properties
   ./build-scalar/tests/test_matching
   ./build-scalar/tests/test_matching_simd
+  ./build-scalar/tests/test_properties --gtest_filter="${MATCHER_PROPERTIES}"
   end_stage
 fi
 

@@ -1,7 +1,6 @@
 #include "core/stop_matcher.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -13,35 +12,36 @@ namespace {
 
 using QuantizedView = StopDatabase::QuantizedView;
 
-// A record sharing cells with the sample: shared-cell occurrence count.
-struct Candidate {
-  std::uint32_t record;
-  std::uint32_t shared;
-};
+constexpr double kNotScored = -1.0;  // real scores are >= 0
+constexpr int kUnknownCommon = -1;   // common-cell count not taken yet
 
-// A γ-passing candidate on the batch path.
+// A γ-passing record with what the walk learnt about it.
 struct Survivor {
   std::uint32_t record;
   std::uint32_t length;
-  double bound;  ///< upper bound on the score
-  double score;  ///< kNotScored until a DP ran
+  std::int32_t common;  ///< common_cell_count, or kUnknownCommon off the index
+  std::uint32_t limit;  ///< min(shared occurrences, n, m): bound = match · limit
+  double score;         ///< kNotScored until a DP ran
 };
 
 // Per-thread matcher scratch, reused across calls (thread_local because the
-// sharded ingest service matches from many shard consumers). `counts` (shared-cell
-// occurrences per record) and the `touched` bitmap are sized to the database
-// and return to all zeros as the walk enumerates them, so a call pays no
-// O(database) reset.
+// sharded ingest service matches from many shard consumers). The
+// database-sized buffers grow once and are never value-initialised per
+// call: `counts` returns to all zeros as the compaction reads it, and
+// `first_touch` and `survivors` are valid only up to the call's own counts.
 struct Scratch {
-  std::vector<std::uint32_t> counts;
-  std::vector<std::uint64_t> touched;  ///< bit r set iff counts[r] > 0
+  /// Per record, packed: distinct common cells << 32 | shared occurrences.
+  std::vector<std::uint64_t> counts;
+  /// Touched records in first-touch order, plus one slot for the
+  /// branch-free write past the end.
+  std::vector<std::uint32_t> first_touch;
   std::vector<std::uint32_t> sample_ids;
   std::vector<std::int16_t> sample_ranks;
-  std::vector<Candidate> candidates;  ///< records ascending
-  // Batch path: survivors (records ascending) with their length range, the
+  // Survivors (first-touch order) with their length range, the
   // length-class order for mixed lengths, one batch's lanes and the
   // kernel's transposed block.
   std::vector<Survivor> survivors;
+  std::size_t survivor_count = 0;
   std::uint32_t min_length = 0;
   std::uint32_t max_length = 0;
   std::vector<std::uint32_t> class_end;
@@ -58,6 +58,27 @@ thread_local Scratch t_scratch;
 // scratch is rebuilt at the size the current database actually needs.
 constexpr std::size_t kScratchRetainEntries = std::size_t{1} << 16;
 
+// Sizes the database-sized scratch for `records`, shrinking it back first
+// after a huge-database excursion.
+void prepare_scratch(std::size_t records) {
+  Scratch& w = t_scratch;
+  if (w.counts.capacity() > kScratchRetainEntries &&
+      std::max(records, kScratchRetainEntries) < w.counts.capacity()) {
+    // Release the buffers (shrink_to_fit may legally keep the capacity)
+    // and regrow below.
+    std::vector<std::uint64_t>().swap(w.counts);
+    std::vector<std::uint32_t>().swap(w.first_touch);
+    std::vector<Survivor>().swap(w.survivors);
+  }
+  if (w.counts.size() < records) {
+    // `counts` last: once it is large enough, so are the others, even if
+    // an earlier call threw half-way through growing them.
+    w.survivors.resize(records);
+    w.first_touch.resize(records + 1);
+    w.counts.resize(records, 0);
+  }
+}
+
 // Looks every sample cell up once: the dense id drives the posting walk,
 // the rank feeds the batch kernel.
 void resolve_sample(const QuantizedView& qv, const Fingerprint& sample) {
@@ -70,102 +91,93 @@ void resolve_sample(const QuantizedView& qv, const Fingerprint& sample) {
   }
 }
 
-// Resolves the sample, then lists every record sharing at least one cell
-// with it, records ascending (the scalar scan's tie-break order) straight
-// from the bitmap's word order — no sort.
-const std::vector<Candidate>& walk_index(const QuantizedView& qv,
-                                         const Fingerprint& sample) {
+// Walks the resolved sample's posting lists once and returns how many
+// records it touched (listed in first_touch). One packed increment per
+// posting carries both of a record's counts: the low half counts shared
+// occurrences (the γ bound), the high half counts distinct common cells —
+// common_cell_count(sample, record). A list is ascending, so an entry that
+// differs from the one before it is that record's first for this cell. A
+// record joins first_touch when its count leaves 0; the slot is written
+// every time and the length grows only then, so there is no branch on
+// which records are new.
+std::size_t walk_index(const QuantizedView& qv) {
   Scratch& w = t_scratch;
-  const std::size_t records = qv.record.size();
-  if (w.counts.capacity() > kScratchRetainEntries &&
-      std::max(records, kScratchRetainEntries) < w.counts.capacity()) {
-    // Shrink back after a huge-database excursion: release the buffers
-    // (shrink_to_fit may legally keep the capacity) and regrow below.
-    std::vector<std::uint32_t>().swap(w.counts);
-    std::vector<std::uint64_t>().swap(w.touched);
-    std::vector<Candidate>().swap(w.candidates);
-    std::vector<Survivor>().swap(w.survivors);
-  }
-  if (w.counts.size() < records) {
-    w.counts.resize(records, 0);
-    w.touched.resize((records + 63) / 64, 0);
-    // Reserved up front so nothing below can throw with the scratch dirty.
-    w.candidates.reserve(records);
-  }
-  resolve_sample(qv, sample);
-  w.candidates.clear();
-
-  // Branch-free count: first touches are unpredictable, and setting a bit
-  // twice is harmless. Lists are ascending, so their ends bound the range.
-  std::size_t lo = SIZE_MAX, hi = 0;  // touched word range
+  std::uint64_t* const counts = w.counts.data();
+  std::uint32_t* const first_touch = w.first_touch.data();
+  std::size_t touched = 0;
   for (const std::uint32_t id : w.sample_ids) {
     if (id == QuantizedView::kNoId) continue;
-    const std::uint32_t begin = qv.post_off[id], end = qv.post_off[id + 1];
-    lo = std::min<std::size_t>(lo, qv.post_rec[begin] >> 6);
-    hi = std::max<std::size_t>(hi, qv.post_rec[end - 1] >> 6);
-    for (std::uint32_t p = begin; p < end; ++p) {
-      const std::uint32_t rec = qv.post_rec[p];
-      ++w.counts[rec];
-      w.touched[rec >> 6] |= std::uint64_t{1} << (rec & 63);
+    const std::uint32_t* p = qv.post_rec.data() + qv.post_off[id];
+    const std::uint32_t* const end = qv.post_rec.data() + qv.post_off[id + 1];
+    std::uint32_t prev = QuantizedView::kNoId;  // no record
+    for (; p != end; ++p) {
+      const std::uint32_t rec = *p;
+      const std::uint64_t count = counts[rec];
+      first_touch[touched] = rec;
+      touched += count == 0;
+      counts[rec] = count + 1 + (std::uint64_t{rec != prev} << 32);
+      prev = rec;
     }
   }
-  for (std::size_t word = lo; word <= hi; ++word) {
-    std::uint64_t bits = w.touched[word];
-    w.touched[word] = 0;
-    while (bits != 0) {
-      const auto rec =
-          static_cast<std::uint32_t>(word * 64 + std::countr_zero(bits));
-      bits &= bits - 1;
-      w.candidates.push_back(Candidate{rec, w.counts[rec]});
-      w.counts[rec] = 0;
-    }
-  }
-  return w.candidates;
+  return touched;
 }
 
-constexpr double kNotScored = -1.0;  // real scores are >= 0
-
-// The running winner of the scalar scan's rule — higher score, then more
-// common cells, then the earlier record — fed in ascending record order.
-// common_cell_count runs only when a score ties the incumbent, plus once
-// for the final winner.
+// The running winner under the scalar scan's rule: higher score, then more
+// common cells, then the lower record index. The rule is a total order, so
+// offers may arrive in any order. The index paths pass each record's
+// common count from the walk; the brute-force scan passes kUnknownCommon,
+// and the count is taken only when a score ties.
 class Winner {
  public:
   Winner(const Fingerprint& sample, const StopDatabase& database)
       : sample_(sample), records_(database.records()) {}
 
-  void offer(std::uint32_t record, double score) {
-    if (score > score_) {
-      record_ = record;
-      score_ = score;
-      common_ = -1;
-    } else if (score == score_) {
-      if (common_ < 0) common_ = common_with(record_);
-      const int common = common_with(record);
-      if (common > common_) {
-        record_ = record;
-        common_ = common;
-      }
+  void offer(std::uint32_t record, double score, int common) {
+    if (score < score_) return;
+    if (score == score_) {
+      resolve(record_, common_);
+      resolve(record, common);
+      if (common < common_ || (common == common_ && record > record_)) return;
     }
+    record_ = record;
+    score_ = score;
+    common_ = common;
   }
 
   std::optional<MatchResult> result() {
     if (score_ == kNotScored) return std::nullopt;
-    if (common_ < 0) common_ = common_with(record_);
+    resolve(record_, common_);
     return MatchResult{records_[record_].stop, score_, common_};
   }
 
  private:
-  int common_with(std::uint32_t record) const {
-    return common_cell_count(sample_, records_[record].fingerprint);
+  void resolve(std::uint32_t record, int& common) const {
+    if (common == kUnknownCommon) {
+      common = common_cell_count(sample_, records_[record].fingerprint);
+    }
   }
 
   const Fingerprint& sample_;
   const std::vector<StopRecord>& records_;
   std::uint32_t record_ = 0;
   double score_ = kNotScored;
-  int common_ = -1;  ///< not computed yet
+  int common_ = kUnknownCommon;
 };
+
+// Fewest shared cells that can reach γ: the smallest k with
+// match · k >= γ, found with the same double comparison the bound makes,
+// so the integer test min(shared, n, m) >= k agrees with it exactly.
+// 0 when the bound does not apply (non-positive match score or γ).
+std::uint64_t min_shared_for(double match, double gamma) {
+  if (!(match > 0.0) || !(gamma > 0.0)) return 0;
+  const double estimate = std::ceil(gamma / match);
+  constexpr std::uint64_t kUnreachable = std::uint64_t{1} << 32;
+  if (!(estimate < static_cast<double>(kUnreachable))) return kUnreachable;
+  auto k = static_cast<std::uint64_t>(estimate);
+  while (k > 0 && match * static_cast<double>(k - 1) >= gamma) --k;
+  while (match * static_cast<double>(k) < gamma) ++k;
+  return k;
+}
 
 }  // namespace
 
@@ -186,6 +198,8 @@ StopMatcher::StopMatcher(const StopDatabase& database, StopMatcherConfig config)
     : database_(&database), config_(config) {
   config_.validate();
   fixed_ = quantize_scores(config_.matching);
+  min_shared_ =
+      min_shared_for(config_.matching.match_score, config_.accept_threshold);
 }
 
 void StopMatcher::bind_metrics(MetricsRegistry* registry) {
@@ -240,49 +254,54 @@ std::size_t StopMatcher::thread_scratch_capacity() {
   return t_scratch.counts.capacity();
 }
 
-double StopMatcher::score_bound(std::size_t shared, std::size_t n,
-                                std::size_t m) const {
-  return config_.matching.match_score *
-         static_cast<double>(std::min({shared, n, m}));
+double StopMatcher::score_bound(std::uint32_t limit) const {
+  return config_.matching.match_score * static_cast<double>(limit);
 }
 
 void StopMatcher::collect_survivors(const Fingerprint& sample,
                                     const QuantizedView& qv,
                                     MatchStats& local) const {
   Scratch& b = t_scratch;
-  const std::size_t n = sample.cells.size();
+  const std::size_t records = qv.record.size();
+  prepare_scratch(records);
+  resolve_sample(qv, sample);
+  const auto n = static_cast<std::uint32_t>(sample.size());
+  Survivor* const out = b.survivors.data();
   std::size_t kept = 0;
-  // Branch-free compaction: write every candidate, keep those that can
-  // reach γ (which ones do is unpredictable).
-  const auto push = [&](std::uint32_t rec, std::size_t shared) {
+  // Branch-free compaction: write every record, keep those that can reach
+  // γ (which ones do is unpredictable).
+  const auto push = [&](std::uint32_t rec, std::uint32_t shared, int common) {
     const std::uint32_t length = qv.record[rec].length;
-    const double bound = score_bound(shared, n, length);
-    b.survivors[kept] = Survivor{rec, length, bound, kNotScored};
-    kept += bound >= config_.accept_threshold;
+    const std::uint32_t limit = std::min({shared, n, length});
+    out[kept] = Survivor{rec, length, common, limit, kNotScored};
+    kept += limit >= min_shared_;
   };
   if (index_usable()) {
-    const std::vector<Candidate>& candidates = walk_index(qv, sample);
-    b.survivors.resize(candidates.size());
-    for (const Candidate& c : candidates) push(c.record, c.shared);
+    const std::size_t touched = walk_index(qv);
+    for (std::size_t i = 0; i < touched; ++i) {
+      const std::uint32_t rec = b.first_touch[i];
+      const std::uint64_t count = b.counts[rec];
+      b.counts[rec] = 0;
+      push(rec, static_cast<std::uint32_t>(count),
+           static_cast<int>(count >> 32));
+    }
   } else {
-    resolve_sample(qv, sample);
-    b.survivors.resize(qv.record.size());
-    for (std::uint32_t rec = 0; rec < qv.record.size(); ++rec) {
-      push(rec, qv.record[rec].length);
+    for (std::uint32_t rec = 0; rec < records; ++rec) {
+      push(rec, qv.record[rec].length, kUnknownCommon);
     }
   }
-  b.survivors.resize(kept);
+  b.survivor_count = kept;
   b.min_length = UINT32_MAX;
   b.max_length = 0;
-  for (const Survivor& s : b.survivors) {
-    b.min_length = std::min(b.min_length, s.length);
-    b.max_length = std::max(b.max_length, s.length);
+  for (std::size_t i = 0; i < kept; ++i) {
+    b.min_length = std::min(b.min_length, out[i].length);
+    b.max_length = std::max(b.max_length, out[i].length);
   }
   local.gamma_candidates = kept;
 }
 
 void StopMatcher::score_survivors(const Fingerprint& sample,
-                                  const QuantizedView& qv,
+                                  const QuantizedView& qv, bool batch,
                                   bool prune_incumbent,
                                   MatchStats& local) const {
   Scratch& b = t_scratch;
@@ -298,7 +317,8 @@ void StopMatcher::score_survivors(const Fingerprint& sample,
   // only be higher, so the skipped record can neither win nor tie.
   double best_score = kNotScored;
   const auto skip = [&](const Survivor& s) {
-    if (!prune_incumbent || best_score < 0.0 || s.bound >= best_score) {
+    if (!prune_incumbent || best_score < 0.0 ||
+        score_bound(s.limit) >= best_score) {
       return false;
     }
     ++local.records_bound_skipped;
@@ -309,8 +329,18 @@ void StopMatcher::score_survivors(const Fingerprint& sample,
     if (score > best_score) best_score = score;
     ++local.records_accepted;
   };
+  // Scores survivors at(0..count) one similarity() at a time.
+  const auto score_scalar = [&](auto at, std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) {
+      Survivor& s = at(k);
+      if (skip(s)) continue;
+      note_score(s, similarity(sample,
+                               database_->records()[s.record].fingerprint,
+                               config_.matching));
+    }
+  };
 
-  // Scores one length class, survivors at(0..count) in record order, so
+  // Scores one length class, survivors at(0..count) in survivor order, so
   // every batch shares one DP shape.
   const auto score_class = [&](auto at, std::size_t count,
                                std::uint32_t class_len) {
@@ -318,13 +348,7 @@ void StopMatcher::score_survivors(const Fingerprint& sample,
       // Degenerate class (e.g. fingerprints long enough to overflow int16
       // deci-scores): score scalar — similarity() makes the identical
       // fixed/double choice per pair, preserving bit-identity.
-      for (std::size_t k = 0; k < count; ++k) {
-        Survivor& s = at(k);
-        if (skip(s)) continue;
-        note_score(s, similarity(sample,
-                                 database_->records()[s.record].fingerprint,
-                                 config_.matching));
-      }
+      score_scalar(at, count);
       return;
     }
     // Kernel batches of `width` lanes over this class.
@@ -357,20 +381,26 @@ void StopMatcher::score_survivors(const Fingerprint& sample,
     }
   };
 
-  const std::size_t count = b.survivors.size();
+  const std::size_t count = b.survivor_count;
   if (count == 0) return;
+  const auto survivor = [&](std::size_t k) -> Survivor& {
+    return b.survivors[k];
+  };
+  if (!batch) {
+    score_scalar(survivor, count);
+    return;
+  }
   if (b.min_length == b.max_length) {
-    // One length class (the common case): record order is class order.
-    score_class([&](std::size_t k) -> Survivor& { return b.survivors[k]; },
-                count, b.min_length);
+    // One length class (the common case): survivor order is class order.
+    score_class(survivor, count, b.min_length);
     return;
   }
   // Mixed lengths: stable counting sort of survivor indices by length, so
-  // classes run in (length, record) order.
+  // classes run in (length, survivor) order.
   const std::size_t span = b.max_length - b.min_length + 1;
   b.class_end.assign(span + 1, 0);
-  for (const Survivor& s : b.survivors) {
-    ++b.class_end[s.length - b.min_length + 1];
+  for (std::size_t i = 0; i < count; ++i) {
+    ++b.class_end[b.survivors[i].length - b.min_length + 1];
   }
   std::partial_sum(b.class_end.begin(), b.class_end.end(), b.class_end.begin());
   b.order.resize(count);
@@ -395,40 +425,26 @@ template <typename Accept>
 void StopMatcher::scan(const Fingerprint& sample, bool prune_incumbent,
                        MatchStats& local, Accept&& accept) const {
   local.records_considered = database_->size();
-  if (simd_active()) {
+  const bool batch = simd_active();
+  if (batch || index_usable()) {
     const QuantizedView& qv = database_->quantized();
     collect_survivors(sample, qv, local);
-    score_survivors(sample, qv, prune_incumbent, local);
-    for (const Survivor& s : t_scratch.survivors) {
-      if (s.score >= config_.accept_threshold) accept(s.record, s.score);
+    score_survivors(sample, qv, batch, prune_incumbent, local);
+    const Scratch& b = t_scratch;
+    for (std::size_t i = 0; i < b.survivor_count; ++i) {
+      const Survivor& s = b.survivors[i];
+      if (s.score >= config_.accept_threshold) {
+        accept(s.record, s.score, s.common);
+      }
     }
   } else {
-    double best_score = kNotScored;
-    const auto consider = [&](std::uint32_t rec) {
-      ++local.records_accepted;
+    // The brute-force reference: every record through the DP.
+    local.gamma_candidates = database_->size();
+    local.records_accepted = database_->size();
+    for (std::uint32_t rec = 0; rec < database_->size(); ++rec) {
       const double score = similarity(
           sample, database_->records()[rec].fingerprint, config_.matching);
-      best_score = std::max(best_score, score);
-      if (score >= config_.accept_threshold) accept(rec, score);
-    };
-    if (!index_usable()) {
-      local.gamma_candidates = database_->size();
-      for (std::uint32_t rec = 0; rec < database_->size(); ++rec) consider(rec);
-    } else {
-      const QuantizedView& qv = database_->quantized();
-      for (const Candidate& c : walk_index(qv, sample)) {
-        const double bound = score_bound(c.shared, sample.cells.size(),
-                                         qv.record[c.record].length);
-        if (bound < config_.accept_threshold) continue;  // cannot reach γ
-        ++local.gamma_candidates;
-        // A candidate strictly below the incumbent score can neither win
-        // nor tie (tie-breaks only apply at equal scores), so skip its DP.
-        if (prune_incumbent && bound < best_score) {
-          ++local.records_bound_skipped;
-          continue;
-        }
-        consider(c.record);
-      }
+      if (score >= config_.accept_threshold) accept(rec, score, kUnknownCommon);
     }
   }
   local.records_pruned = local.records_considered - local.records_accepted;
@@ -440,7 +456,9 @@ std::optional<MatchResult> StopMatcher::match_deferred(
   local.calls = 1;
   Winner winner(sample, *database_);
   scan(sample, /*prune_incumbent=*/true, local,
-       [&](std::uint32_t rec, double score) { winner.offer(rec, score); });
+       [&](std::uint32_t rec, double score, int common) {
+         winner.offer(rec, score, common);
+       });
   pending.merge(local);
   return winner.result();
 }
@@ -460,16 +478,22 @@ std::vector<MatchResult> StopMatcher::match_all(const Fingerprint& sample,
   local.calls = 1;
   std::vector<MatchResult> out;
   scan(sample, /*prune_incumbent=*/false, local,
-       [&](std::uint32_t rec, double score) {
+       [&](std::uint32_t rec, double score, int common) {
          const StopRecord& r = database_->records()[rec];
-         out.push_back(MatchResult{r.stop, score,
-                                   common_cell_count(sample, r.fingerprint)});
+         out.push_back(MatchResult{
+             r.stop, score,
+             common == kUnknownCommon
+                 ? common_cell_count(sample, r.fingerprint)
+                 : common});
        });
   if (stats) *stats = local;
   record(local);
+  // Best first; equal (score, common cells) entries by stop id, so the
+  // order does not depend on the order the path found them in.
   std::sort(out.begin(), out.end(), [](const MatchResult& a, const MatchResult& b) {
-    return a.score > b.score ||
-           (a.score == b.score && a.common_cells > b.common_cells);
+    if (a.score != b.score) return a.score > b.score;
+    if (a.common_cells != b.common_cells) return a.common_cells > b.common_cells;
+    return a.stop < b.stop;
   });
   return out;
 }

@@ -9,24 +9,29 @@
 // alignment can score at most match_score per shared cell ID, a record can
 // only reach γ if it shares ≥ ⌈γ / match_score⌉ cell IDs with the sample
 // (= 2 in the paper's setting). The matcher resolves each sample cell once
-// through the database's dictionary, walks the CSR posting lists of the
-// quantized view to count shared cells per record (candidates come out of a
-// bitmap in ascending record order, so no sort), then aligns only the
-// records passing that bound — with results identical to the full scan.
-// Both the scalar and the batch path share this walk. `accel.use_index =
-// false` keeps the brute-force scan for the scalability ablations.
+// through the database's dictionary and walks the CSR posting lists of the
+// quantized view once. Per touched record the walk counts both the shared
+// cell occurrences (the γ bound) and the distinct common cells (the
+// tie-break, common_cell_count), listing records in first-touch order;
+// only the records passing the bound are aligned — with results identical
+// to the full scan. Both the scalar and the batch path share this walk.
+// `accel.use_index = false` keeps the brute-force scan for the scalability
+// ablations.
 //
 // Surviving candidates are scored through the fixed-point batch kernel
 // (core/matching_simd.h) 8–16 at a time when `accel.use_simd` is on and the
 // scoring parameters quantize exactly; an upper-bound prescreen
 // (shared-cell count × match_score, the same trick as CellScanner's RSS
 // precheck) additionally skips candidates that provably cannot beat the
-// incumbent best. The common-cell tie-break is counted only when a score
-// ties the incumbent. All of these are pure optimisations: results — scores,
-// winners, tie-breaks — are bit-identical to the brute-force scan
-// (property-tested in tests/test_matching_simd.cpp).
+// incumbent best. The winner rule — score, then common cells, then the
+// lower record index — is a total order, so the enumeration order changes
+// which records the prescreen skips but never the winner. All of these are
+// pure optimisations: results — scores, winners, tie-breaks — are
+// bit-identical to the brute-force scan (property-tested in
+// tests/test_matching_simd.cpp).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -112,7 +117,8 @@ class StopMatcher {
   std::optional<MatchResult> match_deferred(const Fingerprint& sample,
                                             MatchStats& pending) const;
 
-  /// Every stop scoring >= γ, best first (diagnostics / ablations).
+  /// Every stop scoring >= γ, best first: by score, then common cells, then
+  /// stop id (diagnostics / ablations).
   std::vector<MatchResult> match_all(const Fingerprint& sample,
                                      MatchStats* stats = nullptr) const;
 
@@ -138,22 +144,25 @@ class StopMatcher {
 
  private:
   bool index_usable() const;
-  /// Upper bound on a record's score: at most one match per shared cell
-  /// occurrence, and no more matches than the shorter fingerprint has cells.
-  double score_bound(std::size_t shared, std::size_t n, std::size_t m) const;
-  /// γ-passing survivors (records ascending) with their upper bounds for
-  /// the SIMD path, via the index when usable, else the full record range.
+  /// Upper bound on a record's score, `limit` = min(shared, n, m): at most
+  /// one match per shared cell occurrence, and no more matches than the
+  /// shorter fingerprint has cells.
+  double score_bound(std::uint32_t limit) const;
+  /// γ-passing survivors (first-touch order) with their limits and common
+  /// counts, via the index when usable, else the full record range.
   void collect_survivors(const Fingerprint& sample,
                          const StopDatabase::QuantizedView& qv,
                          MatchStats& local) const;
-  /// Batch-scores the collected survivors into the thread-local scratch;
+  /// Scores the collected survivors in place, through the batch kernel by
+  /// length class when `batch`, else one similarity() each;
   /// `prune_incumbent` enables the cannot-beat-the-best skip (match() only).
   void score_survivors(const Fingerprint& sample,
-                       const StopDatabase::QuantizedView& qv,
+                       const StopDatabase::QuantizedView& qv, bool batch,
                        bool prune_incumbent, MatchStats& local) const;
-  /// Scores the sample down the active path and calls accept(record,
-  /// score) for every aligned record scoring >= γ, records ascending (the
-  /// order the scalar scan breaks ties in). `prune_incumbent` enables the
+  /// Scores the sample down the active path and calls accept(record, score,
+  /// common) for every aligned record scoring >= γ, in no particular order;
+  /// `common` is the record's common-cell count, or -1 on the brute-force
+  /// scan, which does not count it. `prune_incumbent` enables the
   /// cannot-beat-the-best skip (match() only).
   template <typename Accept>
   void scan(const Fingerprint& sample, bool prune_incumbent, MatchStats& local,
@@ -162,6 +171,8 @@ class StopMatcher {
   const StopDatabase* database_;
   StopMatcherConfig config_;
   FixedScores fixed_;  ///< quantized scoring parameters (cached)
+  /// Fewest shared cells that can reach γ (the γ bound as an integer test).
+  std::uint64_t min_shared_ = 0;
   // Cached instrument handles (null when unbound). The registry outlives
   // the matcher by contract.
   Counter* calls_ = nullptr;

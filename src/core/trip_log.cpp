@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <exception>
+#include <mutex>
 #include <stdexcept>
 
 #include "core/wire.h"
@@ -41,7 +42,42 @@ std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
   return tables;
 }
 
+// wal_test_seam's state. An appender reads g_sync_held once per synced
+// hand-off; the mutex, condition and count serve only a test that holds.
+std::atomic<bool> g_sync_held{false};
+std::mutex g_hold_mutex;
+std::condition_variable g_hold_changed;  ///< hold released or a syncer parked
+std::size_t g_parked_syncs = 0;
+
+// A syncer whose hand-off was made under the hold waits here, between its
+// write() and its fdatasync, until the hold is released.
+void park_at_hold() {
+  std::unique_lock<std::mutex> lock(g_hold_mutex);
+  ++g_parked_syncs;
+  g_hold_changed.notify_all();
+  g_hold_changed.wait(
+      lock, [] { return !g_sync_held.load(std::memory_order_relaxed); });
+  --g_parked_syncs;
+}
+
 }  // namespace
+
+namespace wal_test_seam {
+
+void hold(bool held) {
+  {
+    const std::lock_guard<std::mutex> lock(g_hold_mutex);
+    g_sync_held.store(held, std::memory_order_relaxed);
+  }
+  g_hold_changed.notify_all();
+}
+
+void wait_parked() {
+  std::unique_lock<std::mutex> lock(g_hold_mutex);
+  g_hold_changed.wait(lock, [] { return g_parked_syncs > 0; });
+}
+
+}  // namespace wal_test_seam
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   static const std::array<std::array<std::uint32_t, 256>, 8> t =
@@ -339,6 +375,7 @@ void TripLogWriter::hand_off_locked(bool sync) {
     in_flight_buffer_.swap(active_);
     in_flight_ = true;
     in_flight_sync_ = sync;
+    in_flight_held_ = sync && g_sync_held.load(std::memory_order_relaxed);
     in_flight_seq_ = next_seq_ - 1;
   }
   work_.notify_one();
@@ -367,6 +404,7 @@ void TripLogWriter::syncer_loop() {
     work_.wait(lock, [&] { return in_flight_ || stop_; });
     if (!in_flight_) return;
     const bool sync = in_flight_sync_;
+    const bool held = in_flight_held_;
     const std::uint64_t seq = in_flight_seq_;
     lock.unlock();
     std::string error;
@@ -374,6 +412,7 @@ void TripLogWriter::syncer_loop() {
                                         in_flight_buffer_.size())) {
       error = io_error("append", path_, err);
     } else if (sync) {
+      if (held) park_at_hold();
       if (const int serr = data_sync(fd_)) {
         error = io_error("fsync", path_, serr);
       } else {

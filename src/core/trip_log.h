@@ -91,6 +91,17 @@ struct WalScanResult {
 /// prefix so a writer can append safely after the scan.
 WalScanResult scan_trip_log(const std::string& path, bool repair);
 
+/// Crash-test seam, not a setting: while held, every synced hand-off that
+/// a TripLogWriter of this process makes is written and then parked before
+/// its fdatasync, so a test that kills the process kills it with that sync
+/// in flight. A hand-off takes the hold as it stands when the appender makes
+/// it. Releasing the hold lets the parked syncers go on.
+namespace wal_test_seam {
+void hold(bool held);
+/// Blocks until a syncer is parked at the hold.
+void wait_parked();
+}  // namespace wal_test_seam
+
 /// Appender for one WAL segment. Thread-safe (internal mutex), though each
 /// segment has one writer in practice (the shard that owns it). The caller
 /// scans (and repairs) the segment first and seeds `next_seq` from the scan.
@@ -189,6 +200,7 @@ class TripLogWriter {
   std::vector<std::uint8_t> in_flight_buffer_;  ///< the syncer's while in flight
   bool in_flight_ = false;
   bool in_flight_sync_ = false;  ///< fdatasync after the write
+  bool in_flight_held_ = false;  ///< park at wal_test_seam's hold before it
   std::uint64_t in_flight_seq_ = 0;  ///< last seq in the buffer
   bool stop_ = false;
   std::string error_;  ///< latched syncer failure

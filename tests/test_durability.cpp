@@ -1537,9 +1537,11 @@ constexpr std::uint64_t kCrashInterval = 8;
 
 // The doomed child: feeds the service, drains at every upload from
 // `kill_at` on and SIGKILLs itself there — at once, or (`want_in_flight`)
-// at the first drain that finds a sync still in flight. Every interval
-// hand-off of a segment makes exactly one fsync, so fewer fsyncs than
-// hand-offs means one is in flight.
+// with a sync held in flight. For the latter it drains and sets
+// wal_test_seam's hold just before `kill_at`: the next interval a segment
+// hands off is written and parked before its fdatasync, and the child dies
+// with that syncer parked. Every interval hand-off of a segment makes
+// exactly one fsync, so fewer fsyncs than hand-offs means one is in flight.
 [[noreturn]] void run_doomed_child(int fd, std::size_t shards,
                                    const ServerConfig& cfg,
                                    std::size_t kill_at, bool want_in_flight) {
@@ -1550,24 +1552,42 @@ constexpr std::uint64_t kCrashInterval = 8;
                                sharding(shards));
   service.open();
   std::vector<std::uint64_t> records(shards, 0);
+  const auto handed_off = [&] {
+    std::uint64_t total = 0;
+    for (const std::uint64_t r : records) total += r / kCrashInterval;
+    return total;
+  };
+  std::uint64_t handed_off_before_hold = 0;
   KillReport report;
   for (std::size_t i = 0; i < uploads.size(); ++i) {
     if (i == adv_index) {
       service.advance_time(uploads[adv_index].samples.front().time);
       for (std::uint64_t& r : records) ++r;  // one time mark per segment
     }
+    if (want_in_flight && i + 1 == kill_at) {
+      // Drained first, so every earlier hand-off is made without the hold
+      // and the next one is the first to take it.
+      service.drain();
+      handed_off_before_hold = handed_off();
+      wal_test_seam::hold(true);
+    }
     if (!service.process_trip(uploads[i]).accepted()) ::_exit(3);
     ++records[service.shard_of(uploads[i].participant_id)];
     if (i + 1 < kill_at) continue;
     service.drain();
-    std::uint64_t handed_off = 0;
-    for (const std::uint64_t r : records) handed_off += r / kCrashInterval;
+    report.fed = i + 1;
+    if (want_in_flight) {
+      if (handed_off() == handed_off_before_hold) continue;
+      // A hand-off under the hold: its syncer parks after its write().
+      wal_test_seam::wait_parked();
+      report.in_flight = 1;
+      break;
+    }
     const MetricsSnapshot ms = service.metrics().snapshot();
     const auto synced = ms.counters.find("durability.fsyncs");
-    report.fed = i + 1;
     report.in_flight =
-        (synced == ms.counters.end() ? 0 : synced->second) < handed_off;
-    if (report.in_flight || !want_in_flight) break;
+        (synced == ms.counters.end() ? 0 : synced->second) < handed_off();
+    break;
   }
   if (!write_full(fd, &report, sizeof report)) ::_exit(4);
   ::raise(SIGKILL);

@@ -372,7 +372,7 @@ TEST(SimdMatcher, StatsInvariantsHoldOnSimdPath) {
   for (int r = 0; r < 40; ++r) {
     db.add(static_cast<StopId>(r + 1), random_fingerprint(rng, 7, 30));
   }
-  // Index + simd on; the scalar path has its own incumbent skip, so the
+  // Index + simd on; the scalar path shares the incumbent skip, so the
   // invariants (and a firing prescreen) hold whether or not a vector
   // kernel is live on this host.
   const StopMatcher matcher(db);
@@ -423,9 +423,11 @@ TEST(SimdMatcher, BoundSkippedFlowsIntoMetricsRegistry) {
 // ------------------------------------------------- flat candidate path
 //
 // The index path (use_index on, SIMD on or off) walks the quantized view's
-// CSR postings and enumerates candidates from a bitmap. Every case below
-// checks it against the brute-force scan on winner, score and common-cell
-// count, and checks its γ-candidate count against a brute-force recount.
+// CSR postings once, counting per record both the shared-cell occurrences
+// (the γ bound) and the distinct common cells (the tie-break), and lists
+// candidates in first-touch order. Every case below checks it against the
+// brute-force scan on winner, score and common-cell count, and checks its
+// γ-candidate count against a brute-force recount.
 
 // Records whose shared-cell occurrence count (sample cell × occurrences in
 // the record) lets them reach γ: min(shared, n, m) · match_score >= γ.
@@ -478,8 +480,8 @@ MatchStats expect_flat_path_matches_brute(const StopDatabase& db,
 }
 
 TEST(FlatPath, BitmapWordBoundaries) {
-  // 63/64/65/129 records put candidates on both sides of the 64-record
-  // bitmap words; probes copy the first and last record of each word.
+  // 63/64/65/129 records: database sizes on both sides of 64-record
+  // blocks; probes copy the first and last record of each block.
   for (const int size : {63, 64, 65, 129}) {
     Rng rng(static_cast<std::uint64_t>(500 + size));
     StopDatabase db;
@@ -605,6 +607,96 @@ TEST(FlatPath, ScoreTiesResolveByCommonCountThenRecordOrder) {
   EXPECT_EQ(StopMatcher(twins).match(probe)->stop, 21);
 }
 
+TEST(FlatPath, DuplicateCellsSplitOccurrenceAndCommonCounts) {
+  // Record 0 repeats cell 1 and the probe repeats cell 2: they share 5
+  // cell occurrences (the γ bound's count) but 3 common cells
+  // (common_cell_count, which counts the probe's repeats). Record 1 passes
+  // the occurrence bound on cell 1 alone, with 1 common cell, and scores
+  // below γ.
+  const Fingerprint probe{{1, 2, 2, 7}};
+  StopDatabase db;
+  db.add(10, Fingerprint{{1, 1, 1, 2}});
+  db.add(11, Fingerprint{{1, 1, 1, 8}});
+  db.add(12, Fingerprint{{5, 5, 6, 6}});
+  ASSERT_EQ(common_cell_count(probe, db.records()[0].fingerprint), 3);
+  ASSERT_EQ(common_cell_count(probe, db.records()[1].fingerprint), 1);
+  ASSERT_LT(similarity(probe, db.records()[1].fingerprint), 2.0);
+  const MatchStats stats = expect_flat_path_matches_brute(db, probe);
+  EXPECT_EQ(stats.gamma_candidates, 2u);
+  const MatcherSet set(db);
+  expect_identical_results(set, probe);
+  const auto got = StopMatcher(db).match(probe);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->stop, 10);
+  EXPECT_EQ(got->common_cells, 3);
+
+  // Randomized: tiny pools make most records and samples repeat cells.
+  Rng rng(604);
+  for (int trial = 0; trial < 10; ++trial) {
+    StopDatabase dup;
+    for (int r = 0; r < 40; ++r) {
+      dup.add(static_cast<StopId>(r + 1),
+              random_fingerprint(rng, rng.uniform_int(2, 9), 5));
+    }
+    const MatcherSet dup_set(dup);
+    for (int q = 0; q < 20; ++q) {
+      const Fingerprint sample = random_fingerprint(rng, rng.uniform_int(1, 8), 5);
+      expect_flat_path_matches_brute(dup, sample);
+      expect_identical_results(dup_set, sample);
+    }
+  }
+}
+
+TEST(FlatPath, ScoreTieGoesToTheLargerCommonCount) {
+  // Both records score 2.0 against the probe. Record 0 is touched first
+  // (through cell 7) and has the lower index, but record 1 has more common
+  // cells (3 against 2), so record 1 wins.
+  const Fingerprint probe{{7, 1, 2, 3}};
+  StopDatabase db;
+  db.add(30, Fingerprint{{7, 1, 9, 9}});
+  db.add(31, Fingerprint{{3, 1, 2, 8}});
+  for (const StopRecord& r : db.records()) {
+    ASSERT_EQ(similarity(probe, r.fingerprint), 2.0) << r.stop;
+  }
+  expect_flat_path_matches_brute(db, probe);
+  expect_identical_results(MatcherSet(db), probe);
+  for (const bool use_simd : {false, true}) {
+    StopMatcherConfig cfg;
+    cfg.accel.use_simd = use_simd;
+    const auto got = StopMatcher(db, cfg).match(probe);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->stop, 31) << "simd " << use_simd;
+    EXPECT_EQ(got->common_cells, 3) << "simd " << use_simd;
+  }
+}
+
+TEST(FlatPath, FullTieGoesToTheLowerRecordEvenWhenTouchedLater) {
+  // Both records score 3.0 with 3 common cells. The probe's first cell (7)
+  // touches record 1 before any cell touches record 0, so the walk lists
+  // record 1 first; the lower record index still wins.
+  const Fingerprint probe{{7, 1, 2, 3}};
+  StopDatabase db;
+  db.add(40, Fingerprint{{1, 2, 3, 8}});
+  db.add(41, Fingerprint{{7, 1, 2, 9}});
+  for (const StopRecord& r : db.records()) {
+    ASSERT_EQ(similarity(probe, r.fingerprint), 3.0) << r.stop;
+    ASSERT_EQ(common_cell_count(probe, r.fingerprint), 3) << r.stop;
+  }
+  expect_flat_path_matches_brute(db, probe);
+  const MatcherSet set(db);
+  expect_identical_results(set, probe);
+  for (const StopMatcher& m : set.matchers) {
+    const auto got = m.match(probe);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->stop, 40);
+    // match_all breaks the same tie by stop id.
+    const auto all = m.match_all(probe);
+    ASSERT_EQ(all.size(), 2u);
+    EXPECT_EQ(all[0].stop, 40);
+    EXPECT_EQ(all[1].stop, 41);
+  }
+}
+
 TEST(FlatPath, IndexServesDatabasesPastTheRankSpace) {
   // 5000 records × 7 distinct cells = 35000 distinct cells: past the int16
   // rank space, so the kernel is off, but the uint32-keyed index still
@@ -678,6 +770,31 @@ TEST(SimdMatcher, CandidateScratchShrinksAfterHugeDatabase) {
   EXPECT_EQ(hit->stop, 1);
   EXPECT_LE(StopMatcher::thread_scratch_capacity(),
             std::size_t{1} << 16);
+}
+
+TEST(SimdMatcher, ScratchCapHoldsOnEveryScratchPath) {
+  // The scalar index path and the brute-force batch path use the same
+  // database-sized scratch as the default path; each must give it back.
+  constexpr std::size_t kHuge = (std::size_t{1} << 16) + 500;
+  StopDatabase huge;
+  for (std::size_t r = 0; r < kHuge; ++r) {
+    huge.add(static_cast<StopId>(r + 1),
+             Fingerprint{{static_cast<CellId>(1 + (r % 97)),
+                          static_cast<CellId>(200 + (r % 89))}});
+  }
+  StopDatabase small;
+  small.add(1, Fingerprint{{5, 205, 7}});
+  StopMatcherConfig scalar_index;
+  scalar_index.accel.use_simd = false;
+  StopMatcherConfig brute_batch;
+  brute_batch.accel.use_index = false;
+  for (const StopMatcherConfig& cfg : {scalar_index, brute_batch}) {
+    (void)StopMatcher(huge, cfg).match(Fingerprint{{5, 205, 7}});
+    const auto hit = StopMatcher(small, cfg).match(Fingerprint{{5, 205, 7}});
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->stop, 1);
+    EXPECT_LE(StopMatcher::thread_scratch_capacity(), std::size_t{1} << 16);
+  }
 }
 
 }  // namespace
