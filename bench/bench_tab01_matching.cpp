@@ -7,10 +7,12 @@
 //
 // The kernel section times per-sample match() throughput at city scale
 // (full city, 8 routes) across the acceleration corners — brute force,
-// inverted index, and the fixed-point batch kernel (DESIGN.md §12) — and
-// emits BENCH_matching.json for regression tracking. Results are
+// inverted index, and the fixed-point batch kernel (DESIGN.md §12) — as
+// medians and quartiles of alternating repetitions, and emits
+// BENCH_matching.json for regression tracking. Results are
 // bit-identical across all corners (tests/test_matching_simd.cpp), so the
 // table is pure throughput.
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -129,6 +131,12 @@ double match_samples_per_s(const StopMatcher& matcher,
   return total / std::max(seconds_since(start), 1e-9);
 }
 
+// Repetitions per corner. One timed loop lasts a few ms, so single loops
+// spread widely on a shared host; the corners alternate repetition by
+// repetition, so drift hits all four alike, and the table reports medians
+// with quartiles.
+constexpr int kRepetitions = 15;
+
 void report_kernel_throughput() {
   print_banner(std::cout,
                "Matching kernel: city-scale match() throughput "
@@ -148,28 +156,48 @@ void report_kernel_throughput() {
       {"indexed, scalar", true, false, 20},
       {"indexed, kernel", true, true, 20},
   };
+  constexpr int kCorners = 4;
 
-  Table t({"configuration", "samples/s", "speedup"});
-  double rates[4] = {0, 0, 0, 0};
+  std::vector<StopMatcher> matchers;
+  for (const Corner& c : corners) {
+    StopMatcherConfig cfg;
+    cfg.accel.use_index = c.use_index;
+    cfg.accel.use_simd = c.use_simd;
+    matchers.emplace_back(cs.database, cfg);
+  }
+  std::vector<double> rates[kCorners];
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (int i = 0; i < kCorners; ++i) {
+      rates[i].push_back(
+          match_samples_per_s(matchers[i], cs.probes, corners[i].repeats));
+    }
+  }
+  double median[kCorners];
+  for (int i = 0; i < kCorners; ++i) {
+    std::sort(rates[i].begin(), rates[i].end());
+    median[i] = percentile(rates[i], 0.5);
+  }
+
+  Table t({"configuration", "samples/s (median)", "q1", "q3", "speedup"});
   JsonReport json;
   std::ostringstream rows;
-  for (int i = 0; i < 4; ++i) {
-    StopMatcherConfig cfg;
-    cfg.accel.use_index = corners[i].use_index;
-    cfg.accel.use_simd = corners[i].use_simd;
-    const StopMatcher matcher(cs.database, cfg);
-    rates[i] = match_samples_per_s(matcher, cs.probes, corners[i].repeats);
-    const double base = corners[i].use_index ? rates[2] : rates[0];
-    t.add_row({corners[i].label, fmt(rates[i], 0),
-               fmt(rates[i] / std::max(base, 1e-9), 2) + "x"});
+  for (int i = 0; i < kCorners; ++i) {
+    const double base = corners[i].use_index ? median[2] : median[0];
+    const double q1 = percentile(rates[i], 0.25);
+    const double q3 = percentile(rates[i], 0.75);
+    t.add_row({corners[i].label, fmt(median[i], 0), fmt(q1, 0), fmt(q3, 0),
+               fmt(median[i] / std::max(base, 1e-9), 2) + "x"});
     if (i) rows << ", ";
     rows << "{\"label\": \"" << corners[i].label
-         << "\", \"samples_per_s\": " << num(rates[i]) << "}";
+         << "\", \"samples_per_s\": " << num(median[i])
+         << ", \"q1\": " << num(q1) << ", \"q3\": " << num(q3) << "}";
   }
   t.print(std::cout);
-  const double brute_speedup = rates[1] / std::max(rates[0], 1e-9);
-  const double indexed_speedup = rates[3] / std::max(rates[2], 1e-9);
-  std::cout << "active kernel: " << simd::kernel_name(simd::active_kernel())
+  const double brute_speedup = median[1] / std::max(median[0], 1e-9);
+  const double indexed_speedup = median[3] / std::max(median[2], 1e-9);
+  std::cout << "medians of " << kRepetitions
+            << " alternating repetitions per corner\n"
+            << "active kernel: " << simd::kernel_name(simd::active_kernel())
             << " (batch width " << simd::batch_width() << ")\n"
             << "kernel speedup: " << fmt(brute_speedup, 2)
             << "x over brute-force scalar, " << fmt(indexed_speedup, 2)
@@ -184,6 +212,7 @@ void report_kernel_throughput() {
   // hosts without a vector unit, where use_simd is deliberately inert.
   json.field(std::string("\"batch_engaged\": ") +
              (StopMatcher(cs.database).simd_active() ? "true" : "false"));
+  json.field("\"repetitions\": " + std::to_string(kRepetitions));
   json.field("\"corners\": [" + rows.str() + "]");
   json.field("\"kernel_speedup_brute\": " + num(brute_speedup));
   json.field("\"kernel_speedup_indexed\": " + num(indexed_speedup));

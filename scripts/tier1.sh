@@ -53,7 +53,13 @@
 # surface. The matching suites are test_matching, test_matching_simd and
 # test_properties' matcher cases (the indexed-vs-brute-force equivalence,
 # the pipeline identity with the index off, the matching invariants and
-# the per-trip matcher counters). Off by default.
+# the per-trip matcher counters). In test_matching_simd,
+# KernelRows.RowsEqualTransposedBatchAndSimilarity drives score_rows'
+# 8-wide loads past the rank blob's last record into its pad tail, which
+# ASan checks, and RealisticStream.MatchDigestIsPinned holds one digest of
+# a LodWorld day's match() results in all three trees;
+# QuantizedView.FlatDictionaryKeepsFirstEncounterIds covers the flat
+# dictionary's probe chains. Off by default.
 #
 # Optional durability stage: BUSSENSE_DURABILITY=ON ./scripts/tier1.sh
 # builds the WAL + checkpoint/restore suite under ASan+UBSan in build-asan/

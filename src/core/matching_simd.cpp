@@ -24,6 +24,28 @@ std::int16_t* rows_scratch(std::size_t m, std::size_t width) {
   return t_rows.data();
 }
 
+// Transposed block for the kernels that score from memory rows: the
+// score_rows entries of the scalar batch and NEON, and the AVX2 classes
+// longer than one register chunk.
+thread_local std::vector<std::int16_t> t_block;
+
+std::int16_t* block_scratch(std::size_t size) {
+  if (t_block.size() < size) t_block.resize(size);
+  return t_block.data();
+}
+
+// Gathers `width` rows of `m` ranks into the lane-major block score_batch
+// reads: block[j * width + lane] = rows[lane][j].
+const std::int16_t* gather_rows(const std::int16_t* const* rows, std::size_t m,
+                                std::size_t width) {
+  std::int16_t* block = block_scratch(m * width);
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    const std::int16_t* row = rows[lane];
+    for (std::size_t j = 0; j < m; ++j) block[j * width + lane] = row[j];
+  }
+  return block;
+}
+
 // Portable scalar batch: the reference semantics every vector kernel must
 // reproduce bit-for-bit. Plain int arithmetic over `width` independent
 // lanes — with fixed_point_usable() holding, every value fits int16, so the
@@ -104,6 +126,119 @@ __attribute__((target("avx2"))) void score_batch_avx2(
     std::swap(prev, cur);
   }
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(scores10), vbest);
+}
+
+// Loads columns [col, col + 8) of the 16 lanes' rows, one 128-bit load
+// per lane (lanes l and l + 8 share a 256-bit register), and transposes the
+// 16×8 int16 block in registers: out[j] holds column col + j of lanes
+// 0..15 in order. Reads 8 ranks per row whatever the class length, which
+// the rank blob's pad tail keeps in bounds.
+__attribute__((target("avx2"))) inline void transpose_chunk(
+    const std::int16_t* const* rows, std::size_t col, __m256i* out) {
+  __m256i a[8];
+  for (std::size_t k = 0; k < 8; ++k) {
+    const __m128i lo =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[k] + col));
+    const __m128i hi =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[k + 8] + col));
+    a[k] = _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1);
+  }
+  // Within each 128-bit half, an 8×8 transpose in three unpack rounds:
+  // pairs of rows over int16, then over int32, then over int64.
+  __m256i t[8];
+  for (std::size_t k = 0; k < 4; ++k) {
+    t[2 * k] = _mm256_unpacklo_epi16(a[2 * k], a[2 * k + 1]);      // cols 0-3
+    t[2 * k + 1] = _mm256_unpackhi_epi16(a[2 * k], a[2 * k + 1]);  // cols 4-7
+  }
+  const __m256i u0 = _mm256_unpacklo_epi32(t[0], t[2]);  // cols 0-1, rows 0-3
+  const __m256i u1 = _mm256_unpackhi_epi32(t[0], t[2]);  // cols 2-3
+  const __m256i u2 = _mm256_unpacklo_epi32(t[1], t[3]);  // cols 4-5
+  const __m256i u3 = _mm256_unpackhi_epi32(t[1], t[3]);  // cols 6-7
+  const __m256i u4 = _mm256_unpacklo_epi32(t[4], t[6]);  // cols 0-1, rows 4-7
+  const __m256i u5 = _mm256_unpackhi_epi32(t[4], t[6]);
+  const __m256i u6 = _mm256_unpacklo_epi32(t[5], t[7]);
+  const __m256i u7 = _mm256_unpackhi_epi32(t[5], t[7]);
+  out[0] = _mm256_unpacklo_epi64(u0, u4);
+  out[1] = _mm256_unpackhi_epi64(u0, u4);
+  out[2] = _mm256_unpacklo_epi64(u1, u5);
+  out[3] = _mm256_unpackhi_epi64(u1, u5);
+  out[4] = _mm256_unpacklo_epi64(u2, u6);
+  out[5] = _mm256_unpackhi_epi64(u2, u6);
+  out[6] = _mm256_unpacklo_epi64(u3, u7);
+  out[7] = _mm256_unpackhi_epi64(u3, u7);
+}
+
+// The DP of score_batch_avx2 for a class of M <= 8 columns with the whole
+// previous row held in registers: h[j] is row i-1's column j + 1 (column 0
+// is all zeros), updated in place, so no DP row touches memory.
+template <std::size_t M>
+__attribute__((target("avx2"))) void score_columns_avx2(
+    const std::int16_t* upload, std::size_t n, const __m256i* col,
+    const FixedScores& fs, std::int16_t* scores10) {
+  const __m256i vzero = _mm256_setzero_si256();
+  const __m256i vmatch = _mm256_set1_epi16(fs.match);
+  const __m256i vmismatch =
+      _mm256_set1_epi16(static_cast<std::int16_t>(-fs.mismatch));
+  const __m256i vgap = _mm256_set1_epi16(fs.gap);
+  __m256i h[M];
+  for (__m256i& v : h) v = vzero;
+  __m256i vbest = vzero;
+  for (std::size_t i = 0; i < n; ++i) {
+    const __m256i vup = _mm256_set1_epi16(upload[i]);
+    __m256i vdiag = vzero;  // row i-1, column j
+    __m256i vleft = vzero;  // row i, column j
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < M; ++j) {
+      const __m256i vsubst = _mm256_blendv_epi8(
+          vmismatch, vmatch, _mm256_cmpeq_epi16(vup, col[j]));
+      __m256i v = _mm256_max_epi16(_mm256_add_epi16(vdiag, vsubst),
+                                   _mm256_sub_epi16(h[j], vgap));
+      v = _mm256_max_epi16(v, _mm256_sub_epi16(vleft, vgap));
+      v = _mm256_max_epi16(v, vzero);
+      vdiag = h[j];
+      h[j] = v;
+      vbest = _mm256_max_epi16(vbest, v);
+      vleft = v;
+    }
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(scores10), vbest);
+}
+
+// score_rows for AVX2: classes of up to 8 columns transpose once and run
+// the register DP; longer ones transpose chunk by chunk into the block the
+// memory-row kernel reads.
+__attribute__((target("avx2"))) void score_rows_avx2(
+    const std::int16_t* upload, std::size_t n,
+    const std::int16_t* const* rows, std::size_t m, const FixedScores& fs,
+    std::int16_t* scores10) {
+  constexpr std::size_t kW = 16;
+  __m256i col[8];
+  if (m > 8) {
+    std::int16_t* block = block_scratch((m + 7) / 8 * 8 * kW);
+    for (std::size_t c = 0; c < m; c += 8) {
+      transpose_chunk(rows, c, col);
+      for (std::size_t j = 0; j < 8; ++j) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(block + (c + j) * kW),
+                            col[j]);
+      }
+    }
+    score_batch_avx2(upload, n, block, m, fs, scores10);
+    return;
+  }
+  if (m > 0) transpose_chunk(rows, 0, col);
+  switch (m) {
+    case 1: return score_columns_avx2<1>(upload, n, col, fs, scores10);
+    case 2: return score_columns_avx2<2>(upload, n, col, fs, scores10);
+    case 3: return score_columns_avx2<3>(upload, n, col, fs, scores10);
+    case 4: return score_columns_avx2<4>(upload, n, col, fs, scores10);
+    case 5: return score_columns_avx2<5>(upload, n, col, fs, scores10);
+    case 6: return score_columns_avx2<6>(upload, n, col, fs, scores10);
+    case 7: return score_columns_avx2<7>(upload, n, col, fs, scores10);
+    case 8: return score_columns_avx2<8>(upload, n, col, fs, scores10);
+    default:  // m == 0: nothing to align
+      std::fill(scores10, scores10 + kW, std::int16_t{0});
+      return;
+  }
 }
 
 bool host_has_avx2() {
@@ -228,6 +363,20 @@ void score_batch(const std::int16_t* upload, std::size_t n,
                          batch_width(kernel));
       return;
   }
+}
+
+void score_rows(const std::int16_t* upload, std::size_t n,
+                const std::int16_t* const* rows, std::size_t m,
+                const FixedScores& fs, std::int16_t* scores10, Kernel kernel) {
+  if (kernel == Kernel::kAuto) kernel = active_kernel();
+#if defined(BUSSENSE_SIMD_AVX2)
+  if (kernel == Kernel::kAvx2) {
+    score_rows_avx2(upload, n, rows, m, fs, scores10);
+    return;
+  }
+#endif
+  const std::size_t width = batch_width(kernel);
+  score_batch(upload, n, gather_rows(rows, m, width), m, fs, scores10, kernel);
 }
 
 }  // namespace bussense::simd

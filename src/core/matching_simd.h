@@ -13,8 +13,18 @@
 //
 // Candidates are fed as *quantized ranks* (StopDatabase::QuantizedView):
 // cell IDs remapped to dense small ints so a lane compare is one 16-bit
-// equality instead of a 32-bit id compare, and the batch rows pack twice as
-// many candidates per vector.
+// equality instead of a 32-bit id compare, and a vector holds twice as
+// many candidates.
+//
+// Two entries share the DP. score_batch() takes a lane-major transposed
+// block and is the reference the tests pin. score_rows() takes one row
+// pointer per lane straight into the view's rank blob, so the matcher
+// packs nothing: the AVX2 body loads 8 ranks per lane with one 128-bit load
+// and transposes 16×8 int16 in registers; classes of up to 8 columns (every
+// scanned database: ScannerConfig::max_towers is 7) then run the DP with
+// the whole row in registers, longer ones transpose chunk by chunk into
+// the memory-row kernel. The scalar batch and NEON gather the rows into a
+// thread-local block and call score_batch.
 #pragma once
 
 #include <cstddef>
@@ -46,6 +56,9 @@ const char* kernel_name(Kernel kernel);
 /// portable scalar batch.
 std::size_t batch_width(Kernel kernel = Kernel::kAuto);
 
+/// The largest batch_width() of any kernel.
+inline constexpr std::size_t kMaxBatchWidth = 16;
+
 /// Scores one quantized upload (`upload[0..n)`) against batch_width(kernel)
 /// candidates of identical length `m`, laid out TRANSPOSED: db_t[j * width +
 /// lane] is lane `lane`'s j-th rank. Writes each lane's best local-alignment
@@ -56,5 +69,16 @@ void score_batch(const std::int16_t* upload, std::size_t n,
                  const std::int16_t* db_t, std::size_t m,
                  const FixedScores& fs, std::int16_t* scores10,
                  Kernel kernel = Kernel::kAuto);
+
+/// score_batch over rows[0..batch_width(kernel)): lane `lane` scores the m
+/// ranks at rows[lane], read in place. Unused lanes point at a row of
+/// kPadRank and score 0. Every row must stay readable for roundup8(m)
+/// entries (the 8-wide loads), which the view's pad tail guarantees for
+/// rows in its rank blob; the pad row itself is at least that long.
+/// Same preconditions, results and thread-safety as score_batch.
+void score_rows(const std::int16_t* upload, std::size_t n,
+                const std::int16_t* const* rows, std::size_t m,
+                const FixedScores& fs, std::int16_t* scores10,
+                Kernel kernel = Kernel::kAuto);
 
 }  // namespace bussense::simd

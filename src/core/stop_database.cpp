@@ -58,6 +58,38 @@ const StopDatabase::QuantizedView& StopDatabase::quantized() const {
   return *quantized_;
 }
 
+namespace {
+
+using QuantizedView = StopDatabase::QuantizedView;
+
+// Puts (cell, id) into the first empty slot of cell's probe chain; the cell
+// must not be in the table yet.
+void place(QuantizedView& view, CellId cell, std::uint32_t id) {
+  const std::size_t mask = view.dictionary.size() - 1;
+  std::size_t i = view.home_slot(cell);
+  while (view.dictionary[i].id != QuantizedView::kNoId) i = (i + 1) & mask;
+  view.dictionary[i] = {cell, id};
+}
+
+// Dense id of `cell`, giving it the next one on first encounter. Doubles
+// the table before an insert would fill it past half.
+std::uint32_t intern(QuantizedView& view, CellId cell) {
+  const std::uint32_t known = view.id_of(cell);
+  if (known != QuantizedView::kNoId) return known;
+  if (2 * (std::size_t{view.cells} + 1) > view.dictionary.size()) {
+    std::vector<QuantizedView::DictSlot> old(2 * view.dictionary.size());
+    old.swap(view.dictionary);
+    --view.dictionary_shift;
+    for (const QuantizedView::DictSlot& slot : old) {
+      if (slot.id != QuantizedView::kNoId) place(view, slot.cell, slot.id);
+    }
+  }
+  place(view, cell, view.cells);
+  return view.cells++;
+}
+
+}  // namespace
+
 void StopDatabase::build_quantized(QuantizedView& view) const {
   view.record.resize(records_.size());
   // Length-class grouping: lay the rank arrays out in (length, record id)
@@ -71,8 +103,16 @@ void StopDatabase::build_quantized(QuantizedView& view) const {
                             records_[b].fingerprint.cells.size();
                    });
   std::size_t total = 0;
-  for (const StopRecord& r : records_) total += r.fingerprint.cells.size();
-  view.ranks.reserve(total);
+  std::size_t longest = 0;
+  for (const StopRecord& r : records_) {
+    total += r.fingerprint.cells.size();
+    longest = std::max(longest, r.fingerprint.cells.size());
+  }
+  // The pad tail: the row of every unused kernel lane, long enough for
+  // the longest class's 8-wide loads, and the margin those loads need past
+  // the last record.
+  const std::size_t pad = (longest + 7) / 8 * 8 + 8;
+  view.ranks.reserve(total + pad);
   std::vector<std::uint32_t> ids;  // dense id of every ranks[] slot
   ids.reserve(total);
   for (const std::uint32_t rec : order) {
@@ -81,20 +121,20 @@ void StopDatabase::build_quantized(QuantizedView& view) const {
                         static_cast<std::uint32_t>(cells.size())};
     for (const CellId cell : cells) {
       // Ids in first-encounter order over the length-grouped layout.
-      const auto next = static_cast<std::uint32_t>(view.dictionary.size());
-      const std::uint32_t id =
-          view.dictionary.try_emplace(cell, next).first->second;
+      const std::uint32_t id = intern(view, cell);
       ids.push_back(id);
       view.ranks.push_back(QuantizedView::rank_of_id(id));
     }
   }
+  view.pad_offset = static_cast<std::uint32_t>(view.ranks.size());
+  view.ranks.resize(view.ranks.size() + pad, simd::kPadRank);
   // Ids past the rank space left kUnknownRank holes in ranks: the kernel
   // must not run, but the index below is still exact.
-  view.valid = view.dictionary.size() <= QuantizedView::kRankSpace;
+  view.valid = view.cells <= QuantizedView::kRankSpace;
 
   // CSR postings: count per id, prefix-sum, then fill in ascending record
   // order so every list comes out sorted.
-  view.post_off.assign(view.dictionary.size() + 1, 0);
+  view.post_off.assign(std::size_t{view.cells} + 1, 0);
   for (const std::uint32_t id : ids) ++view.post_off[id + 1];
   std::partial_sum(view.post_off.begin(), view.post_off.end(),
                    view.post_off.begin());

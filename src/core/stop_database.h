@@ -50,12 +50,14 @@ class StopDatabase {
 
   /// Quantized SoA mirror of records() plus its inverted cell index
   /// (DESIGN.md §12), built lazily in one pass. Every distinct cell ID gets a
-  /// dense uint32 id through a DB-owned dictionary (first-encounter order,
-  /// injective). The id keys a CSR posting list (records carrying the cell)
-  /// and, while it fits int16, doubles as the cell's *rank* for the
+  /// dense uint32 id through a DB-owned flat dictionary (first-encounter
+  /// order, injective). The id keys a CSR posting list (records carrying the
+  /// cell) and, while it fits int16, doubles as the cell's *rank* for the
   /// batch-scoring kernel (core/matching_simd.h). Rank arrays are stored
-  /// contiguously grouped by fingerprint-length class, the layout the kernel
-  /// packs its transposed lanes from. Equality is preserved exactly, so
+  /// contiguously grouped by fingerprint-length class and followed by a
+  /// tail of kPadRank: the kernel reads each candidate's row in place, the
+  /// tail is the row of every unused lane and the margin for its 8-wide
+  /// loads past the last record. Equality is preserved exactly, so
   /// rank-space alignment scores equal cell-ID-space scores bitwise.
   struct QuantizedView {
     /// Dense id of a cell the database never saw.
@@ -70,24 +72,48 @@ class StopDatabase {
       std::uint32_t length = 0;  ///< fingerprint length in cells
     };
 
+    /// One slot of the flat dictionary; id kNoId marks it empty.
+    struct DictSlot {
+      CellId cell = 0;
+      std::uint32_t id = kNoId;
+    };
+
     /// False when the dictionary outgrew the rank space (> kRankSpace
     /// distinct cell IDs): the batch kernel must not run, but the dictionary
     /// and the posting lists stay complete. The paper's whole-city
     /// deployments sit 4 orders of magnitude below the cap.
     bool valid = false;
-    std::vector<std::int16_t> ranks;  ///< all fingerprints, length-grouped
-    std::vector<RecordRef> record;    ///< indexed by record position
-    std::unordered_map<CellId, std::uint32_t> dictionary;  ///< cell → id
+    /// All fingerprints, length-grouped, then at least roundup8(longest
+    /// fingerprint) + 8 kPadRank entries from pad_offset on.
+    std::vector<std::int16_t> ranks;
+    std::uint32_t pad_offset = 0;  ///< start of the kPadRank tail
+    std::vector<RecordRef> record;  ///< indexed by record position
+    /// Cell → id: open addressing over a power-of-two table at most half
+    /// full, multiplicative-hash home slots, linear probing.
+    std::vector<DictSlot> dictionary = std::vector<DictSlot>(2);
+    unsigned dictionary_shift = 63;  ///< 64 − log2(dictionary.size())
+    std::uint32_t cells = 0;         ///< distinct cells (occupied slots)
     /// Posting lists: post_rec[post_off[id] .. post_off[id + 1]) are the
     /// records whose fingerprint contains cell `id`, ascending, one entry
     /// per occurrence (a cell duplicated in a fingerprint posts twice).
     std::vector<std::uint32_t> post_off;
     std::vector<std::uint32_t> post_rec;
 
+    std::size_t cell_count() const { return cells; }
+    /// Slot where the probe for `cell` starts.
+    std::size_t home_slot(CellId cell) const {
+      return static_cast<std::size_t>(
+          (std::uint64_t{static_cast<std::uint32_t>(cell)} *
+           0x9E3779B97F4A7C15ULL) >>
+          dictionary_shift);
+    }
     /// Dense id of an upload cell; kNoId when the database never saw it.
     std::uint32_t id_of(CellId cell) const {
-      const auto it = dictionary.find(cell);
-      return it == dictionary.end() ? kNoId : it->second;
+      const std::size_t mask = dictionary.size() - 1;
+      for (std::size_t i = home_slot(cell);; i = (i + 1) & mask) {
+        const DictSlot& slot = dictionary[i];
+        if (slot.cell == cell || slot.id == kNoId) return slot.id;
+      }
     }
     /// Kernel rank of a dense id: the id itself while it fits int16,
     /// simd::kUnknownRank for kNoId (compares unequal to every stored rank
@@ -97,6 +123,8 @@ class StopDatabase {
                              : simd::kUnknownRank;
     }
     std::int16_t rank_of(CellId cell) const { return rank_of_id(id_of(cell)); }
+    /// The kPadRank row an unused kernel lane reads.
+    const std::int16_t* pad_row() const { return ranks.data() + pad_offset; }
   };
 
   /// The quantized view and index, built lazily on first use. Concurrent

@@ -1,6 +1,7 @@
 #include "core/stop_matcher.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -38,17 +39,18 @@ struct Scratch {
   std::vector<std::uint32_t> sample_ids;
   std::vector<std::int16_t> sample_ranks;
   // Survivors (first-touch order) with their length range, the
-  // length-class order for mixed lengths, one batch's lanes and the
-  // kernel's transposed block.
+  // length-class order for mixed lengths, and one batch's lanes: their
+  // survivors, their rows in the rank blob and their scores.
   std::vector<Survivor> survivors;
   std::size_t survivor_count = 0;
   std::uint32_t min_length = 0;
   std::uint32_t max_length = 0;
   std::vector<std::uint32_t> class_end;
   std::vector<std::uint32_t> order;
-  std::vector<Survivor*> lane_survivor;
-  std::vector<std::int16_t> lane_scores;
-  std::vector<std::int16_t> db_t;
+  std::array<Survivor*, simd::kMaxBatchWidth> lane_survivor{};
+  std::array<const std::int16_t*, simd::kMaxBatchWidth> lane_row{};
+  std::array<std::int16_t, simd::kMaxBatchWidth> lane_scores10{};
+  std::array<double, simd::kMaxBatchWidth> lane_scores{};
 };
 thread_local Scratch t_scratch;
 
@@ -241,9 +243,12 @@ bool StopMatcher::simd_active() const {
   // bit-identity contract) and the same soundness conditions as the γ
   // bound; anything else keeps the scalar scan, which — since the scalar
   // path is the reference — is trivially identical across the knob.
-  // It also needs a vector unit to pay for the batch packing: without
-  // AVX2/NEON the lane-major scalar batch is slower than the plain DP
-  // (measured ~0.5–0.8x), so kernel-less hosts keep the classic loop.
+  // It also needs a vector unit. AVX2 reads the candidates' rows in place
+  // and transposes them in registers; without AVX2/NEON, score_rows gathers
+  // the rows into a lane-major block for the scalar batch, and that gather
+  // plus the lane loop ran at ~0.5–0.8x the plain DP's speed (measured when
+  // the matcher packed the same block itself), so kernel-less hosts keep
+  // the classic loop.
   return config_.accel.use_simd &&
          simd::active_kernel() != simd::Kernel::kScalar && fixed_.exact &&
          fixed_.match > 0 && fixed_.mismatch >= 0 && fixed_.gap >= 0 &&
@@ -309,8 +314,6 @@ void StopMatcher::score_survivors(const Fingerprint& sample,
   const std::size_t n = sample.cells.size();
   const simd::Kernel kernel = simd::active_kernel();
   const std::size_t width = simd::batch_width(kernel);
-  b.lane_survivor.resize(width);
-  b.lane_scores.resize(width);
 
   // Incumbent best score so far. Skipping a survivor whose bound is
   // *strictly* below it is sound in any processing order: the final best can
@@ -351,32 +354,30 @@ void StopMatcher::score_survivors(const Fingerprint& sample,
       score_scalar(at, count);
       return;
     }
-    // Kernel batches of `width` lanes over this class.
-    b.db_t.resize(std::size_t{class_len} * width);
+    // Kernel batches of `width` lanes over this class, each lane reading
+    // its candidate's ranks in place; unused lanes read the pad row, which
+    // matches nothing and scores 0.
     std::size_t k = 0;
     while (k < count) {
       std::size_t lanes = 0;
       while (k < count && lanes < width) {
         Survivor& s = at(k++);
-        if (!skip(s)) b.lane_survivor[lanes++] = &s;
+        if (skip(s)) continue;
+        b.lane_survivor[lanes] = &s;
+        b.lane_row[lanes] = qv.ranks.data() + qv.record[s.record].offset;
+        ++lanes;
       }
       if (lanes == 0) continue;
-      // Transpose the candidates' rank arrays into lane-major rows; unused
-      // lanes carry kPadRank, which matches nothing and scores 0.
-      if (lanes < width) {
-        std::fill(b.db_t.begin(), b.db_t.end(), simd::kPadRank);
+      std::fill(b.lane_row.begin() + lanes, b.lane_row.begin() + width,
+                qv.pad_row());
+      simd::score_rows(upload, n, b.lane_row.data(), class_len, fixed_,
+                       b.lane_scores10.data(), kernel);
+      // One pass over the full width (vectorised), then the live lanes.
+      for (std::size_t lane = 0; lane < simd::kMaxBatchWidth; ++lane) {
+        b.lane_scores[lane] = fixed_to_score(b.lane_scores10[lane]);
       }
       for (std::size_t lane = 0; lane < lanes; ++lane) {
-        const std::int16_t* src =
-            qv.ranks.data() + qv.record[b.lane_survivor[lane]->record].offset;
-        for (std::size_t j = 0; j < class_len; ++j) {
-          b.db_t[j * width + lane] = src[j];
-        }
-      }
-      simd::score_batch(upload, n, b.db_t.data(), class_len, fixed_,
-                        b.lane_scores.data(), kernel);
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        note_score(*b.lane_survivor[lane], fixed_to_score(b.lane_scores[lane]));
+        note_score(*b.lane_survivor[lane], b.lane_scores[lane]);
       }
     }
   };

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,6 +19,8 @@
 #include "core/matching_simd.h"
 #include "core/stop_database.h"
 #include "core/stop_matcher.h"
+#include "trafficsim/lod_world.h"
+#include "trafficsim/world.h"
 
 namespace bussense {
 namespace {
@@ -178,6 +182,86 @@ TEST(KernelIdentity, CompiledKernelsAgreeWithEachOther) {
   }
 }
 
+// score_rows reads each lane's ranks in place from the view's rank blob.
+// For every m and n in 1..20 (crossing the 8-column chunk) and every
+// live-lane count, it must equal score_batch on the transposed block of the
+// same rows and similarity() per lane, and pad lanes must score 0. The lane
+// of the highest live index always reads the blob's last record, so the
+// 8-wide loads past its end run into the pad tail (and under ASan, into
+// nothing else).
+TEST(KernelRows, RowsEqualTransposedBatchAndSimilarity) {
+  Rng rng(41);
+  const FixedScores fs = quantize_scores(MatchingConfig{});
+  const auto kernels = available_kernels();
+  for (int m = 1; m <= 20; ++m) {
+    // Small pools force duplicate ranks inside and across rows.
+    const int pool = rng.uniform_int(3, m + 4);
+    StopDatabase db;
+    for (int r = 0; r < static_cast<int>(simd::kMaxBatchWidth); ++r) {
+      db.add(static_cast<StopId>(r + 1), random_fingerprint(rng, m, pool));
+    }
+    const StopDatabase::QuantizedView& qv = db.quantized();
+    const std::uint32_t last = qv.record.back().offset;
+    ASSERT_EQ(last + static_cast<std::uint32_t>(m), qv.pad_offset);
+    for (int n = 1; n <= 20; ++n) {
+      // Cells past the pool are unknown to the dictionary.
+      const Fingerprint upload = random_fingerprint(rng, n, pool + 3);
+      std::vector<std::int16_t> up;
+      for (const CellId c : upload.cells) up.push_back(qv.rank_of(c));
+      std::vector<double> expected;
+      for (const StopRecord& r : db.records()) {
+        expected.push_back(similarity(upload, r.fingerprint));
+      }
+      // Per live-lane count, the live scores of the first kernel checked.
+      std::vector<std::vector<std::int16_t>> first(simd::kMaxBatchWidth + 1);
+      for (const simd::Kernel kernel : kernels) {
+        const std::size_t width = simd::batch_width(kernel);
+        for (std::size_t live = 1; live <= width; ++live) {
+          // Lane l reads record (records - live + l): the last lane reads
+          // the blob's last record.
+          const std::size_t base = db.size() - live;
+          std::vector<const std::int16_t*> rows(width, qv.pad_row());
+          for (std::size_t l = 0; l < live; ++l) {
+            rows[l] = qv.ranks.data() + qv.record[base + l].offset;
+          }
+          ASSERT_EQ(rows[live - 1], qv.ranks.data() + last);
+          std::vector<std::int16_t> db_t(static_cast<std::size_t>(m) * width);
+          for (std::size_t l = 0; l < width; ++l) {
+            for (int j = 0; j < m; ++j) {
+              db_t[static_cast<std::size_t>(j) * width + l] = rows[l][j];
+            }
+          }
+          std::vector<std::int16_t> from_rows(width, -7);
+          std::vector<std::int16_t> from_block(width, -7);
+          simd::score_rows(up.data(), up.size(), rows.data(), m, fs,
+                           from_rows.data(), kernel);
+          simd::score_batch(up.data(), up.size(), db_t.data(), m, fs,
+                            from_block.data(), kernel);
+          ASSERT_EQ(from_rows, from_block)
+              << simd::kernel_name(kernel) << " m " << m << " n " << n
+              << " live " << live;
+          for (std::size_t l = 0; l < live; ++l) {
+            EXPECT_EQ(fixed_to_score(from_rows[l]), expected[base + l])
+                << simd::kernel_name(kernel) << " m " << m << " n " << n
+                << " live " << live << " lane " << l;
+          }
+          for (std::size_t l = live; l < width; ++l) {
+            EXPECT_EQ(from_rows[l], 0) << "pad lane " << l;
+          }
+          from_rows.resize(live);
+          if (first[live].empty()) {
+            first[live] = from_rows;
+          } else {
+            EXPECT_EQ(from_rows, first[live])
+                << simd::kernel_name(kernel) << " disagrees, m " << m
+                << " n " << n << " live " << live;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ quantized view
 
 TEST(QuantizedView, DictionaryIsInjectiveAndRanksMirrorRecords) {
@@ -198,7 +282,14 @@ TEST(QuantizedView, DictionaryIsInjectiveAndRanksMirrorRecords) {
     }
     total += cells.size();
   }
-  EXPECT_EQ(qv.ranks.size(), total);
+  // The records' ranks end at pad_offset; a kPadRank tail long enough for
+  // the longest class's 8-wide loads (roundup8(3) + 8) follows.
+  EXPECT_EQ(qv.pad_offset, total);
+  EXPECT_GE(qv.ranks.size(), qv.pad_offset + 16u);
+  for (std::size_t i = qv.pad_offset; i < qv.ranks.size(); ++i) {
+    EXPECT_EQ(qv.ranks[i], simd::kPadRank) << i;
+  }
+  EXPECT_EQ(qv.cell_count(), 5u);
   EXPECT_EQ(qv.rank_of(999999), simd::kUnknownRank);
   // Injective: distinct cells → distinct ranks.
   EXPECT_NE(qv.rank_of(100), qv.rank_of(200));
@@ -222,16 +313,86 @@ TEST(QuantizedView, RanksAreGroupedByLengthClass) {
 TEST(QuantizedView, MutationInvalidatesAndRebuilds) {
   StopDatabase db;
   db.add(1, Fingerprint{{1, 2, 3}});
-  const std::size_t before = db.quantized().ranks.size();
+  const std::size_t before = db.quantized().pad_offset;
   EXPECT_EQ(before, 3u);
   db.add(1, Fingerprint{{4, 5, 6, 7}});  // replace
   const StopDatabase::QuantizedView& qv = db.quantized();
-  EXPECT_EQ(qv.ranks.size(), 4u);
+  EXPECT_EQ(qv.pad_offset, 4u);
   EXPECT_EQ(qv.record[0].length, 4u);
   EXPECT_EQ(qv.rank_of(7), qv.ranks[qv.record[0].offset + 3]);
   // Copies rebuild their own cache lazily.
   const StopDatabase copy = db;
-  EXPECT_EQ(copy.quantized().ranks.size(), 4u);
+  EXPECT_EQ(copy.quantized().pad_offset, 4u);
+}
+
+// The flat dictionary hands out the same first-encounter ids the layout
+// implies: records in (length, record) order, cells in fingerprint order.
+std::vector<std::pair<CellId, std::uint32_t>> first_encounter_ids(
+    const StopDatabase& db) {
+  std::vector<std::uint32_t> order(db.size());
+  for (std::uint32_t r = 0; r < db.size(); ++r) order[r] = r;
+  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return db.records()[a].fingerprint.size() < db.records()[b].fingerprint.size();
+  });
+  std::vector<std::pair<CellId, std::uint32_t>> ids;
+  for (const std::uint32_t r : order) {
+    for (const CellId c : db.records()[r].fingerprint.cells) {
+      const bool seen = std::any_of(ids.begin(), ids.end(),
+                                    [c](const auto& e) { return e.first == c; });
+      if (!seen) ids.emplace_back(c, static_cast<std::uint32_t>(ids.size()));
+    }
+  }
+  return ids;
+}
+
+TEST(QuantizedView, FlatDictionaryKeepsFirstEncounterIds) {
+  Rng rng(17);
+  StopDatabase db;
+  // Extreme and negative ids next to ordinary ones, mixed lengths, and
+  // cells repeated across records.
+  db.add(1, Fingerprint{{INT32_MAX, -5, 0, 12}});
+  db.add(2, Fingerprint{{INT32_MIN, -1, INT32_MAX}});
+  for (int r = 0; r < 200; ++r) {
+    Fingerprint fp;
+    const int len = rng.uniform_int(1, 9);
+    for (int j = 0; j < len; ++j) {
+      fp.cells.push_back(rng.uniform_int(-3000, 3000) * 7919);
+    }
+    db.add(static_cast<StopId>(r + 3), fp);
+  }
+  const StopDatabase::QuantizedView& qv = db.quantized();
+  const auto ids = first_encounter_ids(db);
+  ASSERT_EQ(qv.cell_count(), ids.size());
+  for (const auto& [cell, id] : ids) EXPECT_EQ(qv.id_of(cell), id) << cell;
+  // At most half full, power-of-two size.
+  EXPECT_EQ(qv.dictionary.size() & (qv.dictionary.size() - 1), 0u);
+  EXPECT_LE(2 * qv.cell_count(), qv.dictionary.size());
+  // Unseen cells come back kNoId, including those whose probe starts on an
+  // occupied slot and so walks a chain of known cells.
+  std::set<CellId> known;
+  for (const auto& e : ids) known.insert(e.first);
+  std::size_t on_chains = 0;
+  for (CellId c = -20000; c <= 20000; ++c) {
+    if (known.count(c) != 0) continue;
+    EXPECT_EQ(qv.id_of(c), StopDatabase::QuantizedView::kNoId) << c;
+    on_chains += qv.dictionary[qv.home_slot(c)].id !=
+                 StopDatabase::QuantizedView::kNoId;
+  }
+  EXPECT_GT(on_chains, 1000u);
+  for (const CellId c : {INT32_MIN + 1, INT32_MAX - 1, -2, 1}) {
+    EXPECT_EQ(qv.id_of(c), StopDatabase::QuantizedView::kNoId) << c;
+  }
+}
+
+TEST(QuantizedView, EmptyDatabaseHasAPadRowAndAnEmptyDictionary) {
+  const StopDatabase db;
+  const StopDatabase::QuantizedView& qv = db.quantized();
+  EXPECT_EQ(qv.cell_count(), 0u);
+  EXPECT_EQ(qv.id_of(0), StopDatabase::QuantizedView::kNoId);
+  EXPECT_EQ(qv.id_of(INT32_MIN), StopDatabase::QuantizedView::kNoId);
+  EXPECT_EQ(qv.pad_offset, 0u);
+  ASSERT_GE(qv.ranks.size(), 8u);
+  EXPECT_EQ(qv.pad_row()[7], simd::kPadRank);
 }
 
 // ----------------------------------------- matcher bit-identity sweep
@@ -708,7 +869,15 @@ TEST(FlatPath, IndexServesDatabasesPastTheRankSpace) {
     db.add(static_cast<StopId>(r + 1), fp);
   }
   ASSERT_FALSE(db.quantized().valid);
-  ASSERT_GT(db.quantized().dictionary.size(), 32768u);
+  ASSERT_GT(db.quantized().cell_count(), 32768u);
+  // One 7-cell length class of distinct cells: ids follow record order.
+  for (const int r : {0, 4681, 4682, 4999}) {
+    for (int j = 0; j < 7; ++j) {
+      EXPECT_EQ(db.quantized().id_of(100000 + 7 * r + j),
+                static_cast<std::uint32_t>(7 * r + j));
+    }
+  }
+  EXPECT_EQ(db.quantized().id_of(7), StopDatabase::QuantizedView::kNoId);
   EXPECT_FALSE(StopMatcher(db).simd_active());
   for (const int r : {0, 2500, 4700, 4999}) {
     Fingerprint sample = db.records()[r].fingerprint;
@@ -743,6 +912,67 @@ TEST(FlatPath, AddAfterMatchRebuildsTheIndex) {
   for (int q = 0; q < 20; ++q) {
     expect_flat_path_matches_brute(db, random_fingerprint(rng, 7, 50));
   }
+}
+
+// ------------------------------------------------- realistic stream digest
+//
+// The random-fingerprint sweeps above never produce the shape production
+// runs: one 7-cell length class and about 13 γ-survivors per sample. This
+// case matches every sample of a LodWorld day against the perfbench
+// testbed database (default World, survey Rng(2024), 5 runs per stop,
+// in-bus on odd runs) and pins an FNV-1a digest of every match() and
+// match_all() result. The constants were taken before the kernel read
+// candidate rows in place; they hold in the default, sanitizer and
+// -DBUSSENSE_SIMD=OFF builds alike.
+
+class Fnv1a {
+ public:
+  template <typename T>
+  void mix(const T& value) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&value);
+    for (std::size_t i = 0; i < sizeof(T); ++i) h_ = (h_ ^ p[i]) * 0x100000001b3ULL;
+  }
+  void mix(const MatchResult& r) {
+    mix(r.stop);
+    mix(std::bit_cast<std::uint64_t>(r.score));
+    mix(r.common_cells);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(RealisticStream, MatchDigestIsPinned) {
+  const World world;
+  Rng survey(2024);
+  const StopDatabase db = build_stop_database(
+      world.city(),
+      [&](StopId stop, int run) {
+        return world.scan_stop(stop, survey, run % 2 == 1);
+      },
+      5);
+  LodConfig config;
+  config.seed = 701;
+  const LodWorld lod(world, 20'000, config);
+  const StopMatcher matcher(db);
+  Fnv1a best;
+  Fnv1a all;
+  std::size_t samples = 0;
+  for (const LodTrip& trip : lod.simulate_day(0)) {
+    for (const CellularSample& s : trip.trip.upload.samples) {
+      ++samples;
+      const auto m = matcher.match(s.fingerprint);
+      best.mix(m.has_value());
+      if (m) best.mix(*m);
+      const auto list = matcher.match_all(s.fingerprint);
+      all.mix(list.size());
+      for (const MatchResult& r : list) all.mix(r);
+    }
+  }
+  EXPECT_EQ(samples, 19133u);
+  EXPECT_EQ(best.value(), 7558126730761040135ULL);
+  EXPECT_EQ(all.value(), 5335822050309181043ULL);
 }
 
 // ------------------------------------------------- scratch retention cap
