@@ -107,11 +107,16 @@ const CityScale& city_scale() {
           return out.world->scan_stop(stop, survey, run % 2 == 1);
         },
         3);
+    // Several in-bus scans per effective stop, each a fresh draw: about a
+    // thousand probes, so even the fastest corner's timed loop replays
+    // ~20k matches.
+    constexpr int kScansPerStop = 6;
     Rng rng(43);
     for (const BusStop& stop : out.world->city().stops()) {
       if (out.world->city().effective_stop(stop.id) != stop.id) continue;
-      if (stop.id % 5 != 0) continue;  // subsample: a few hundred probes
-      out.probes.push_back(out.world->scan_stop(stop.id, rng, true));
+      for (int k = 0; k < kScansPerStop; ++k) {
+        out.probes.push_back(out.world->scan_stop(stop.id, rng, true));
+      }
     }
     return out;
   }();
@@ -131,8 +136,9 @@ double match_samples_per_s(const StopMatcher& matcher,
   return total / std::max(seconds_since(start), 1e-9);
 }
 
-// Repetitions per corner. One timed loop lasts a few ms, so single loops
-// spread widely on a shared host; the corners alternate repetition by
+// Repetitions per corner. One timed loop lasts about 10 ms (indexed,
+// kernel) to 40 ms (brute force, scalar), yet single loops still spread
+// widely on a shared host; the corners alternate repetition by
 // repetition, so drift hits all four alike, and the table reports medians
 // with quartiles.
 constexpr int kRepetitions = 15;

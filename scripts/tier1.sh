@@ -69,9 +69,12 @@
 #
 # Optional serving-tier stage: BUSSENSE_SERVING=ON ./scripts/tier1.sh
 # builds the epoch publisher / query service suite under TSan (the
-# no-torn-epoch property: 8 readers racing sustained publishes) and again
-# under ASan+UBSan with leak detection on (the 10k-epoch churn property:
-# every retired epoch reclaimed). Off by default.
+# no-torn-epoch property: 8 readers racing sustained publishes) together
+# with test_metrics (two readers sharing one QueryService, so both pin
+# through the thread-local pin cache of one publisher), and the query
+# service suite again under ASan+UBSan with leak detection on (the
+# 10k-epoch churn property: every retired epoch reclaimed). Off by
+# default.
 #
 # Optional LOD metropolis stage: BUSSENSE_LOD=ON ./scripts/tier1.sh builds
 # the tiered-fidelity simulation suites (test_lod_world + the metropolis
@@ -208,12 +211,14 @@ if [[ "${BUSSENSE_DURABILITY:-}" == "ON" ]]; then
 fi
 
 if [[ "${BUSSENSE_SERVING:-}" == "ON" ]]; then
-  begin_stage "TSan serving tier (test_query_service)"
+  begin_stage "TSan serving tier (test_query_service, test_metrics)"
   cmake -B build-tsan -S . -DBUSSENSE_SANITIZE=thread
-  cmake --build build-tsan -j --target test_query_service
+  cmake --build build-tsan -j --target test_query_service test_metrics
   # The no-torn-epoch property races 8 pinned readers against sustained
   # publishes + live ingest; TSan must stay silent on the whole suite.
   ./build-tsan/tests/test_query_service
+  # Two readers share one QueryService and so one publisher's pin path.
+  ./build-tsan/tests/test_metrics
   end_stage
   begin_stage "ASan+UBSan serving leak check (test_query_service)"
   cmake -B build-asan -S . -DBUSSENSE_SANITIZE=address,undefined

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "citynet/city.h"
@@ -40,7 +41,13 @@ SegmentGeometry::SegmentGeometry(const SegmentCatalog& catalog, int cols,
       rows_(rows) {
   const auto& keys = catalog.adjacent_keys();
   entries_.reserve(keys.size());
-  ordinal_.reserve(keys.size());
+  // At most half full: the smallest power of two ≥ 2 × keys (and ≥ 2).
+  std::size_t table_size = 2;
+  while (table_size < 2 * keys.size()) {
+    table_size *= 2;
+    --table_shift_;
+  }
+  table_.resize(table_size);
   for (const SegmentKey& key : keys) {
     const SpanInfo* info = catalog.adjacent(key);
     if (!info) continue;  // defensive: adjacent_keys only lists catalogued
@@ -49,7 +56,10 @@ SegmentGeometry::SegmentGeometry(const SegmentCatalog& catalog, int cols,
     const BusRoute& route = catalog.city().route(info->route);
     e.midpoint = route.path().point_at(0.5 * (info->arc_from + info->arc_to));
     e.length_m = info->length_m;
-    ordinal_.emplace(key, static_cast<std::uint32_t>(entries_.size()));
+    const std::uint64_t k = packed(key);
+    std::size_t i = home_slot(k);
+    while (table_[i].ordinal != kNoOrdinal) i = (i + 1) & (table_size - 1);
+    table_[i] = {k, static_cast<std::uint32_t>(entries_.size())};
     entries_.push_back(e);
   }
   // CSR binning by midpoint, row-major cells, ordinals ascending per cell.
@@ -72,11 +82,16 @@ SegmentGeometry::SegmentGeometry(const SegmentCatalog& catalog, int cols,
   }
 }
 
-std::optional<std::uint32_t> SegmentGeometry::ordinal(
-    const SegmentKey& key) const {
-  const auto it = ordinal_.find(key);
-  if (it == ordinal_.end()) return std::nullopt;
-  return it->second;
+std::size_t SegmentGeometry::probe_length(const SegmentKey& key) const {
+  const std::uint64_t k = packed(key);
+  const std::size_t mask = table_.size() - 1;
+  std::size_t reads = 1;
+  for (std::size_t i = home_slot(k);
+       table_[i].ordinal != kNoOrdinal && table_[i].key != k;
+       i = (i + 1) & mask) {
+    ++reads;
+  }
+  return reads;
 }
 
 int SegmentGeometry::col_of(double x) const {
@@ -115,22 +130,27 @@ EpochSnapshot::EpochSnapshot(TrafficMap map, const SegmentGeometry& geometry,
                              double max_age_s)
     : max_age_s_(max_age_s), map_(std::move(map)), geometry_(&geometry) {
   const auto& segs = map_.segments();
-  index_.reserve(segs.size());
   live_of_ordinal_.assign(geometry.size(), kNotLive);
   for (std::size_t i = 0; i < segs.size(); ++i) {
-    index_.emplace(segs[i].key, static_cast<std::uint32_t>(i));
+    const auto row = static_cast<std::uint32_t>(i);
     if (const auto ord = geometry.ordinal(segs[i].key)) {
-      live_of_ordinal_[*ord] = static_cast<std::uint32_t>(i);
+      live_of_ordinal_[*ord] = row;
+    } else {
+      off_geometry_.emplace_back(SegmentGeometry::packed(segs[i].key), row);
     }
   }
+  std::sort(off_geometry_.begin(), off_geometry_.end());
   level_histogram_ = map_.level_histogram();
   coverage_ratio_ = map_.coverage_ratio(geometry.catalog());
   mean_speed_kmh_ = map_.mean_speed_kmh();
 }
 
-const MapSegment* EpochSnapshot::segment(const SegmentKey& key) const {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
+const MapSegment* EpochSnapshot::off_geometry_segment(
+    const SegmentKey& key) const {
+  const std::uint64_t k = SegmentGeometry::packed(key);
+  const auto it = std::lower_bound(off_geometry_.begin(), off_geometry_.end(),
+                                   std::pair<std::uint64_t, std::uint32_t>{k, 0});
+  if (it == off_geometry_.end() || it->first != k) return nullptr;
   return &map_.segments()[it->second];
 }
 
@@ -278,15 +298,25 @@ EpochPublisher::~EpochPublisher() {
 }
 
 EpochPublisher::LocalPin& EpochPublisher::local_pin() const {
+  // Map nodes never move, so the cached pointer stays valid as the map
+  // grows; ids start at 1, so the empty cache matches no publisher.
+  struct Last {
+    std::uint64_t publisher_id = 0;
+    LocalPin* pin = nullptr;
+  };
+  thread_local Last t_last;
+  if (t_last.publisher_id == publisher_id_) return *t_last.pin;
   thread_local std::unordered_map<std::uint64_t, LocalPin> t_pins;
-  return t_pins[publisher_id_];
+  LocalPin& lp = t_pins[publisher_id_];
+  t_last = {publisher_id_, &lp};
+  return lp;
 }
 
 EpochPublisher::Pin EpochPublisher::pin() const {
   LocalPin& lp = local_pin();
   if (lp.depth > 0) {  // re-entrant: same epoch, deeper
     ++lp.depth;
-    return Pin(this, lp.snap);
+    return Pin(this, &lp, lp.snap);
   }
   if (lp.slot == SIZE_MAX && !lp.overflow) {
     const std::size_t s = next_slot_.fetch_add(1, std::memory_order_relaxed);
@@ -325,11 +355,10 @@ EpochPublisher::Pin EpochPublisher::pin() const {
   }
   lp.depth = 1;
   lp.snap = e;
-  return Pin(this, e);
+  return Pin(this, &lp, e);
 }
 
-void EpochPublisher::unpin() const {
-  LocalPin& lp = local_pin();
+void EpochPublisher::unpin(LocalPin& lp) const {
   if (--lp.depth > 0) return;
   if (lp.overflow) {
     const std::lock_guard<std::mutex> lock(overflow_pins_mutex_);
@@ -344,8 +373,9 @@ void EpochPublisher::unpin() const {
 
 void EpochPublisher::Pin::release() {
   if (pub_ != nullptr) {
-    pub_->unpin();
+    pub_->unpin(*local_);
     pub_ = nullptr;
+    local_ = nullptr;
     snap_ = nullptr;
   }
 }
@@ -369,7 +399,7 @@ std::uint64_t EpochPublisher::publish_from(const SpeedFusion& fusion,
 }
 
 std::uint64_t EpochPublisher::publish_impl(TrafficMap map, double max_age_s) {
-  // Snapshot construction (index, overlay, aggregates) runs outside the
+  // Snapshot construction (overlay, aggregates) runs outside the
   // publish lock; only the id assignment, swap and reclaim serialize.
   // Not make_unique: the snapshot ctor is private to this friend class.
   std::unique_ptr<EpochSnapshot> snap(

@@ -4,10 +4,10 @@
 // Ingest mutates fused state behind stripe locks; serving millions of
 // queries cannot afford to touch those locks. The publisher periodically
 // builds an immutable, query-optimized EpochSnapshot from the fused map —
-// dense segment-indexed speeds, O(1) key lookup, precomputed level /
-// coverage / mean-speed aggregates and a uniform spatial grid for region
-// queries — and swaps it in behind one atomic pointer. Readers never
-// block and never take a lock:
+// a dense live-row overlay on the publisher's static segment geometry,
+// precomputed level / coverage / mean-speed aggregates and a uniform
+// spatial grid for region queries — and swaps it in behind one atomic
+// pointer. Readers never block and never take a lock:
 //
 //   publish   build snapshot → current_.exchange(new) → retire old →
 //             reclaim (free every retired epoch no reader still pins);
@@ -21,6 +21,14 @@
 //             so readers always see a fully constructed, never-torn,
 //             never-recycled snapshot (property-tested under TSan; the
 //             churn suite is ASan leak-verified).
+//
+// Nothing on the serving path hashes into a node-based map. A key lookup
+// is one probe of the geometry's flat key → ordinal table (open
+// addressing, built once per publisher) and one read of the epoch's
+// ordinal → row overlay; an epoch build is one such probe per live
+// segment. A pin finds its thread's per-publisher state through a
+// one-entry thread-local cache, and the Pin carries that state, so the
+// unpin looks nothing up.
 //
 // The reader registry is a fixed array of cache-line-padded atomic slots,
 // handed out one per (thread, publisher) on first pin. Threads beyond
@@ -44,7 +52,7 @@
 #include <optional>
 #include <set>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/geo.h"
@@ -97,9 +105,10 @@ struct NearestSegment {
 };
 
 /// Static geometry of every catalogued adjacent segment, built once per
-/// publisher: midpoints, lengths, and a row-major uniform grid binning
-/// segments by midpoint (CSR). Epochs reference it; only the thin
-/// live-segment overlay is rebuilt per publish.
+/// publisher: midpoints, lengths, a flat key → ordinal table and a
+/// row-major uniform grid binning segments by midpoint (CSR). Epochs
+/// reference it; only the thin live-segment overlay is rebuilt per
+/// publish.
 class SegmentGeometry {
  public:
   SegmentGeometry(const SegmentCatalog& catalog, int cols, int rows);
@@ -110,9 +119,29 @@ class SegmentGeometry {
     double length_m = 0.0;
   };
 
+  /// The 64-bit form of a key the ordinal table stores: `from` in the
+  /// high word, `to` in the low word (so it also orders keys by (from, to)).
+  static std::uint64_t packed(const SegmentKey& key) {
+    return (std::uint64_t{static_cast<std::uint32_t>(key.from)} << 32) |
+           static_cast<std::uint32_t>(key.to);
+  }
+
   std::size_t size() const { return entries_.size(); }
   const Entry& entry(std::uint32_t ordinal) const { return entries_[ordinal]; }
-  std::optional<std::uint32_t> ordinal(const SegmentKey& key) const;
+  /// Ordinal of a catalogued adjacent segment; nullopt for any other key.
+  /// Inline: a lookup is a multiply, a shift and (almost always) one slot.
+  std::optional<std::uint32_t> ordinal(const SegmentKey& key) const {
+    const std::uint64_t k = packed(key);
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t i = home_slot(k);; i = (i + 1) & mask) {
+      const KeySlot& slot = table_[i];
+      if (slot.ordinal == kNoOrdinal) return std::nullopt;
+      if (slot.key == k) return slot.ordinal;
+    }
+  }
+  /// Slots a lookup of `key` reads, its home slot included (1 = no
+  /// collision): the table's clustering, as a hit or a miss sees it.
+  std::size_t probe_length(const SegmentKey& key) const;
   const SegmentCatalog& catalog() const { return *catalog_; }
 
   int cols() const { return cols_; }
@@ -128,9 +157,24 @@ class SegmentGeometry {
   const BoundingBox& region() const { return region_; }
 
  private:
+  static constexpr std::uint32_t kNoOrdinal = 0xffffffffu;  ///< empty slot
+  struct KeySlot {
+    std::uint64_t key = 0;  ///< packed()
+    std::uint32_t ordinal = kNoOrdinal;
+  };
+  /// Slot where the probe for a packed key starts: the top bits of a
+  /// multiplicative hash. (The low bits would depend on `to` alone, since
+  /// `from` sits above bit 32 of the packed key.)
+  std::size_t home_slot(std::uint64_t k) const {
+    return static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ULL) >> table_shift_);
+  }
+
   const SegmentCatalog* catalog_;
   std::vector<Entry> entries_;  ///< catalog.adjacent_keys() order
-  std::unordered_map<SegmentKey, std::uint32_t, SegmentKeyHash> ordinal_;
+  /// Key → ordinal: open addressing over a power-of-two table at most
+  /// half full, linear probing.
+  std::vector<KeySlot> table_;
+  unsigned table_shift_ = 63;  ///< 64 − log2(table_.size())
   BoundingBox region_;
   int cols_;
   int rows_;
@@ -139,8 +183,8 @@ class SegmentGeometry {
 };
 
 /// One immutable published epoch: the TrafficMap it wraps (bit-identical
-/// to TrafficMap::snapshot at the publish instant — property-tested), an
-/// O(1) key index, the live-segment overlay on the publisher's geometry,
+/// to TrafficMap::snapshot at the publish instant — property-tested), the
+/// live-segment overlay on the publisher's geometry (ordinal → map row),
 /// and whole-map aggregates precomputed at build time. Never mutated after
 /// publish; safe to read from any number of threads without locks.
 class EpochSnapshot {
@@ -154,8 +198,17 @@ class EpochSnapshot {
   const TrafficMap& map() const { return map_; }
   std::size_t live_segments() const { return map_.segments().size(); }
 
-  /// O(1) lookup; nullptr when the segment has no live estimate.
-  const MapSegment* segment(const SegmentKey& key) const;
+  /// The key's map row; nullptr when the segment has no live estimate.
+  /// A catalogued key is one geometry probe and one overlay read; any
+  /// other key (a map handed to publish_map may hold some) is looked up
+  /// in the epoch's sorted off-geometry rows.
+  const MapSegment* segment(const SegmentKey& key) const {
+    if (const auto ord = geometry_->ordinal(key)) {
+      const std::uint32_t row = live_of_ordinal_[*ord];
+      return row == kNotLive ? nullptr : &map_.segments()[row];
+    }
+    return off_geometry_.empty() ? nullptr : off_geometry_segment(key);
+  }
 
   /// The segment's estimate as a FusedSpeed view (mean_kmh, updated_at and
   /// observation_count preserved; variance is not carried into epochs and
@@ -187,19 +240,26 @@ class EpochSnapshot {
   friend class EpochPublisher;
   EpochSnapshot(TrafficMap map, const SegmentGeometry& geometry,
                 double max_age_s);
+  const MapSegment* off_geometry_segment(const SegmentKey& key) const;
 
   std::uint64_t id_ = 0;  ///< assigned by the publisher before the swap
   double max_age_s_ = 0.0;
   TrafficMap map_;
   const SegmentGeometry* geometry_;
-  std::unordered_map<SegmentKey, std::uint32_t, SegmentKeyHash> index_;
   std::vector<std::uint32_t> live_of_ordinal_;  ///< geometry → map index
+  /// (packed key, map index) of the rows whose key the geometry does not
+  /// catalogue, ascending by key. Empty for maps built from a fusion over
+  /// the publisher's catalog.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> off_geometry_;
   std::map<SpeedLevel, int> level_histogram_;
   double coverage_ratio_ = 0.0;
   double mean_speed_kmh_ = 0.0;
 };
 
 class EpochPublisher {
+ private:
+  struct LocalPin;  // per (thread, publisher) pin state, defined below
+
  public:
   /// RAII pinned epoch. Falsy when nothing has been published yet. Must be
   /// released on the thread that acquired it; re-entrant pins on the same
@@ -207,16 +267,20 @@ class EpochPublisher {
   class Pin {
    public:
     Pin() = default;
-    Pin(Pin&& other) noexcept : pub_(other.pub_), snap_(other.snap_) {
+    Pin(Pin&& other) noexcept
+        : pub_(other.pub_), local_(other.local_), snap_(other.snap_) {
       other.pub_ = nullptr;
+      other.local_ = nullptr;
       other.snap_ = nullptr;
     }
     Pin& operator=(Pin&& other) noexcept {
       if (this != &other) {
         release();
         pub_ = other.pub_;
+        local_ = other.local_;
         snap_ = other.snap_;
         other.pub_ = nullptr;
+        other.local_ = nullptr;
         other.snap_ = nullptr;
       }
       return *this;
@@ -232,11 +296,12 @@ class EpochPublisher {
 
    private:
     friend class EpochPublisher;
-    Pin(const EpochPublisher* pub, const EpochSnapshot* snap)
-        : pub_(pub), snap_(snap) {}
+    Pin(const EpochPublisher* pub, LocalPin* local, const EpochSnapshot* snap)
+        : pub_(pub), local_(local), snap_(snap) {}
     void release();
 
     const EpochPublisher* pub_ = nullptr;
+    LocalPin* local_ = nullptr;  ///< the acquiring thread's pin state
     const EpochSnapshot* snap_ = nullptr;
   };
 
@@ -306,15 +371,17 @@ class EpochPublisher {
   struct alignas(64) Slot {
     std::atomic<const EpochSnapshot*> hazard{nullptr};
   };
-  struct LocalPin {  // per (thread, publisher) pin state
+  struct LocalPin {
     std::size_t slot = SIZE_MAX;
     bool overflow = false;
     int depth = 0;
     const EpochSnapshot* snap = nullptr;
   };
 
+  /// This thread's pin state for this publisher: a one-entry thread-local
+  /// cache in front of the thread's id → state map.
   LocalPin& local_pin() const;
-  void unpin() const;
+  void unpin(LocalPin& lp) const;
   std::uint64_t publish_impl(TrafficMap map, double max_age_s);
   std::size_t reclaim_locked();
   std::size_t count_pinned_locked(
@@ -322,7 +389,9 @@ class EpochPublisher {
 
   SegmentGeometry geometry_;
   EpochPublisherConfig config_;
-  const std::uint64_t publisher_id_;  ///< key for thread-local pin lookup
+  /// Key for the thread-local pin state; never reused, so no thread's
+  /// cache or map entry for a destroyed publisher is ever looked up again.
+  const std::uint64_t publisher_id_;
 
   // Publish/retire/reclaim state, serialized by publish_mutex_.
   mutable std::mutex publish_mutex_;

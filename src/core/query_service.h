@@ -3,17 +3,23 @@
 //
 // Millions of queries per second cannot touch the ingest locks. Every
 // query pins the current epoch (hazard-pointer handshake, no locks on the
-// registered-reader path), answers from the immutable snapshot, and
-// unpins. Three query families:
+// registered-reader path; the pin finds this thread's state through a
+// one-entry thread-local cache and the unpin looks nothing up), answers
+// from the immutable snapshot, and unpins. Four query families:
 //
-//   segment_speed  O(1) hash lookup of one segment's fused speed + level;
+//   segment_speed  one segment's fused speed + level: one probe of the
+//                  geometry's flat key → ordinal table and one read of
+//                  the epoch's ordinal → row overlay, no hashing into a
+//                  node-based map;
 //   route_eta      downstream arrival predictions for a route, reusing
 //                  ArrivalPredictor against the epoch's speeds — bit-
 //                  identical to predicting against the live fusion at the
 //                  publish instant (the predictor reads only mean_kmh and
 //                  updated_at, both preserved by the epoch);
 //   region_aggregate  bounding-box mean speed / coverage / level histogram
-//                  via the publisher's spatial grid.
+//                  via the publisher's spatial grid;
+//   k_nearest_live_segments  the k live segments nearest a point, by an
+//                  expanding ring walk over the same grid.
 //
 // Results are stamped with the answering epoch's id and time, so callers
 // can detect staleness and correlate across queries. The service is

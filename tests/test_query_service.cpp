@@ -20,6 +20,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,6 +139,71 @@ struct PrimedServer {
     server.advance_time(now);
   }
 };
+
+// ------------------------------------------------------ geometry key table
+
+// The flat key → ordinal table answers what a scan of the geometry's
+// entries answers: the ordinal of every catalogued key and of every
+// reversed one, nothing for every other ordered pair of catalogued stops
+// (the pairs sharing a `to` among them). Its probes stay as short as a uniform hash's
+// at the table's maximal load of 1/2, where linear probing reads on
+// average 1.5 slots for a hit and 2.5 for a miss (Knuth). A home slot
+// taken from the low bits of the hash depends on `to` alone and piles
+// every key sharing a `to` onto one chain, which breaks both bounds.
+TEST(SegmentGeometry, FlatOrdinalTableMatchesLinearScan) {
+  const Testbed& bed = testbed();
+  const SegmentCatalog catalog(bed.world.city());
+  const SegmentGeometry geo(catalog, 32, 16);
+  ASSERT_GT(geo.size(), 1u);
+  const auto scan = [&](const SegmentKey& key) {
+    std::optional<std::uint32_t> found;
+    for (std::uint32_t i = 0; i < geo.size() && !found; ++i) {
+      if (geo.entry(i).key == key) found = i;
+    }
+    return found;
+  };
+
+  std::set<std::pair<StopId, StopId>> catalogued;
+  std::set<StopId> stops;
+  std::size_t wrong = 0;
+  double hit_reads = 0.0;
+  for (std::uint32_t i = 0; i < geo.size(); ++i) {
+    const SegmentKey key = geo.entry(i).key;
+    catalogued.emplace(key.from, key.to);
+    stops.insert(key.from);
+    stops.insert(key.to);
+    if (geo.ordinal(key) != scan(key) || !geo.ordinal(key)) ++wrong;
+    hit_reads += static_cast<double>(geo.probe_length(key));
+  }
+  EXPECT_EQ(wrong, 0u) << "catalogued keys answered unlike the scan";
+
+  // Reversed keys: catalogued or not, answered as the scan answers them.
+  for (std::uint32_t i = 0; i < geo.size(); ++i) {
+    const SegmentKey reversed{geo.entry(i).key.to, geo.entry(i).key.from};
+    if (geo.ordinal(reversed) != scan(reversed)) ++wrong;
+  }
+
+  std::size_t misses = 0;
+  double miss_reads = 0.0;
+  for (const StopId from : stops) {
+    for (const StopId to : stops) {
+      if (catalogued.count({from, to}) != 0) continue;
+      const SegmentKey key{from, to};
+      ++misses;
+      if (geo.ordinal(key)) ++wrong;
+      miss_reads += static_cast<double>(geo.probe_length(key));
+    }
+  }
+  EXPECT_FALSE(geo.ordinal(SegmentKey{}));  // kInvalidStop both ends
+  EXPECT_FALSE(geo.ordinal(SegmentKey{*stops.begin(), kInvalidStop}));
+  EXPECT_EQ(wrong, 0u) << "uncatalogued keys answered";
+  ASSERT_GT(misses, geo.size());
+
+  const double hit_mean = hit_reads / static_cast<double>(geo.size());
+  const double miss_mean = miss_reads / static_cast<double>(misses);
+  EXPECT_LE(hit_mean, 1.5);
+  EXPECT_LE(miss_mean, 2.5);
+}
 
 // ------------------------------------------------------------- validation
 
@@ -332,6 +399,83 @@ TEST(QueryService, SegmentSpeedMatchesSnapshotForAllKeys) {
     EXPECT_EQ(r.observation_count, it->observation_count);
   }
   EXPECT_EQ(live, serial.segments().size());
+}
+
+// publish_map takes any TrafficMap, so an epoch may hold a row whose key
+// the publisher's catalog does not list (here a span over one skipped
+// stop). Key lookups answer it from its map row, bit for bit; region and
+// k-nearest queries, which know only catalogued midpoints, skip it.
+TEST(EpochServing, OffCatalogRowAnsweredByKeyIgnoredBySpatialQueries) {
+  const Testbed& bed = testbed();
+  const SegmentCatalog catalog(bed.world.city());
+  const auto& keys = catalog.adjacent_keys();
+  std::optional<SegmentKey> span;
+  for (std::size_t i = 0; i + 1 < keys.size() && !span; ++i) {
+    if (keys[i].to == keys[i + 1].from && keys[i].from != keys[i + 1].to) {
+      span = SegmentKey{keys[i].from, keys[i + 1].to};
+    }
+  }
+  ASSERT_TRUE(span);
+  ASSERT_EQ(catalog.adjacent(*span), nullptr);
+
+  SpeedFusion fusion = tiny_fusion(catalog, 8, 30.0, 4000.0);
+  SpeedEstimate e;
+  e.segment = *span;
+  e.att_speed_kmh = 17.25;
+  e.time = 4100.0;
+  fusion.add(e);
+  fusion.flush_until(4100.0 + kHour);
+  const TrafficMap map = TrafficMap::snapshot(fusion, catalog, 5000.0);
+  ASSERT_EQ(map.segments().size(), 9u);
+  const auto row = std::find_if(
+      map.segments().begin(), map.segments().end(),
+      [&](const MapSegment& s) { return s.key == *span; });
+  ASSERT_NE(row, map.segments().end());
+
+  EpochPublisher pub(catalog);
+  pub.publish_map(map);
+  QueryService svc(pub);
+  const EpochPublisher::Pin p = pub.pin();
+  ASSERT_TRUE(p);
+
+  const MapSegment* seg = p->segment(*span);
+  ASSERT_NE(seg, nullptr);
+  EXPECT_EQ(seg->speed_kmh, row->speed_kmh);
+  EXPECT_EQ(seg->level, row->level);
+  EXPECT_EQ(seg->updated_at, row->updated_at);
+  EXPECT_EQ(seg->observation_count, row->observation_count);
+  const std::optional<FusedSpeed> fused = p->fused(*span);
+  ASSERT_TRUE(fused);
+  EXPECT_EQ(fused->mean_kmh, row->speed_kmh);
+  EXPECT_EQ(fused->variance, 0.0);
+  EXPECT_EQ(fused->updated_at, row->updated_at);
+  EXPECT_EQ(fused->observation_count, row->observation_count);
+  const SegmentSpeedResult r = svc.segment_speed(*span);
+  ASSERT_TRUE(r.live);
+  EXPECT_EQ(r.speed_kmh, row->speed_kmh);
+  EXPECT_EQ(r.level, row->level);
+  EXPECT_EQ(r.updated_at, row->updated_at);
+  EXPECT_EQ(r.observation_count, row->observation_count);
+
+  // A key neither catalogued nor in the map finds nothing.
+  const SegmentKey reversed{span->to, span->from};
+  EXPECT_EQ(p->segment(reversed), nullptr);
+  EXPECT_FALSE(p->fused(reversed));
+  EXPECT_FALSE(svc.segment_speed(reversed).live);
+  // The catalogued rows still answer from their own rows.
+  for (const MapSegment& s : map.segments()) {
+    const MapSegment* got = p->segment(s.key);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->speed_kmh, s.speed_kmh);
+  }
+
+  const RegionAggregate all = p->region(pub.geometry().region());
+  EXPECT_EQ(all.segments_live, 8);
+  EXPECT_EQ(all.segments_total, static_cast<int>(pub.geometry().size()));
+  const std::vector<NearestSegment> nearest =
+      p->k_nearest(pub.geometry().region().min, keys.size());
+  EXPECT_EQ(nearest.size(), 8u);
+  for (const NearestSegment& n : nearest) EXPECT_FALSE(n.segment.key == *span);
 }
 
 TEST(QueryService, RouteEtaMatchesPredictorAgainstLiveFusion) {
@@ -572,6 +716,80 @@ TEST(EpochPublisher, PinsAreReentrantPerThread) {
   EXPECT_EQ(pub.pinned_readers(), 0u);
   // Fully released: the next pin observes the newest epoch.
   EXPECT_EQ(pub.pin()->id(), 2u);
+}
+
+// One thread's pins of two publishers, interleaved, nested and released
+// out of order, keep each publisher's depth and registry its own; a
+// publisher built where a destroyed one lived starts from fresh state.
+TEST(EpochPublisher, PinStateStaysPerPublisherOnOneThread) {
+  const Testbed& bed = testbed();
+  const SegmentCatalog catalog(bed.world.city());
+  const SpeedFusion fusion = tiny_fusion(catalog, 4, 30.0, 4000.0);
+  EpochPublisherConfig one_slot;
+  one_slot.max_readers = 1;
+  const auto overflows = [](const EpochPublisher& pub) {
+    return pub.metrics().snapshot().counters.at("epochs.overflow_readers");
+  };
+  std::optional<EpochPublisher> a;
+  a.emplace(catalog, one_slot);
+  EpochPublisher b(catalog);
+  a->publish_from(fusion, 5000.0);  // a: epoch 1
+  b.publish_from(fusion, 5000.0);
+  b.publish_from(fusion, 6000.0);  // b: epoch 2
+  // Another thread takes a's only slot, so this thread's a-pins overflow.
+  std::thread([&] { EXPECT_TRUE(a->pin()); }).join();
+
+  {
+    EpochPublisher::Pin a1 = a->pin();
+    EpochPublisher::Pin b1 = b.pin();
+    a->publish_from(fusion, 7000.0);  // a: epoch 2
+    b.publish_from(fusion, 7000.0);   // b: epoch 3
+    EpochPublisher::Pin a2 = a->pin();  // nested in a1
+    EpochPublisher::Pin b2 = b.pin();   // nested in b1
+    EXPECT_EQ(a1->id(), 1u);
+    EXPECT_EQ(a2.get(), a1.get());
+    EXPECT_EQ(b1->id(), 2u);
+    EXPECT_EQ(b2.get(), b1.get());
+    EXPECT_EQ(a->pinned_readers(), 1u);
+    EXPECT_EQ(b.pinned_readers(), 1u);
+    EXPECT_EQ(overflows(*a), 1u);
+
+    a1 = EpochPublisher::Pin();  // a2 still holds a's epoch 1
+    b1 = EpochPublisher::Pin();  // b2 still holds b's epoch 2
+    EXPECT_EQ(a->pinned_readers(), 1u);
+    EXPECT_EQ(b.pinned_readers(), 1u);
+    a->reclaim();
+    EXPECT_EQ(a->epochs_live(), 2u);
+    EpochPublisher::Pin b3 = b.pin();  // nested in b2
+    EXPECT_EQ(b3->id(), 2u);
+    a2 = EpochPublisher::Pin();
+    EXPECT_EQ(a->pinned_readers(), 0u);
+    EXPECT_EQ(b.pinned_readers(), 1u);
+    b2 = EpochPublisher::Pin();
+    EXPECT_EQ(b.pinned_readers(), 1u);
+    b3 = EpochPublisher::Pin();
+    EXPECT_EQ(b.pinned_readers(), 0u);
+    EXPECT_EQ(b.pin()->id(), 3u);
+    EXPECT_EQ(a->pin()->id(), 2u);  // a's state is the thread's last used
+  }
+
+  // Same storage, new publisher: its first pin takes its own only slot
+  // (no overflow carried over), so the next thread is the one to overflow.
+  a.reset();
+  a.emplace(catalog, one_slot);
+  a->publish_from(tiny_fusion(catalog, 6, 40.0, 8000.0), 9000.0);
+  const EpochPublisher::Pin fresh = a->pin();
+  ASSERT_TRUE(fresh);
+  EXPECT_EQ(fresh->id(), 1u);
+  EXPECT_EQ(fresh->time(), 9000.0);
+  EXPECT_EQ(fresh->live_segments(), 6u);
+  EXPECT_EQ(a->pinned_readers(), 1u);
+  EXPECT_EQ(overflows(*a), 0u);
+  std::thread([&] {
+    const EpochPublisher::Pin other = a->pin();
+    EXPECT_TRUE(other && other.get() == fresh.get());
+  }).join();
+  EXPECT_EQ(overflows(*a), 1u);
 }
 
 TEST(EpochPublisher, OverflowReadersBeyondSlotCapacity) {
